@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .extrema import grid_extrema
-from .follmer import RationalPolynomial, follmer_sum, ito_residual
+from .follmer import RationalPolynomial, _residual_and_sum
 from .modulus import modulus_scan, sweep_all_steps, witness_ratios, witness_steps
 from .qfield import Dyadic, QuadValue
 from .quadvar import QVRow, counterexample_series, cov_approx, qv_profile
@@ -235,8 +235,7 @@ def cmd_ito(args: argparse.Namespace) -> None:
     )
     records = []
     for n in levels:
-        res = ito_residual(poly, fn, n, t)
-        rsum = follmer_sum(poly.derivative(), fn, n, t)
+        res, rsum = _residual_and_sum(poly, fn, n, t)
         rec = _series_record(n, t.as_fraction(), res)
         rec.update(
             {

@@ -117,24 +117,27 @@ def time_sum(
     return QuadValue(Fraction(sp, scale), Fraction(sq, scale))
 
 
-def ito_residual(
+def _residual_and_sum(
     f: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational
-) -> QuadValue:
-    """Second-order expansion residual at level n; tends to zero in n."""
+) -> tuple[QuadValue, QuadValue]:
+    """The level-n residual and the Riemann sum of f'(x) dx inside it, from one grid."""
     t = _grid_index(level, t)
     j_end = t.numerator_at(level)
     p, q = _pairs(x, level)
     v_t = pair_value(int(p[j_end]), int(q[j_end]), level)
     v_0 = pair_value(int(p[0]), int(q[0]), level)
     f1 = f.derivative()
-    f2 = f1.derivative()
     grid = (p, q)
-    return (
-        f(v_t)
-        - f(v_0)
-        - follmer_sum(f1, grid, level, t)
-        - time_sum(f2, grid, level, t) * Fraction(1, 2)
-    )
+    rsum = follmer_sum(f1, grid, level, t)
+    residual = f(v_t) - f(v_0) - rsum - time_sum(f1.derivative(), grid, level, t) * Fraction(1, 2)
+    return residual, rsum
+
+
+def ito_residual(
+    f: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational
+) -> QuadValue:
+    """Second-order expansion residual at level n; tends to zero in n."""
+    return _residual_and_sum(f, x, level, t)[0]
 
 
 def residual_profile(

@@ -16,14 +16,13 @@ gets nu(2**-n) = n even though omega jumps there.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .gridscan import exact_absmax, thread_cap
+from .gridscan import exact_absmax
 from .qfield import Dyadic, QuadValue, Rational, SQRT2, _as_fraction, pow2_half
 from .schemes import AllPlus, NegHalfSplit
 from .takagi import TakagiFunction, pair_value, thirds_value
@@ -96,12 +95,7 @@ def modulus_scan(fn: TakagiFunction, grid_level: int, h: Dyadic | Rational) -> M
 def sweep_all_steps(fn: TakagiFunction, grid_level: int) -> list[ModulusReport]:
     """Reports for every step h = j/2**grid_level, j = 1..2**grid_level."""
     p, q = fn.grid_pairs(grid_level)
-    steps = range(1, (1 << grid_level) + 1)
-    workers = thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda j: _scan_report(p, q, grid_level, j), steps))
-    return [_scan_report(p, q, grid_level, j) for j in steps]
+    return [_scan_report(p, q, grid_level, j) for j in range(1, (1 << grid_level) + 1)]
 
 
 class WitnessRow(NamedTuple):

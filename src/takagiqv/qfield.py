@@ -47,6 +47,32 @@ def sign_pair(a: int, b: int) -> int:
     return 1 if a * a < 2 * b * b else -1
 
 
+def _floor_sqrt2(q: int) -> int:
+    """floor(q*sqrt(2)), exact: 2*q*q is never a perfect square for q != 0."""
+    return isqrt(2 * q * q) if q >= 0 else -isqrt(2 * q * q) - 1
+
+
+def decimal_pair(p: int, q: int, den: int, digits: int) -> str:
+    """(p + q*sqrt(2)) / den, den > 0, rounded half to even to `digits` places.
+
+    Integers only: m = floor(2 * value * 10**digits) decides the rounding,
+    since the scaled value's fractional part is >= 1/2 exactly when m is
+    odd.  It is exactly 1/2 only when q == 0 and den divides the scaled
+    numerator, because sqrt(2) is irrational.
+    """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    s = 10 ** digits
+    num = 2 * s * p
+    m = (num + _floor_sqrt2(2 * s * q)) // den
+    n = m >> 1
+    if m & 1 and (q or num % den or n & 1):
+        n += 1
+    sign = "-" if n < 0 else ""
+    whole, part = divmod(abs(n), s)
+    return f"{sign}{whole}.{part:0{digits}d}"
+
+
 @total_ordering
 class QuadValue:
     """A number a + b*sqrt(2) with exact rational components."""
@@ -137,16 +163,7 @@ class QuadValue:
 
     def sign(self) -> int:
         """Exact sign, computed without floating point."""
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        if a > 0:  # b < 0
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if a * a < 2 * b * b else -1
+        return sign_pair(self.a, self.b)
 
     def compare(self, other: QuadValue | Rational) -> int:
         """-1, 0 or +1 according to the exact order of self vs other."""
@@ -178,35 +195,20 @@ class QuadValue:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * _SQRT2_F
 
+    def _over_common_den(self) -> tuple[int, int, int]:
+        """(p, q, d) with self == (p + q*sqrt(2)) / d and d > 0."""
+        a, b = self.a, self.b
+        d = lcm(a.denominator, b.denominator)
+        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+
     def floor(self) -> int:
         """Exact floor, via integer square roots only."""
-        d = lcm(self.a.denominator, self.b.denominator)
-        p = self.a.numerator * (d // self.a.denominator)
-        q = self.b.numerator * (d // self.b.denominator)
-        # floor(q*sqrt(2)) is exact: 2*q*q is never a perfect square for q != 0
-        if q >= 0:
-            fq = isqrt(2 * q * q)
-        else:
-            fq = -isqrt(2 * q * q) - 1
-        return (p + fq) // d
+        p, q, d = self._over_common_den()
+        return (p + _floor_sqrt2(q)) // d
 
     def decimal(self, digits: int) -> str:
-        """Correctly rounded decimal string with `digits` fractional digits.
-
-        Rounds half to even; ties can only occur when the sqrt(2) component
-        is zero, so the rounding is exact in every case.
-        """
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        scaled = self * QuadValue(Fraction(10) ** digits, 0)
-        n = scaled.floor()
-        frac = scaled - n
-        c = frac.compare(Fraction(1, 2))
-        if c > 0 or (c == 0 and n % 2 != 0):
-            n += 1
-        sign = "-" if n < 0 else ""
-        whole, part = divmod(abs(n), 10 ** digits)
-        return f"{sign}{whole}.{part:0{digits}d}"
+        """Correctly rounded, half-to-even decimal with `digits` fractional digits."""
+        return decimal_pair(*self._over_common_den(), digits)
 
     def __str__(self) -> str:
         if self.b == 0:

@@ -22,7 +22,6 @@ Evaluation surfaces:
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -58,18 +57,19 @@ class TakagiFunction:
     def __init__(self, scheme: CoefficientScheme) -> None:
         self.scheme = scheme
         self._rows: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         return f"TakagiFunction({self.scheme.spec})"
 
     def row(self, m: int) -> np.ndarray:
-        """Generation-m coefficients, cached after first use."""
-        with self._lock:
-            got = self._rows.get(m)
-            if got is None:
-                got = self._rows[m] = self.scheme.row(m)
-            return got
+        """Generation-m coefficients, cached after first use.
+
+        Unlocked: rows are deterministic, so racing threads at worst build one twice.
+        """
+        got = self._rows.get(m)
+        if got is None:
+            got = self._rows[m] = self.scheme.row(m)
+        return got
 
     # -- scalar evaluation ----------------------------------------------------
 

@@ -62,6 +62,24 @@ def oracle_cov(fx: TakagiFunction, fy: TakagiFunction, level: int, t: Fraction) 
     return acc
 
 
+def oracle_decimal(v: QuadValue, digits: int) -> str:
+    """Round-half-even decimal through Fraction arithmetic and the exact order.
+
+    Scales by 10**digits, takes the floor, and compares the remaining
+    fractional part with 1/2 as an element of Q(sqrt(2)).
+    """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    scaled = v * QuadValue(Fraction(10) ** digits, 0)
+    n = scaled.floor()
+    c = (scaled - n).compare(Fraction(1, 2))
+    if c > 0 or (c == 0 and n % 2 != 0):
+        n += 1
+    sign = "-" if n < 0 else ""
+    whole, part = divmod(abs(n), 10 ** digits)
+    return f"{sign}{whole}.{part:0{digits}d}"
+
+
 def oracle_float_grid(fn: TakagiFunction, level: int) -> np.ndarray:
     """float64 values on j/2**level as a direct sum of theta(m,k) * e(m,k).
 

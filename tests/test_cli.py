@@ -5,6 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from takagiqv.cli import main
+from takagiqv.follmer import RationalPolynomial, follmer_sum, ito_residual
+from takagiqv.qfield import QuadValue
+from takagiqv.schemes import parse_scheme
+from takagiqv.takagi import TakagiFunction
 
 
 def run(capsys, *argv):
@@ -121,6 +125,19 @@ class TestSeriesCommands:
         assert len(lines) == 9
         final = lines[-1].split(",")
         assert final[3:5] == ["-1", "256"]
+        # f = u**2 and x(0) = x(1) = 0: the Riemann sum of 2x dx is -(1 - 2**-n)
+        for line in lines[1:]:
+            n, rsum = int(line.split(",")[0]), line.split(",")[-1]
+            assert rsum == QuadValue(F(1, 1 << n) - 1, 0).decimal(12)
+
+    def test_ito_riemann_sum_column(self, capsys):
+        code, out, _ = run(capsys, "ito", "--scheme", "alt_m", "--poly", "1,0,-1/2,2", "--level", "7")
+        assert code == 0
+        fn = TakagiFunction(parse_scheme("alt_m"))
+        poly = RationalPolynomial.parse("1,0,-1/2,2")
+        row = out.strip().split("\n")[-1].split(",")
+        assert row[7] == ito_residual(poly, fn, 7, 1).decimal(12)
+        assert row[-1] == follmer_sum(poly.derivative(), fn, 7, 1).decimal(12)
 
     def test_ito_requires_level(self, capsys):
         with pytest.raises(SystemExit):

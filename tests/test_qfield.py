@@ -4,11 +4,24 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from takagiqv.qfield import SQRT2, Dyadic, QuadValue, pow2_half, sign_pair
+from takagiqv.qfield import SQRT2, Dyadic, QuadValue, decimal_pair, pow2_half, sign_pair
+
+from conftest import oracle_decimal
 
 fracs = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 quads = st.builds(QuadValue, fracs, fracs)
 nonzero_quads = quads.filter(bool)
+# signed values with wide numerators over any denominator, and dyadic ones,
+# some rational, so that exact ties come up
+wide_fracs = st.fractions(min_value=-(2 ** 70), max_value=2 ** 70, max_denominator=2 ** 40)
+dyadic_fracs = st.builds(
+    lambda num, level: F(num, 1 << level), st.integers(-(2 ** 40), 2 ** 40), st.integers(0, 30)
+)
+wide_quads = st.one_of(
+    st.builds(QuadValue, wide_fracs, wide_fracs),
+    st.builds(QuadValue, dyadic_fracs, st.just(F(0))),
+    st.builds(QuadValue, dyadic_fracs, dyadic_fracs),
+)
 
 
 class TestArithmetic:
@@ -91,9 +104,44 @@ class TestDecimal:
         assert QuadValue(F(1, 8), 0).decimal(2) == "0.12"
         assert QuadValue(F(3, 8), 0).decimal(2) == "0.38"
         assert QuadValue(F(-1, 8), 0).decimal(2) == "-0.12"
+        assert [decimal_pair(p, 0, 8, 2) for p in (1, 3, -1)] == ["0.12", "0.38", "-0.12"]
 
     def test_negative(self):
         assert QuadValue(0, -1).decimal(4) == "-1.4142"
+
+    @given(wide_quads, st.integers(1, 20))
+    def test_matches_oracle(self, u, digits):
+        want = oracle_decimal(u, digits)
+        assert u.decimal(digits) == want
+        d = u.a.denominator * u.b.denominator
+        assert decimal_pair(int(u.a * d), int(u.b * d), d, digits) == want
+
+    def test_non_dyadic(self):
+        u = QuadValue(F(2, 3), F(1, 7))
+        assert u.decimal(9) == oracle_decimal(u, 9) == "0.868697176"
+        assert decimal_pair(14, 3, 21, 9) == "0.868697176"
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 10 ** 6 + 3, -1, -2, -8])
+    def test_exact_ties(self, k):
+        # (2k+1) / (2*10**digits) lies halfway between two printed values
+        for digits in range(1, 21):
+            u = QuadValue(F(2 * k + 1, 2 * 10 ** digits), 0)
+            want = oracle_decimal(u, digits)
+            assert u.decimal(digits) == decimal_pair(2 * k + 1, 0, 2 * 10 ** digits, digits) == want
+
+    def test_level_26_pair(self):
+        # all_plus-sized values on the 2**-26 grid, both components near 2**28
+        p, q = (1 << 28) - 12345, -(1 << 27) + 6789
+        u = QuadValue(F(p, 1 << 26), F(q, 1 << 26))
+        for digits in (1, 12, 20):
+            assert decimal_pair(p, q, 1 << 26, digits) == u.decimal(digits) == oracle_decimal(u, digits)
+
+    def test_digits_must_be_positive(self):
+        for digits in (0, -3):
+            with pytest.raises(ValueError):
+                QuadValue(1, 1).decimal(digits)
+            with pytest.raises(ValueError):
+                decimal_pair(1, 1, 1, digits)
 
     @given(quads)
     def test_decimal_close_to_float(self, u):
