@@ -93,6 +93,7 @@ def _is_dyadic(t: Fraction) -> bool:
 def cmd_eval(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     t = _fraction(args.t)
+    tol = _fraction(args.tol)
     print(f"scheme: {fn.scheme.spec}")
     print(f"t: {t}")
     if _is_dyadic(t):
@@ -103,7 +104,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
     try:
         v = thirds_value(fn, t)
     except ValueError:
-        v, bound = fn.approx(t, Fraction(args.tol))
+        v, bound = fn.approx(t, tol)
         print(f"value: {v}  (truncated series)")
         print(f"decimal: {v.decimal(args.digits)}")
         print(f"tail_bound: {bound.decimal(args.digits)}")

@@ -1,8 +1,8 @@
 """Exact argmax/argmin over arrays of Q(sqrt(2)) values stored as integer pairs.
 
-Scans run in two stages: a vectorized float pass narrows the grid to a
-small candidate set using a rigorous error bound, then exact integer
-comparisons decide the winner and collect every tie.  Grids of more than
+Scans run in two stages: a float pass in one float64 buffer per chunk
+narrows the grid to a small candidate set using a rigorous error bound,
+then exact integer comparisons decide the winner and collect every tie.  Grids of more than
 one 2**18-point chunk are screened per chunk on a thread pool capped by
 TAKAGI_THREADS, the package's only pool (numpy releases the GIL there);
 the exact merge makes the result independent of chunking and thread timing.
@@ -35,9 +35,13 @@ def thread_cap() -> int:
 def _float_candidates(p: np.ndarray, q: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Indices in [lo, hi) that could attain the exact maximum of p + q*sqrt2."""
     ps, qs = p[lo:hi], q[lo:hi]
-    f = ps.astype(np.float64) + qs.astype(np.float64) * _SQRT2_F
+    f = qs.astype(np.float64)
+    f *= _SQRT2_F
+    f += ps
     # |float - exact| <= (|p| + 2|q|) * 2**-50, generously
-    err = (np.abs(ps).max() + 2.0 * np.abs(qs).max() + 1.0) * 2.0 ** -50
+    p_abs = max(-int(ps.min()), int(ps.max()))
+    q_abs = max(-int(qs.min()), int(qs.max()))
+    err = (p_abs + 2.0 * q_abs + 1.0) * 2.0 ** -50
     return np.flatnonzero(f >= f.max() - 4.0 * err) + lo
 
 

@@ -108,12 +108,15 @@ def qv_profile(x: GridLike, level: int, stride: int = 1) -> QVSeries:
     if stride < 1 or (1 << level) % stride:
         raise ValueError(f"stride {stride} must divide 2**{level}")
     p, q = _pairs(x, level)
-    dp, dq = np.diff(p), np.diff(q)
-    cum_a = np.concatenate(([0], np.cumsum(dp * dp + 2 * dq * dq)))
-    cum_b = np.concatenate(([0], np.cumsum(2 * dp * dq)))
+    dp, dq = np.diff(p).reshape(-1, stride), np.diff(q).reshape(-1, stride)
+    # one sum per stride block, then the running total over blocks
+    block_a = np.einsum("ij,ij->i", dp, dp) + 2 * np.einsum("ij,ij->i", dq, dq)
+    block_b = 2 * np.einsum("ij,ij->i", dp, dq)
+    cum_a = np.concatenate(([0], np.cumsum(block_a)))
+    cum_b = np.concatenate(([0], np.cumsum(block_b)))
     rows = [
-        QVRow(level, Dyadic(j, level), _sum_value(int(cum_a[j]), int(cum_b[j]), level))
-        for j in range(0, (1 << level) + 1, stride)
+        QVRow(level, Dyadic(i * stride, level), _sum_value(a, b, level))
+        for i, (a, b) in enumerate(zip(cum_a.tolist(), cum_b.tolist()))
     ]
     return QVSeries("qv", rows)
 

@@ -185,6 +185,8 @@ class Bernoulli(CoefficientScheme):
     def __init__(self, p_plus: Fraction, seed: int) -> None:
         if not 0 <= p_plus <= 1:
             raise ValueError("p_plus must lie in [0, 1]")
+        if not -(1 << 63) <= seed < 1 << 63:
+            raise ValueError(f"bernoulli seed must lie in [-2**63, 2**63), got {seed}")
         self.p_plus = Fraction(p_plus)
         self.seed = seed
         self.spec = f"bernoulli:{p_plus}:{seed}"
@@ -200,6 +202,21 @@ class Bernoulli(CoefficientScheme):
         if u * self.p_plus.denominator < self.p_plus.numerator << 64:
             return 1
         return -1
+
+    def row(self, m: int) -> np.ndarray:
+        # copies of a hasher already fed the key and "m:" give theta's digests
+        base = hashlib.blake2b(b"%d:" % m, digest_size=8, key=self._key)
+        digests = []
+        for k in range(1 << m):
+            h = base.copy()
+            h.update(b"%d" % k)
+            digests.append(h.digest())
+        u = np.frombuffer(b"".join(digests), "<u8")
+        # theta's test u * den < num * 2**64, as u < ceil(num * 2**64 / den)
+        bound = -(-(self.p_plus.numerator << 64) // self.p_plus.denominator)
+        if bound >= 1 << 64:
+            return np.ones(1 << m, dtype=np.int64)
+        return np.where(u < np.uint64(bound), 1, -1)
 
 
 class Explicit(CoefficientScheme):

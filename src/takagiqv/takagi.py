@@ -126,28 +126,18 @@ class TakagiFunction:
         p = np.zeros(2, dtype=np.int64)
         q = np.zeros(2, dtype=np.int64)
         for n in range(level):
-            theta = self.row(n)
             size = (1 << (n + 1)) + 1
-            np_new = np.empty(size, dtype=np.int64)
-            nq_new = np.empty(size, dtype=np.int64)
-            np_new[::2] = p * 2
-            nq_new[::2] = q * 2
-            mid_p = p[:-1] + p[1:]
-            mid_q = q[:-1] + q[1:]
-            # wedge height 2**-(n+2)/2 rescaled by 2**(n+1)
-            if n % 2 == 0:
-                mid_p += theta * (1 << (n // 2))
-            else:
-                mid_q += theta * (1 << ((n - 1) // 2))
-            np_new[1::2] = mid_p
-            nq_new[1::2] = mid_q
-            p, q = np_new, nq_new
+            p_new = np.empty(size, dtype=np.int64)
+            q_new = np.empty(size, dtype=np.int64)
+            for old, new in ((p, p_new), (q, q_new)):
+                np.left_shift(old, 1, out=new[::2])
+                np.add(old[:-1], old[1:], out=new[1::2])
+            # wedge height 2**-(n+2)/2 rescaled by 2**(n+1): 2**(n//2) in the
+            # rational part for even n, in the sqrt2 part for odd n
+            mid = p_new[1::2] if n % 2 == 0 else q_new[1::2]
+            mid += self.row(n) << (n // 2)
+            p, q = p_new, q_new
         return p, q
-
-    def grid_value(self, level: int, j: int) -> QuadValue:
-        """Exact value at j/2**level, read off the bulk arrays."""
-        p, q = self.grid_pairs(level)
-        return pair_value(int(p[j]), int(q[j]), level)
 
 
 def pair_value(p: int, q: int, level: int) -> QuadValue:

@@ -62,6 +62,35 @@ def oracle_cov(fx: TakagiFunction, fy: TakagiFunction, level: int, t: Fraction) 
     return acc
 
 
+def oracle_grid_pairs(fn: TakagiFunction, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint recursion written with plain temporaries, one per step.
+
+    Each generation doubles the old values into the even slots and puts
+    the neighbour sums plus theta times the rescaled wedge height into the
+    odd ones, building every intermediate array separately.
+    """
+    p = np.zeros(2, dtype=np.int64)
+    q = np.zeros(2, dtype=np.int64)
+    for n in range(level):
+        theta = fn.row(n)
+        size = (1 << (n + 1)) + 1
+        np_new = np.empty(size, dtype=np.int64)
+        nq_new = np.empty(size, dtype=np.int64)
+        np_new[::2] = p * 2
+        nq_new[::2] = q * 2
+        mid_p = p[:-1] + p[1:]
+        mid_q = q[:-1] + q[1:]
+        # wedge height 2**-(n+2)/2 rescaled by 2**(n+1)
+        if n % 2 == 0:
+            mid_p += theta * (1 << (n // 2))
+        else:
+            mid_q += theta * (1 << ((n - 1) // 2))
+        np_new[1::2] = mid_p
+        nq_new[1::2] = mid_q
+        p, q = np_new, nq_new
+    return p, q
+
+
 def oracle_decimal(v: QuadValue, digits: int) -> str:
     """Round-half-even decimal through Fraction arithmetic and the exact order.
 

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -38,6 +40,27 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--scheme", "all_plus", "--t", "0.5")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--t", "1/3", "--tol", "0.5"),
+        ("--t", "1/5", "--tol", "1e-3"),
+        ("--t", "1/2", "--scheme", "bernoulli:1/2:99999999999999999999999"),
+        ("--t", "1/2", "--scheme", "bernoulli:1/2", "--seed", str(-(2**63) - 1)),
+    ])
+    def test_inexact_tol_and_seed_out_of_range(self, capsys, argv):
+        code, _, err = run(capsys, "eval", *argv)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_seed_out_of_range_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "takagiqv.cli", "sample", "--grid", "2",
+             "--scheme", "bernoulli:1/2:99999999999999999999999"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_scheme(self, capsys):
         code, _, err = run(capsys, "eval", "--scheme", "nonsense", "--t", "1/2")

@@ -117,6 +117,15 @@ class TestProfile:
         with pytest.raises(ValueError):
             qv_profile(fn("all_plus"), 4, stride=3)
 
+    @pytest.mark.parametrize("spec", ["half_split", "bernoulli:1/3:5"])
+    def test_strided_rows_are_every_stride_th_full_row(self, spec):
+        f = fn(spec)
+        full = qv_profile(f, 10, 1).rows
+        grid = f.grid_pairs(10)
+        assert [r.value for r in full] == [qv_approx(grid, 10, r.t) for r in full]
+        for e in range(11):
+            assert qv_profile(f, 10, 1 << e).rows == full[:: 1 << e]
+
     def test_near_linear_at_depth(self):
         for row in qv_profile(fn("alt_mk"), 14, stride=1 << 11).rows:
             assert abs(float(row.value) - float(row.t)) < 1e-3
@@ -202,3 +211,25 @@ class TestBoundedVariationPerturbation:
         assert abs(float(qv_f)) < 2e-3
         assert abs(float(cov_xf)) < 1e-2
         assert abs(float(drift)) < 2e-2
+
+
+@pytest.mark.parametrize("spec", ALL_SCHEMES)
+def test_int64_bounds_behind_grid_level_cap(spec):
+    """The bounds GRID_LEVEL_CAP rests on, on every grid up to level 20:
+
+    |p|, |q| <= 2**(level+2), and the integer QV sums at t = 1 and over
+    every stride block of qv_profile stay below 2**(2*level+6).
+    """
+    f = fn(spec)
+    for level in range(21):
+        p, q = f.grid_pairs(level)
+        assert int(np.abs(p).max()) <= 1 << (level + 2)
+        assert int(np.abs(q).max()) <= 1 << (level + 2)
+        scale, bound = 1 << (2 * level), 1 << (2 * level + 6)
+        total = qv_approx((p, q), level, 1) * scale
+        rows = qv_profile((p, q), level, 1 << (level // 2)).rows
+        assert rows[-1].value * scale == total
+        blocks = [(b.value - a.value) * scale for a, b in zip(rows, rows[1:])]
+        for v in [total] + blocks:
+            assert v.a.denominator == v.b.denominator == 1
+            assert abs(v.a) < bound and abs(v.b) < bound

@@ -97,6 +97,22 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             Bernoulli(F(3, 2), seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 42, -3, 2**63 - 1, -(2**63 - 1)])
+    @pytest.mark.parametrize("p_plus", [F(0), F(1, 3), F(1, 2), F(2, 5), F(1)])
+    def test_rows_match_theta(self, p_plus, seed):
+        s = Bernoulli(p_plus, seed)
+        for m in range(11):
+            row = s.row(m)
+            assert row.dtype == np.int64
+            assert row.tolist() == [s.theta(m, k) for k in range(1 << m)]
+
+    def test_seed_range(self):
+        for seed in (-(2**63), 2**63 - 1):
+            assert Bernoulli(F(1, 2), seed).row(3).shape == (8,)
+        for seed in (2**63, -(2**63) - 1, 99999999999999999999999):
+            with pytest.raises(ValueError):
+                Bernoulli(F(1, 2), seed)
+
 
 class TestExplicit:
     def make(self, depth=3):

@@ -15,7 +15,7 @@ from takagiqv.takagi import (
     thirds_value,
 )
 
-from conftest import oracle_partial
+from conftest import oracle_grid_pairs, oracle_partial
 
 ALL_SCHEMES = BUILTIN_NAMES + ("bernoulli:1/2:1",)
 
@@ -83,6 +83,16 @@ class TestDyadicValues:
         for j in range(0, den + 1, 5):
             expected = f.at_dyadic(F(j, den))
             assert QuadValue(F(int(p[j]), den), F(int(q[j]), den)) == expected
+
+    @pytest.mark.parametrize("spec", BUILTIN_NAMES + ("bernoulli:2/5:42",))
+    @pytest.mark.parametrize("level", [0, 1, 2, 16])
+    def test_grid_pairs_match_midpoint_oracle(self, spec, level):
+        f = fn(spec)
+        p, q = f.grid_pairs(level)
+        op, oq = oracle_grid_pairs(f, level)
+        assert p.dtype == q.dtype == np.int64
+        np.testing.assert_array_equal(p, op)
+        np.testing.assert_array_equal(q, oq)
 
     def test_grid_level_cap(self):
         with pytest.raises(ValueError):
