@@ -2,10 +2,11 @@
 
 Scans run in two stages: a float pass in one float64 buffer per chunk
 narrows the grid to a small candidate set using a rigorous error bound,
-then exact integer comparisons decide the winner and collect every tie.  Grids of more than
-one 2**18-point chunk are screened per chunk on a thread pool capped by
-TAKAGI_THREADS, the package's only pool (numpy releases the GIL there);
-the exact merge makes the result independent of chunking and thread timing.
+then exact integer comparisons decide the winner and collect every tie.
+Grids of more than one 2**18-point chunk are screened per chunk on a
+thread pool capped by TAKAGI_THREADS, the package's only pool (numpy
+releases the GIL there); the exact merge makes the result independent of
+chunking and thread timing.
 """
 
 from __future__ import annotations

@@ -109,7 +109,6 @@ def qv_profile(x: GridLike, level: int, stride: int = 1) -> QVSeries:
         raise ValueError(f"stride {stride} must divide 2**{level}")
     p, q = _pairs(x, level)
     dp, dq = np.diff(p).reshape(-1, stride), np.diff(q).reshape(-1, stride)
-    # one sum per stride block, then the running total over blocks
     block_a = np.einsum("ij,ij->i", dp, dp) + 2 * np.einsum("ij,ij->i", dq, dq)
     block_b = 2 * np.einsum("ij,ij->i", dp, dq)
     cum_a = np.concatenate(([0], np.cumsum(block_a)))
