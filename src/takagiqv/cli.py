@@ -22,7 +22,7 @@ from .modulus import modulus_scan, sweep_all_steps, witness_ratios, witness_step
 from .qfield import Dyadic, QuadValue
 from .quadvar import QVRow, counterexample_series, cov_approx, qv_profile
 from .schemes import SchemeDepthError, parse_exact_fraction, parse_scheme
-from .takagi import TakagiFunction, thirds_value
+from .takagi import GRID_LEVEL_CAP, TakagiFunction, thirds_value
 
 DECIMAL_DIGITS = 12
 
@@ -84,6 +84,13 @@ def _scheme(args: argparse.Namespace, attr: str = "scheme") -> TakagiFunction:
 
 def _fraction(text: str) -> Fraction:
     return parse_exact_fraction(text)
+
+
+def _top_level(level: int) -> int:
+    """Refuse a profile whose last level has no grid before building the first."""
+    if not 0 <= level <= GRID_LEVEL_CAP:
+        raise ValueError(f"grid level must be in [0, {GRID_LEVEL_CAP}]")
+    return level
 
 
 def _is_dyadic(t: Fraction) -> bool:
@@ -170,7 +177,7 @@ def cmd_cov(args: argparse.Namespace) -> None:
     if t.exp > args.level:
         raise ValueError(f"t={t} needs level >= {t.exp}")
     records = []
-    for n in range(max(1, t.exp), args.level + 1):
+    for n in range(max(1, t.exp), _top_level(args.level) + 1):
         v = cov_approx(fx, fy, n, t)
         records.append(_series_record(n, t.as_fraction(), v))
     _emit(records, list(SERIES_FIELDS), args)
@@ -178,7 +185,7 @@ def cmd_cov(args: argparse.Namespace) -> None:
 
 def cmd_counterexample(args: argparse.Namespace) -> None:
     t = Dyadic.from_fraction(_fraction(args.t))
-    study = counterexample_series(args.levels, t)
+    study = counterexample_series(_top_level(args.levels), t)
     records = []
     for name in ("even_qv", "odd_qv", "even_cov", "odd_cov"):
         series = getattr(study, name)
@@ -232,7 +239,7 @@ def cmd_ito(args: argparse.Namespace) -> None:
     poly = RationalPolynomial.parse(args.poly)
     t = Dyadic.from_fraction(_fraction(args.t))
     levels = range(args.level, args.level + 1) if args.levels is None else range(
-        max(1, t.exp), args.levels + 1
+        max(1, t.exp), _top_level(args.levels) + 1
     )
     records = []
     for n in levels:

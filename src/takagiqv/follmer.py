@@ -14,13 +14,35 @@ residual of the second-order expansion
 uses s' - s in place of the quadratic-variation increment (their limits
 agree: the qv of every member of this class is t) and measures how fast
 the two discretizations converge jointly.
+
+Both sums run through one multi-modular kernel.  With g = (1/D) sum a_i u**i
+and the grid point x_j = u_j/2**n, u_j = p_j + q_j sqrt2, the level-n sum is
+
+    sum_j g(x_j) w_j/2**n = sum_i a_i 2**(n*(deg-i)) S_i / (D * 2**(n*(deg+1)))
+    with S_i = sum_j u_j**i w_j,
+
+where w_j is the increment u_{j+1} - u_j for the Riemann sum and 1 for the
+dt-sum.  S_0 telescopes; the kernel computes S_1 .. S_deg as exact integer
+pairs, so the coefficients, however large, never enter it.  The size
+|a| + 2|b| of a + b sqrt2 bounds both parts and is submultiplicative, so
+with X = max|p| + 2 max|q| over the grid and W the same size of the largest
+increment (or 1), every part of a block sum over C points is at most
+C * X**deg * W.  The kernel takes just enough primes below 2**30 for their
+product to exceed twice that bound, raises u to its powers and weights them
+in numpy int64 modulo each prime (a product of two residues stays below
+2**60), rebuilds each block sum by the Chinese remainder theorem as the
+symmetric residue (Knuth, TAOCP vol. 2, 4.3.2), and adds the blocks and the
+coefficients up in Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain, count
+from math import isqrt, lcm, prod
+
+import numpy as np
 
 from .qfield import QuadValue, Rational, _as_fraction, Dyadic
 from .quadvar import GridLike, _grid_index, _pairs
@@ -40,7 +62,10 @@ class RationalPolynomial:
     @classmethod
     def parse(cls, text: str) -> RationalPolynomial:
         """Comma-separated exact coefficients, e.g. '0,0,1' for u**2."""
-        return cls.of(*(Fraction(part.strip()) for part in text.split(",")))
+        try:
+            return cls.of(*(Fraction(part.strip()) for part in text.split(",")))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in polynomial {text!r}") from None
 
     @property
     def degree(self) -> int:
@@ -68,14 +93,106 @@ def _scaled_coeffs(g: RationalPolynomial) -> tuple[list[int], int]:
     return [int(c * den) for c in g.coeffs], den
 
 
-def _horner_pairs(a: list[int], p: int, q: int, level: int) -> tuple[int, int]:
-    """g(v) * D * 2**(level*deg) as an integer pair, v = (p + q*sqrt2)/2**level."""
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+#: The largest primes below 2**30, descending.  Residues stay below 2**30, so
+#: a product of two stays below 2**60 and every kernel step fits in int64.
+_PRIMES = (
+    1073741789, 1073741783, 1073741741, 1073741723, 1073741719, 1073741717,
+    1073741689, 1073741671, 1073741663, 1073741651, 1073741621, 1073741567,
+    1073741561, 1073741527, 1073741503, 1073741477,
+)
+
+#: Grid points per block of the kernel.  numpy takes its fast floor division
+#: by a fixed divisor only along rows of 2**13 or more (measured, numpy 2.4);
+#: blocks this size keep the (primes x points) temporaries in cache and out
+#: of peak RSS.
+_CHUNK = 1 << 14
+
+
+def _moduli(bound: int) -> list[int]:
+    """The fewest primes, _PRIMES first and then the next ones down, whose
+    product exceeds 2 * bound."""
+    further = (c for c in count(_PRIMES[-1] - 2, -2) if _is_prime(c))
+    primes, product = [], 1
+    for pr in chain(_PRIMES, further):
+        if product > 2 * bound:
+            break
+        primes.append(pr)
+        product *= pr
+    return primes
+
+
+def _mod(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x % r, through the floor division that numpy runs fast for a divisor
+    fixed along each row (np.remainder divides in hardware, ~4x slower)."""
+    t = x // r
+    t *= r
+    return np.subtract(x, t, out=t)
+
+
+def _power_sums(
+    p: np.ndarray, q: np.ndarray, n: int, deg: int, increments: bool
+) -> list[list[int]]:
+    """[S_1, ..., S_deg] as exact integer pairs: S_i = sum over j < n of
+    u_j**i * w_j, u_j = p_j + q_j*sqrt2, w_j = u_{j+1} - u_j when
+    ``increments``, else 1.  See the module docstring."""
+    sums = [[0, 0] for _ in range(deg)]
+    if n == 0 or deg == 0:
+        return sums
+    extra = 1 if increments else 0  # the right end of the last increment
+    lo_p, hi_p = int(p[:n + extra].min()), int(p[:n + extra].max())
+    lo_q, hi_q = int(q[:n + extra].min()), int(q[:n + extra].max())
+    x = max(-lo_p, hi_p) + 2 * max(-lo_q, hi_q)
+    w = (hi_p - lo_p) + 2 * (hi_q - lo_q) if increments else 1
+    primes = _moduli(min(n, _CHUNK) * x**deg * w)
+    r = np.array(primes, dtype=np.int64)[:, None]
+    m = prod(primes)
+    basis = [m // pr * pow(m // pr, -1, pr) for pr in primes]
+
+    def exact(t: np.ndarray) -> int:
+        """The block sum of t, residues per prime or exact, as an integer."""
+        s = np.broadcast_to(t.sum(axis=-1), (len(primes),)).tolist()
+        v = sum(si * e for si, e in zip(s, basis)) % m
+        return v - m if 2 * v > m else v
+
+    # entries below 2**30 in size keep every product in int64 unreduced
+    reduce = max(-lo_p, hi_p, -lo_q, hi_q) >= 1 << 30
+    for lo in range(0, n, _CHUNK):
+        size = min(_CHUNK, n - lo)
+        vp, vq = p[lo:lo + size + extra], q[lo:lo + size + extra]
+        if reduce:
+            vp, vq = _mod(vp, r), _mod(vq, r)
+        up, uq = hp, hq = vp[..., :size], vq[..., :size]
+        if increments:
+            dp, dq = vp[..., 1:] - up, vq[..., 1:] - uq
+        for i in range(deg):
+            if i:
+                hp, hq = _mod(hp * up + 2 * hq * uq, r), _mod(hp * uq + hq * up, r)
+            if increments:
+                tp, tq = _mod(hp * dp + 2 * hq * dq, r), _mod(hp * dq + hq * dp, r)
+            else:
+                tp, tq = hp, hq
+            sums[i][0] += exact(tp)
+            sums[i][1] += exact(tq)
+    return sums
+
+
+def _weighted_pairs(
+    a: list[int], p: np.ndarray, q: np.ndarray, level: int, n: int, increments: bool
+) -> tuple[int, int]:
+    """Exact sum over j < n of g_j * w_j as an integer pair, where
+    g_j = sum a_i u_j**i 2**(level*(deg-i)) and u_j, w_j are as in _power_sums."""
     deg = len(a) - 1
-    hp, hq = a[deg], 0
-    for i in range(deg - 1, -1, -1):
-        hp, hq = hp * p + 2 * hq * q, hp * q + hq * p
-        hp += a[i] << (level * (deg - i))
-    return hp, hq
+    # S_0 telescopes
+    s0 = [int(p[n]) - int(p[0]), int(q[n]) - int(q[0])] if increments else [n, 0]
+    sums = [s0, *_power_sums(p, q, n, deg, increments)]
+    return tuple(
+        sum(ai * s[part] << (level * (deg - i)) for i, (ai, s) in enumerate(zip(a, sums)))
+        for part in (0, 1)
+    )
 
 
 def follmer_sum(
@@ -83,18 +200,10 @@ def follmer_sum(
 ) -> QuadValue:
     """Exact left-endpoint Riemann sum of g(x) dx over [0, t] at level n."""
     t = _grid_index(level, t)
-    j_end = t.numerator_at(level)
     p, q = _pairs(x, level)
     a, den = _scaled_coeffs(g)
-    deg = len(a) - 1
-    pl, ql = p.tolist(), q.tolist()
-    sp = sq = 0
-    for j in range(j_end):
-        gp, gq = _horner_pairs(a, pl[j], ql[j], level)
-        dp, dq = pl[j + 1] - pl[j], ql[j + 1] - ql[j]
-        sp += gp * dp + 2 * gq * dq
-        sq += gp * dq + gq * dp
-    scale = den << (level * (deg + 1))
+    sp, sq = _weighted_pairs(a, p, q, level, t.numerator_at(level), increments=True)
+    scale = den << (level * len(a))
     return QuadValue(Fraction(sp, scale), Fraction(sq, scale))
 
 
@@ -103,17 +212,10 @@ def time_sum(
 ) -> QuadValue:
     """sum of g(x(s)) * (s' - s) over [s, s'] in [0, t]: the dt-discretization."""
     t = _grid_index(level, t)
-    j_end = t.numerator_at(level)
     p, q = _pairs(x, level)
     a, den = _scaled_coeffs(g)
-    deg = len(a) - 1
-    pl, ql = p.tolist(), q.tolist()
-    sp = sq = 0
-    for j in range(j_end):
-        gp, gq = _horner_pairs(a, pl[j], ql[j], level)
-        sp += gp
-        sq += gq
-    scale = den << (level * deg + level)
+    sp, sq = _weighted_pairs(a, p, q, level, t.numerator_at(level), increments=False)
+    scale = den << (level * len(a))
     return QuadValue(Fraction(sp, scale), Fraction(sq, scale))
 
 

@@ -39,7 +39,10 @@ def parse_exact_fraction(text: str) -> Fraction:
     """Parse 'p/q' or 'p' exactly; decimal notation is rejected."""
     if not _FRACTION_RE.match(text):
         raise ValueError(f"not an exact fraction: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 class CoefficientScheme:
@@ -245,18 +248,28 @@ class Explicit(CoefficientScheme):
 
     @classmethod
     def load(cls, path: str | Path) -> Explicit:
-        """Read the text format: header ``depth D``, then lines ``m k s``."""
-        lines = Path(path).read_text().split("\n")
-        body = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
-        if not body or not body[0].startswith("depth"):
+        """Read the text format: header ``depth D``, then lines ``m k s``.
+
+        Blank lines and lines whose first non-blank character is ``#`` are
+        skipped; each (m, k) with m < D must appear exactly once.
+        """
+        lines = (ln.strip() for ln in Path(path).read_text().split("\n"))
+        body = [ln for ln in lines if ln and not ln.startswith("#")]
+        header = body[0].split() if body else []
+        if len(header) != 2 or header[0] != "depth":
             raise ValueError("explicit scheme file must start with 'depth D'")
-        depth = int(body[0].split()[1])
+        depth = int(header[1])
         table: dict[tuple[int, int], int] = {}
         for ln in body[1:]:
             fields = ln.split()
             if len(fields) != 3 or fields[2] not in ("+1", "-1", "1"):
                 raise ValueError(f"bad scheme file line: {ln!r}")
-            table[(int(fields[0]), int(fields[1]))] = 1 if fields[2] in ("+1", "1") else -1
+            m, k = int(fields[0]), int(fields[1])
+            if not (0 <= m < depth and 0 <= k < 1 << m):
+                raise ValueError(f"scheme file line outside depth {depth}: {ln!r}")
+            if (m, k) in table:
+                raise ValueError(f"duplicate scheme file entry (m={m}, k={k})")
+            table[(m, k)] = 1 if fields[2] in ("+1", "1") else -1
         return cls(table, depth, spec=f"file:{path}")
 
     def save(self, path: str | Path) -> None:

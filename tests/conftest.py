@@ -19,7 +19,9 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from takagiqv.follmer import _scaled_coeffs
 from takagiqv.qfield import QuadValue
+from takagiqv.quadvar import _grid_index, _pairs
 from takagiqv.schauder import eval_e
 from takagiqv.takagi import TakagiFunction
 
@@ -107,6 +109,42 @@ def oracle_decimal(v: QuadValue, digits: int) -> str:
     sign = "-" if n < 0 else ""
     whole, part = divmod(abs(n), 10 ** digits)
     return f"{sign}{whole}.{part:0{digits}d}"
+
+
+def _oracle_horner(a: list[int], p: int, q: int, level: int) -> tuple[int, int]:
+    """g(v) * D * 2**(level*deg) as an integer pair, v = (p + q*sqrt2)/2**level."""
+    deg = len(a) - 1
+    hp, hq = a[deg], 0
+    for i in range(deg - 1, -1, -1):
+        hp, hq = hp * p + 2 * hq * q, hp * q + hq * p
+        hp += a[i] << (level * (deg - i))
+    return hp, hq
+
+
+def _oracle_riemann(g, x, level: int, t, increments: bool) -> QuadValue:
+    """Python-int Horner per grid point, weighted by the increment or by 1."""
+    t = _grid_index(level, t)
+    p, q = _pairs(x, level)
+    a, den = _scaled_coeffs(g)
+    pl, ql = p.tolist(), q.tolist()
+    sp = sq = 0
+    for j in range(t.numerator_at(level)):
+        gp, gq = _oracle_horner(a, pl[j], ql[j], level)
+        dp, dq = (pl[j + 1] - pl[j], ql[j + 1] - ql[j]) if increments else (1, 0)
+        sp += gp * dp + 2 * gq * dq
+        sq += gp * dq + gq * dp
+    scale = den << (level * len(a))
+    return QuadValue(Fraction(sp, scale), Fraction(sq, scale))
+
+
+def oracle_follmer_sum(g, x, level: int, t) -> QuadValue:
+    """:func:`follmer_sum` as a per-point loop over Python ints."""
+    return _oracle_riemann(g, x, level, t, increments=True)
+
+
+def oracle_time_sum(g, x, level: int, t) -> QuadValue:
+    """:func:`time_sum` as a per-point loop over Python ints."""
+    return _oracle_riemann(g, x, level, t, increments=False)
 
 
 def oracle_float_grid(fn: TakagiFunction, level: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from takagiqv.cli import main
+from takagiqv.cli import build_parser, main
 from takagiqv.follmer import RationalPolynomial, follmer_sum, ito_residual
 from takagiqv.qfield import QuadValue
 from takagiqv.schemes import parse_scheme
@@ -191,3 +191,102 @@ class TestFilesAndExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "eval", "--scheme", "file:/no/such/file", "--t", "1/2")
         assert code == 2
+
+
+#: Scheme files that Explicit.load must reject, by placeholder name.
+BAD_SCHEME_FILES = {
+    "dup": "depth 2\n0 0 +1\n1 0 +1\n1 1 -1\n1 1 +1\n",
+    "deep": "depth 2\n0 0 +1\n1 0 +1\n1 1 -1\n2 0 +1\n",
+    "wide": "depth 2\n0 0 +1\n1 0 +1\n1 1 -1\n1 2 -1\n",
+    "bare": "depth\n0 0 +1\n",
+    "short": "depth 2\n0 0 +1\n1 0 +1\n1 1 -1\n",  # valid, queried too deep
+}
+
+#: (argv, exit code): every subcommand with inputs it must refuse.
+MALFORMED = [
+    ("eval --t 1/0", 2),
+    ("eval --t 0.5", 2),
+    ("eval --t 3/2", 2),
+    ("eval --t 1/5 --tol 1/0", 2),
+    ("eval --t 1/2 --scheme bernoulli:1/0:3", 2),
+    ("eval --t 1/2 --scheme file:{dup}", 2),
+    ("eval --t 1/16 --scheme file:{short}", 3),
+    ("sample --grid 40", 2),
+    ("sample --grid 3 --scheme file:{deep}", 2),
+    ("sample --grid 5 --scheme file:{short}", 3),
+    ("extrema --grid 27", 2),
+    ("extrema --grid -1", 2),
+    ("extrema --grid 3 --scheme file:{bare}", 2),
+    ("qv --level 4 --t 1/0", 2),
+    ("qv --level 27", 2),
+    ("qv --level 4 --stride 3", 2),
+    ("qv --level 3 --scheme file:{wide}", 2),
+    ("cov --level 4 --t 1/0", 2),
+    ("cov --level 30", 2),
+    ("cov --level 4 --scheme-y nonsense", 2),
+    ("counterexample --levels 4 --t 1/0", 2),
+    ("counterexample --levels 40", 2),
+    ("modulus --grid 4 --h 1/0", 2),
+    ("modulus --grid 4 --h 2", 2),
+    ("modulus --grid 27 --h 1/2", 2),
+    ("modulus --grid 4 --h 1/4 --scheme file:{dup}", 2),
+    ("witness --levels 3 --out {missing}", 2),
+    ("ito --poly 1/0 --level 3", 2),
+    ("ito --poly= --level 3", 2),
+    ("ito --poly 1,x --level 3", 2),
+    ("ito --poly 0,1 --level 40", 2),
+    ("ito --poly 0,1 --levels 40", 2),
+    ("ito --poly 0,1 --level 3 --t 1/3", 2),
+    ("ito --poly 0,0,1 --level 4 --scheme bernoulli:1/0:3", 2),
+]
+
+#: One case per subcommand, run in a fresh interpreter.
+SUBPROCESS = [
+    "eval --t 1/0",
+    "sample --grid 3 --scheme file:{deep}",
+    "extrema --grid 3 --scheme file:{bare}",
+    "qv --level 4 --t 1/0",
+    "cov --level 30",
+    "counterexample --levels 40",
+    "modulus --grid 4 --h 1/0",
+    "witness --levels 3 --out {missing}",
+    "ito --poly 1/0 --level 3",
+]
+
+
+@pytest.fixture
+def scheme_files(tmp_path):
+    paths = {"missing": str(tmp_path / "no" / "such" / "dir.csv")}
+    for name, text in BAD_SCHEME_FILES.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+def _assert_one_error_line(err):
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv,expected", MALFORMED)
+    def test_exit_code_and_one_error_line(self, capsys, scheme_files, argv, expected):
+        code, out, err = run(capsys, *argv.format(**scheme_files).split())
+        assert code == expected
+        _assert_one_error_line(err)
+
+    def test_every_subcommand_covered(self):
+        commands = set(build_parser()._subparsers._group_actions[0].choices)
+        assert {argv.split()[0] for argv, _ in MALFORMED} == commands
+        assert {argv.split()[0] for argv in SUBPROCESS} == commands
+
+    @pytest.mark.parametrize("argv", SUBPROCESS)
+    def test_subprocess_has_no_traceback(self, scheme_files, argv):
+        expected = dict(MALFORMED)[argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "takagiqv.cli", *argv.format(**scheme_files).split()],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == expected
+        _assert_one_error_line(proc.stderr)

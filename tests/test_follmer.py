@@ -1,8 +1,11 @@
 from fractions import Fraction as F
+from math import isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from takagiqv import follmer
 from takagiqv.follmer import (
     RationalPolynomial,
     follmer_sum,
@@ -12,10 +15,10 @@ from takagiqv.follmer import (
 )
 from takagiqv.qfield import Dyadic, QuadValue
 from takagiqv.quadvar import qv_approx
-from takagiqv.schemes import parse_scheme
+from takagiqv.schemes import BUILTIN_NAMES, parse_scheme
 from takagiqv.takagi import TakagiFunction
 
-from conftest import oracle_grid
+from conftest import oracle_follmer_sum, oracle_grid, oracle_time_sum
 
 P = RationalPolynomial.parse
 
@@ -38,6 +41,14 @@ class TestPolynomial:
     def test_degree(self):
         assert P("0,0,1").degree == 2
         assert P("4").degree == 0
+
+    def test_parse_accepts_fraction_syntax(self):
+        assert P(" 1/2, -3 ,0.25,1e2").coeffs == (F(1, 2), F(-3), F(1, 4), F(100))
+
+    @pytest.mark.parametrize("text", ["1/0", "0,1,-3/0", "", "1,x"])
+    def test_parse_rejects_with_value_error(self, text):
+        with pytest.raises(ValueError):
+            P(text)
 
 
 class TestRiemannSums:
@@ -74,6 +85,101 @@ class TestRiemannSums:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             follmer_sum(P("0,1"), fn("all_plus"), 3, F(1, 16))
+
+
+def _is_prime(n):
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+SCHEMES = [*BUILTIN_NAMES, "bernoulli:1/3:11"]
+
+
+def _grid(spec, level):
+    return fn(spec).grid_pairs(level)
+
+
+class TestKernel:
+    """The multi-modular kernel against the per-point Python-int oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(SCHEMES),
+        st.integers(0, 12),
+        st.sampled_from(["zero", "first", "half", "one"]),
+        st.lists(
+            st.fractions(min_value=-10**4, max_value=10**4, max_denominator=5000),
+            min_size=1, max_size=9,
+        ),
+    )
+    def test_sums_match_oracles(self, spec, level, where, coeffs):
+        t = {"zero": 0, "first": F(1, 1 << level), "half": F(1, 2) if level else 1,
+             "one": 1}[where]
+        g, grid = RationalPolynomial.of(*coeffs), _grid(spec, level)
+        assert follmer_sum(g, grid, level, t) == oracle_follmer_sum(g, grid, level, t)
+        assert time_sum(g, grid, level, t) == oracle_time_sum(g, grid, level, t)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("spec", ["all_plus", "half_split", "bernoulli:1/3:11"])
+    def test_chunk_boundaries(self, monkeypatch, chunk, spec):
+        monkeypatch.setattr(follmer, "_CHUNK", chunk)
+        level, grid = 9, _grid(spec, 9)
+        g = P("1/3,-2,0,5/7")
+        for t in (F(1), F(301, 512), F(7, 512)):
+            assert follmer_sum(g, grid, level, t) == oracle_follmer_sum(g, grid, level, t)
+            assert time_sum(g, grid, level, t) == oracle_time_sum(g, grid, level, t)
+
+    def test_several_default_chunks(self):
+        level, grid = 16, _grid("alt_mk", 16)
+        g = P("0,0,3")
+        for t in (F(1), F((1 << 15) + 3, 1 << 16)):
+            assert follmer_sum(g, grid, level, t) == oracle_follmer_sum(g, grid, level, t)
+            assert time_sum(g.derivative(), grid, level, t) == oracle_time_sum(
+                g.derivative(), grid, level, t
+            )
+
+    def test_literal_primes(self):
+        primes = follmer._PRIMES
+        assert all(_is_prime(pr) and pr < 1 << 30 for pr in primes)
+        assert list(primes) == sorted(set(primes), reverse=True)
+
+    def test_moduli_beyond_the_literal_primes(self):
+        bound = prod(follmer._PRIMES)
+        primes = follmer._moduli(bound)
+        assert tuple(primes[:16]) == follmer._PRIMES and len(primes) == 17
+        assert _is_prime(primes[16]) and primes[16] < primes[15]
+        assert prod(primes) > 2 * bound >= prod(primes[:-1])
+        assert follmer._moduli(0) == [] and follmer._moduli(1) == [follmer._PRIMES[0]]
+
+    def test_bound_beyond_the_literal_primes(self, monkeypatch):
+        used = []
+        moduli = follmer._moduli
+        monkeypatch.setattr(follmer, "_moduli", lambda bound: used.append(moduli(bound)) or used[-1])
+        g = RationalPolynomial.of(*(F((-1) ** i * (12345 + i), 7 + i) for i in range(49)))
+        level, grid = 10, _grid("half_split", 10)
+        assert follmer_sum(g, grid, level, 1) == oracle_follmer_sum(g, grid, level, 1)
+        assert time_sum(g, grid, level, 1) == oracle_time_sum(g, grid, level, 1)
+        assert min(len(primes) for primes in used) > len(follmer._PRIMES)
+
+    def test_coefficients_beyond_the_primes(self):
+        # the coefficients never enter the modular arithmetic
+        g = P("1e300,-1/3,0,7e-200,-9e99")
+        level, grid = 11, _grid("alt_m", 11)
+        for t in (F(1), F(1001, 2048)):
+            assert follmer_sum(g, grid, level, t) == oracle_follmer_sum(g, grid, level, t)
+            assert time_sum(g, grid, level, t) == oracle_time_sum(g, grid, level, t)
+
+    def test_pair_grid_near_int64_limits(self):
+        # increments overflow int64 here; the sums must still be exact
+        big = 1 << 62
+        p = np.array([big - 1, -big, -(1 << 63), big + 12345, (1 << 63) - 1], dtype=np.int64)
+        q = np.array([-big + 7, big - 3, (1 << 63) - 1, -(1 << 63), 5], dtype=np.int64)
+        for coeffs in ("1", "0,1", "2,-1/3,1", "0,0,0,1/5"):
+            g = P(coeffs)
+            for t in (F(1, 4), F(3, 4), F(1)):
+                assert follmer_sum(g, (p, q), 2, t) == oracle_follmer_sum(g, (p, q), 2, t)
+                assert time_sum(g, (p, q), 2, t) == oracle_time_sum(g, (p, q), 2, t)
 
 
 class TestResidual:

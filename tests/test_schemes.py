@@ -155,6 +155,27 @@ class TestExplicit:
         with pytest.raises(ValueError):
             Explicit.load(path)
 
+    @pytest.mark.parametrize("text", [
+        "depth 2\n0 0 +1\n1 0 +1\n1 1 -1\n1 0 -1\n",  # duplicate (1, 0)
+        "depth 2\n0 0 +1\n1 0 +1\n1 1 -1\n2 0 +1\n",  # m >= depth
+        "depth 2\n0 0 +1\n1 0 +1\n1 1 -1\n1 2 +1\n",  # k >= 2**m
+        "depth 1\n0 -1 +1\n0 0 +1\n",  # k < 0
+        "depth\n0 0 +1\n",
+        "depth 1 2\n0 0 +1\n",
+        "",
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            Explicit.load(path)
+
+    def test_indented_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "scheme.txt"
+        path.write_text("  # header\ndepth 2\n\n0 0 +1\n   # note\n1 0 1\n\t1 1 -1\n")
+        loaded = Explicit.load(path)
+        assert loaded.table == {(0, 0): 1, (1, 0): 1, (1, 1): -1}
+
 
 def test_parse_rejects_unknown():
     for bad in ("nonsense", "block", "bernoulli:1/2", "all_plus:3"):
@@ -165,6 +186,6 @@ def test_parse_rejects_unknown():
 def test_parse_exact_fraction():
     assert parse_exact_fraction("3/4") == F(3, 4)
     assert parse_exact_fraction("-2") == F(-2)
-    for bad in ("0.5", "1e-3", "a/b", "1/2/3"):
+    for bad in ("0.5", "1e-3", "a/b", "1/2/3", "1/0", "-3/0", "0/0"):
         with pytest.raises(ValueError):
             parse_exact_fraction(bad)
