@@ -39,6 +39,7 @@ from .quadvar import (
     QVSeries,
     counterexample_series,
     cov_approx,
+    cov_profile,
     qv_approx,
     qv_of_sum,
     qv_profile,
@@ -77,6 +78,7 @@ __all__ = [
     "WitnessRow",
     "counterexample_series",
     "cov_approx",
+    "cov_profile",
     "eval_e",
     "eval_f",
     "follmer_sum",

@@ -20,9 +20,9 @@ from .extrema import grid_extrema
 from .follmer import RationalPolynomial, _residual_and_sum
 from .modulus import modulus_scan, sweep_all_steps, witness_ratios, witness_steps
 from .qfield import Dyadic, QuadValue
-from .quadvar import QVRow, counterexample_series, cov_approx, qv_profile
+from .quadvar import QVRow, counterexample_series, cov_profile, qv_profile
 from .schemes import SchemeDepthError, parse_exact_fraction, parse_scheme
-from .takagi import GRID_LEVEL_CAP, TakagiFunction, thirds_value
+from .takagi import GRID_LEVEL_CAP, TakagiFunction, coarsen, thirds_value
 
 DECIMAL_DIGITS = 12
 
@@ -86,10 +86,15 @@ def _fraction(text: str) -> Fraction:
     return parse_exact_fraction(text)
 
 
-def _top_level(level: int) -> int:
-    """Refuse a profile whose last level has no grid before building the first."""
+def _level(args: argparse.Namespace, option: str) -> int:
+    """The grid level given as --option, refused outside [0, GRID_LEVEL_CAP].
+
+    Runs before any grid is built, so a profile whose last level has no
+    grid fails before its first level.
+    """
+    level = getattr(args, option)
     if not 0 <= level <= GRID_LEVEL_CAP:
-        raise ValueError(f"grid level must be in [0, {GRID_LEVEL_CAP}]")
+        raise ValueError(f"--{option} must be in [0, {GRID_LEVEL_CAP}], got {level}")
     return level
 
 
@@ -122,7 +127,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 def cmd_sample(args: argparse.Namespace) -> None:
     fn = _scheme(args)
-    p, q = fn.grid_pairs(args.grid)
+    p, q = fn.grid_pairs(_level(args, "grid"))
     den = 1 << args.grid
     records = []
     for j in range(den + 1):
@@ -141,7 +146,7 @@ def cmd_sample(args: argparse.Namespace) -> None:
 
 
 def cmd_extrema(args: argparse.Namespace) -> None:
-    rep = grid_extrema(_scheme(args), args.grid)
+    rep = grid_extrema(_scheme(args), _level(args, "grid"))
     record = {
         "level": rep.level,
         "max": str(rep.max),
@@ -162,7 +167,7 @@ def cmd_extrema(args: argparse.Namespace) -> None:
 
 def cmd_qv(args: argparse.Namespace) -> None:
     fn = _scheme(args)
-    series = qv_profile(fn, args.level, args.stride)
+    series = qv_profile(fn, _level(args, "level"), args.stride)
     rows = series.rows
     if args.t is not None:
         limit = _fraction(args.t)
@@ -174,18 +179,15 @@ def cmd_cov(args: argparse.Namespace) -> None:
     fx = _scheme(args)
     fy = _scheme(args, "scheme_y")
     t = Dyadic.from_fraction(_fraction(args.t))
-    if t.exp > args.level:
+    if t.exp > _level(args, "level"):
         raise ValueError(f"t={t} needs level >= {t.exp}")
-    records = []
-    for n in range(max(1, t.exp), _top_level(args.level) + 1):
-        v = cov_approx(fx, fy, n, t)
-        records.append(_series_record(n, t.as_fraction(), v))
-    _emit(records, list(SERIES_FIELDS), args)
+    series = cov_profile(fx, fy, args.level, t)
+    _emit([_row_record(r) for r in series.rows], list(SERIES_FIELDS), args)
 
 
 def cmd_counterexample(args: argparse.Namespace) -> None:
     t = Dyadic.from_fraction(_fraction(args.t))
-    study = counterexample_series(_top_level(args.levels), t)
+    study = counterexample_series(_level(args, "levels"), t)
     records = []
     for name in ("even_qv", "odd_qv", "even_cov", "odd_cov"):
         series = getattr(study, name)
@@ -197,10 +199,11 @@ def cmd_counterexample(args: argparse.Namespace) -> None:
 
 def cmd_modulus(args: argparse.Namespace) -> None:
     fn = _scheme(args)
+    grid = _level(args, "grid")
     if args.h is not None:
-        reports = [modulus_scan(fn, args.grid, _fraction(args.h))]
+        reports = [modulus_scan(fn, grid, _fraction(args.h))]
     else:
-        reports = sweep_all_steps(fn, args.grid)
+        reports = sweep_all_steps(fn, grid)
     records = []
     for rep in reports:
         rec = _series_record(args.grid, rep.witness_t, rep.scan_max)
@@ -222,6 +225,9 @@ def cmd_modulus(args: argparse.Namespace) -> None:
 
 
 def cmd_witness(args: argparse.Namespace) -> None:
+    if args.levels < 1:
+        # a row count, not a grid level: witness rows use closed forms
+        raise ValueError(f"--levels must be >= 1, got {args.levels}")
     records = []
     for kind in ("part_a", "part_b"):
         for row in witness_ratios(kind, 1, args.levels):
@@ -238,12 +244,16 @@ def cmd_ito(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     poly = RationalPolynomial.parse(args.poly)
     t = Dyadic.from_fraction(_fraction(args.t))
-    levels = range(args.level, args.level + 1) if args.levels is None else range(
-        max(1, t.exp), _top_level(args.levels) + 1
-    )
+    if args.levels is None:
+        grids = [(_level(args, "level"), fn)]
+    else:
+        # one top grid; every coarser level is a strided view of it
+        top = _level(args, "levels")
+        p, q = fn.grid_pairs(top)
+        grids = ((n, coarsen(p, q, top, n)) for n in range(max(1, t.exp), top + 1))
     records = []
-    for n in levels:
-        res, rsum = _residual_and_sum(poly, fn, n, t)
+    for n, grid in grids:
+        res, rsum = _residual_and_sum(poly, grid, n, t)
         rec = _series_record(n, t.as_fraction(), res)
         rec.update(
             {

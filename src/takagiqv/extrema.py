@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gridscan import exact_argmax, exact_argmin
+from .gridscan import block_extrema
 from .qfield import Dyadic, QuadValue, pow2_half
 from .takagi import TakagiFunction, pair_value
 
@@ -50,12 +50,10 @@ class ExtremaReport:
 
 
 def grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
-    """Exact max/min scan over the 2**-level grid; ties listed in order."""
+    """Exact max/min scan over the 2**-level grid, streamed in blocks; ties listed in order."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    p, q = fn.grid_pairs(level)
-    hi_p, hi_q, hi_ties = exact_argmax(p, q)
-    lo_p, lo_q, lo_ties = exact_argmin(p, q)
+    (hi_p, hi_q, hi_ties), (lo_p, lo_q, lo_ties) = block_extrema(fn._blocks(level))
     hi = pair_value(hi_p, hi_q, level)
     lo = pair_value(lo_p, lo_q, level)
     return ExtremaReport(

@@ -37,6 +37,7 @@ coefficients up in Python ints.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
@@ -47,6 +48,11 @@ import numpy as np
 from .qfield import QuadValue, Rational, _as_fraction, Dyadic
 from .quadvar import GridLike, _grid_index, _pairs
 from .takagi import pair_value
+
+
+#: Largest exponent size taken in a coefficient such as 1e3000.
+MAX_EXPONENT = 10**4
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 @dataclass(frozen=True)
@@ -61,9 +67,20 @@ class RationalPolynomial:
 
     @classmethod
     def parse(cls, text: str) -> RationalPolynomial:
-        """Comma-separated exact coefficients, e.g. '0,0,1' for u**2."""
+        """Comma-separated exact coefficients, e.g. '0,0,1' for u**2.
+
+        Each is read by ``Fraction``, which also takes decimal and exponent
+        notation; an exponent above MAX_EXPONENT in size is refused, since
+        ``Fraction`` expands it into a power of ten first.
+        """
+        parts = [part.strip() for part in text.split(",")]
+        for part in parts:
+            exp = _EXPONENT.search(part)
+            digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                raise ValueError(f"coefficient exponent above {MAX_EXPONENT} in size: {part[:40]!r}")
         try:
-            return cls.of(*(Fraction(part.strip()) for part in text.split(",")))
+            return cls.of(*(Fraction(part) for part in parts))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in polynomial {text!r}") from None
 

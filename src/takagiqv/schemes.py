@@ -45,6 +45,15 @@ def parse_exact_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
+def _constant_row(m: int, value: int) -> np.ndarray:
+    """A generation of equal coefficients as a read-only zero-stride view.
+
+    It takes no memory however deep the generation, so grids of constant
+    schemes stream at any level without a 2**m-entry row per generation.
+    """
+    return np.broadcast_to(np.int64(value), (1 << m,))
+
+
 class CoefficientScheme:
     """Base class; subclasses define theta(m, k) for 0 <= k < 2**m."""
 
@@ -91,7 +100,7 @@ class AllPlus(CoefficientScheme):
         return 1
 
     def row(self, m: int) -> np.ndarray:
-        return np.ones(1 << m, dtype=np.int64)
+        return _constant_row(m, 1)
 
 
 class AlternatingM(CoefficientScheme):
@@ -104,7 +113,7 @@ class AlternatingM(CoefficientScheme):
         return -1 if m % 2 else 1
 
     def row(self, m: int) -> np.ndarray:
-        return np.full(1 << m, -1 if m % 2 else 1, dtype=np.int64)
+        return _constant_row(m, -1 if m % 2 else 1)
 
 
 class AlternatingMK(CoefficientScheme):
@@ -138,7 +147,7 @@ class Block(CoefficientScheme):
         return -1 if (m // self.period) % 2 else 1
 
     def row(self, m: int) -> np.ndarray:
-        return np.full(1 << m, self.theta(m, 0), dtype=np.int64)
+        return _constant_row(m, self.theta(m, 0))
 
 
 class HalfSplit(CoefficientScheme):

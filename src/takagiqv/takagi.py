@@ -14,6 +14,9 @@ Evaluation surfaces:
 * ``grid_pairs`` -- all values on the grid j/2**N at once, as integer
   pairs (p, q) with value (p + q*sqrt(2)) / 2**N, built by the midpoint
   recursion (one numpy pass per generation);
+* ``_blocks`` -- the same grid streamed in blocks of at most BLOCK + 1
+  points: the series is local, so each cell of a coarse grid refines on
+  its own, and a reduction over the grid never holds more than one block;
 * ``approx`` -- truncated series with a certified geometric tail bound;
 * ``thirds_value`` -- closed-form exact values at points with denominator
   3 * 2**n for the three named functions that admit them.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -42,6 +45,10 @@ THIRDS_PEAK = QuadValue(Fraction(2, 3), Fraction(1, 3))
 # int64 is exact for grid values and their squared-increment sums up to
 # this level: |p|, |q| <= 2**(level+2) and QV sums stay below 2**(2*level+6).
 GRID_LEVEL_CAP = 26
+
+#: Width in grid intervals (a power of two) of the blocks ``_blocks``
+#: streams: two int64 arrays of BLOCK + 1 points, about 1 MB, stay in cache.
+BLOCK = 1 << 16
 
 Evaluable = Union["TakagiFunction", Callable[[Fraction], "QuadValue | Rational"]]
 
@@ -114,30 +121,102 @@ class TakagiFunction:
 
     # -- bulk evaluation on dyadic grids ---------------------------------------
 
-    def grid_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Integer pairs for all grid values: x(j/2**level) = (p_j + q_j*sqrt2)/2**level.
+    def _refine(
+        self, p: np.ndarray, q: np.ndarray, start: int, stop: int, first: int = 0,
+        buf: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run the midpoint recursion from generation start to stop.
 
-        Built by the midpoint recursion: refining the grid leaves old values
-        fixed and sets each new midpoint to the average of its neighbours
-        plus theta times the new wedge height.
+        p, q hold the level-start values at the consecutive grid points
+        first, first + 1, ...; refining leaves old values fixed and sets each
+        new midpoint to the average of its neighbours plus theta times the
+        new wedge height.  The result holds the level-stop values between
+        the same two endpoints.  Given a (5, m) int64 scratch array buf, m at
+        least the result's length, every generation is written into it
+        instead of into new arrays, and so is the result.
         """
-        if not 0 <= level <= GRID_LEVEL_CAP:
-            raise ValueError(f"grid level must be in [0, {GRID_LEVEL_CAP}]")
-        p = np.zeros(2, dtype=np.int64)
-        q = np.zeros(2, dtype=np.int64)
-        for n in range(level):
-            size = (1 << (n + 1)) + 1
-            p_new = np.empty(size, dtype=np.int64)
-            q_new = np.empty(size, dtype=np.int64)
+        for n in range(start, stop):
+            cells = len(p) - 1
+            size = 2 * cells + 1
+            if buf is None:
+                p_new, q_new = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+                step = np.empty(cells, dtype=np.int64)
+            else:
+                # alternate between two row pairs: the old generation is the other one
+                i = 2 * (n % 2)
+                p_new, q_new, step = buf[i, :size], buf[i + 1, :size], buf[4, :cells]
             for old, new in ((p, p_new), (q, q_new)):
                 np.left_shift(old, 1, out=new[::2])
                 np.add(old[:-1], old[1:], out=new[1::2])
             # wedge height 2**-(n+2)/2 rescaled by 2**(n+1): 2**(n//2) in the
             # rational part for even n, in the sqrt2 part for odd n
             mid = p_new[1::2] if n % 2 == 0 else q_new[1::2]
-            mid += self.row(n) << (n // 2)
+            lo = first << (n - start)
+            np.left_shift(self.row(n)[lo : lo + cells], n // 2, out=step)
+            mid += step
             p, q = p_new, q_new
         return p, q
+
+    def grid_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Integer pairs for all grid values: x(j/2**level) = (p_j + q_j*sqrt2)/2**level.
+
+        The midpoint recursion (``_refine``) run on the one cell [0, 1].
+        """
+        _check_level(level)
+        zero = np.zeros(2, dtype=np.int64)
+        return self._refine(zero, zero.copy(), 0, level)
+
+    def _blocks(self, level: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """The level grid as (offset, p, q) blocks, left to right.
+
+        With w = min(BLOCK, 2**level), block i holds the points i*w .. (i+1)*w,
+        so neighbouring blocks share an endpoint.  Block i is cell i of the
+        level-(level - log2 w) grid refined on its own: its values depend
+        only on the cell's endpoints and the coefficients inside it.
+
+        Every block is built in the same scratch memory, since fresh arrays of
+        this size take new pages each time: a block's arrays hold its values
+        only until the next block is asked for.
+        """
+        _check_level(level)
+        bits = block_bits(level)
+        coarse = level - bits
+        cp, cq = self.grid_pairs(coarse)
+        buf = np.empty((5, (1 << bits) + 1), dtype=np.int64)
+        for c in range(1 << coarse):
+            p, q = self._refine(cp[c : c + 2], cq[c : c + 2], coarse, level, c, buf)
+            yield c << bits, p, q
+
+
+def _check_level(level: int) -> None:
+    if not 0 <= level <= GRID_LEVEL_CAP:
+        raise ValueError(f"grid level must be in [0, {GRID_LEVEL_CAP}]")
+
+
+def block_bits(level: int) -> int:
+    """log2 of the width of the blocks a level grid streams in."""
+    return min(BLOCK, 1 << level).bit_length() - 1
+
+
+def pair_blocks(
+    p: np.ndarray, q: np.ndarray, level: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Views of a level pair grid in the block layout of ``_blocks``."""
+    width = 1 << block_bits(level)
+    for off in range(0, 1 << level, width):
+        yield off, p[off : off + width + 1], q[off : off + width + 1]
+
+
+def coarsen(p: np.ndarray, q: np.ndarray, level: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-n pair grid inside a level grid, n <= level.
+
+    x(j/2**n) is the level grid's point j*2**(level-n), and its pair over
+    2**n is that point's pair shifted right by level - n, exactly.
+    """
+    shift = level - n
+    if shift == 0:
+        return p, q
+    return p[:: 1 << shift] >> shift, q[:: 1 << shift] >> shift
 
 
 def pair_value(p: int, q: int, level: int) -> QuadValue:

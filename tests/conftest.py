@@ -19,11 +19,23 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from takagiqv.extrema import ExtremaReport
 from takagiqv.follmer import _scaled_coeffs
-from takagiqv.qfield import QuadValue
-from takagiqv.quadvar import _grid_index, _pairs
+from takagiqv.qfield import Dyadic, QuadValue, sign_pair
+from takagiqv.quadvar import (
+    COV_LIMIT_EVEN,
+    COV_LIMIT_ODD,
+    SUM_LIMIT_EVEN,
+    SUM_LIMIT_ODD,
+    CounterexampleStudy,
+    QVRow,
+    QVSeries,
+    _grid_index,
+    _pairs,
+)
 from takagiqv.schauder import eval_e
-from takagiqv.takagi import TakagiFunction
+from takagiqv.schemes import AllPlus, AlternatingM
+from takagiqv.takagi import TakagiFunction, pair_value
 
 
 def oracle_partial(fn: TakagiFunction, n: int, t: Fraction) -> QuadValue:
@@ -91,6 +103,115 @@ def oracle_grid_pairs(fn: TakagiFunction, level: int) -> tuple[np.ndarray, np.nd
         nq_new[1::2] = mid_q
         p, q = np_new, nq_new
     return p, q
+
+
+# -- full-grid oracles for the block-streamed reductions ---------------------------
+# The reductions as they were before grids were streamed: one full grid per
+# call from oracle_grid_pairs, full-size increments, a single-sided screen.
+
+
+def _oracle_pairs(x, level: int) -> tuple[np.ndarray, np.ndarray]:
+    return oracle_grid_pairs(x, level) if isinstance(x, TakagiFunction) else _pairs(x, level)
+
+
+def _oracle_argmax(p: np.ndarray, q: np.ndarray) -> tuple[int, int, list[int]]:
+    """One float screen for the maximum, then exact comparisons over its survivors."""
+    f = q.astype(np.float64) * 1.4142135623730951 + p
+    p_abs = max(-int(p.min()), int(p.max()))
+    q_abs = max(-int(q.min()), int(q.max()))
+    err = (p_abs + 2.0 * q_abs + 1.0) * 2.0 ** -50
+    cand = np.flatnonzero(f >= f.max() - 4.0 * err).tolist()
+    best, ties = cand[0], [cand[0]]
+    for i in cand[1:]:
+        c = sign_pair(int(p[i]) - int(p[best]), int(q[i]) - int(q[best]))
+        if c > 0:
+            best, ties = i, [i]
+        elif c == 0:
+            ties.append(i)
+    return int(p[best]), int(q[best]), sorted(ties)
+
+
+def oracle_grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
+    p, q = oracle_grid_pairs(fn, level)
+    hi_p, hi_q, hi_ties = _oracle_argmax(p, q)
+    lo_p, lo_q, lo_ties = _oracle_argmax(-p, -q)
+    hi, lo = pair_value(hi_p, hi_q, level), pair_value(-lo_p, -lo_q, level)
+    return ExtremaReport(
+        level=level,
+        max=hi,
+        argmax=[Dyadic(j, level) for j in hi_ties],
+        min=lo,
+        argmin=[Dyadic(j, level) for j in lo_ties],
+        oscillation=hi - lo,
+    )
+
+
+def _oracle_sum_value(a: int, b: int, level: int) -> QuadValue:
+    den = 1 << (2 * level)
+    return QuadValue(Fraction(a, den), Fraction(b, den))
+
+
+def oracle_qv_approx(x, level: int, t) -> QuadValue:
+    j = _grid_index(level, t).numerator_at(level)
+    p, q = _oracle_pairs(x, level)
+    dp, dq = np.diff(p[: j + 1]), np.diff(q[: j + 1])
+    a = int(np.dot(dp, dp)) + 2 * int(np.dot(dq, dq))
+    return _oracle_sum_value(a, 2 * int(np.dot(dp, dq)), level)
+
+
+def oracle_cov_approx(x, y, level: int, t) -> QuadValue:
+    j = _grid_index(level, t).numerator_at(level)
+    px, qx = _oracle_pairs(x, level)
+    py, qy = _oracle_pairs(y, level)
+    dpx, dqx = np.diff(px[: j + 1]), np.diff(qx[: j + 1])
+    dpy, dqy = np.diff(py[: j + 1]), np.diff(qy[: j + 1])
+    a = int(np.dot(dpx, dpy)) + 2 * int(np.dot(dqx, dqy))
+    b = int(np.dot(dpx, dqy)) + int(np.dot(dqx, dpy))
+    return _oracle_sum_value(a, b, level)
+
+
+def oracle_qv_of_sum(x, y, level: int, t) -> QuadValue:
+    px, qx = _oracle_pairs(x, level)
+    py, qy = _oracle_pairs(y, level)
+    return oracle_qv_approx((px + py, qx + qy), level, t)
+
+
+def oracle_qv_profile(x, level: int, stride: int = 1) -> QVSeries:
+    p, q = _oracle_pairs(x, level)
+    dp, dq = np.diff(p).reshape(-1, stride), np.diff(q).reshape(-1, stride)
+    block_a = np.einsum("ij,ij->i", dp, dp) + 2 * np.einsum("ij,ij->i", dq, dq)
+    block_b = 2 * np.einsum("ij,ij->i", dp, dq)
+    cum_a = np.concatenate(([0], np.cumsum(block_a)))
+    cum_b = np.concatenate(([0], np.cumsum(block_b)))
+    rows = [
+        QVRow(level, Dyadic(i * stride, level), _oracle_sum_value(a, b, level))
+        for i, (a, b) in enumerate(zip(cum_a.tolist(), cum_b.tolist()))
+    ]
+    return QVSeries("qv", rows)
+
+
+def oracle_counterexample_series(n_max: int, t) -> CounterexampleStudy:
+    """One pair of full grids per level, as before the levels shared a streamed top grid."""
+    if not isinstance(t, Dyadic):
+        t = Dyadic.from_fraction(Fraction(t))
+    x, y = TakagiFunction(AllPlus()), TakagiFunction(AlternatingM())
+    tf = t.as_fraction()
+    buckets: dict[str, list[QVRow]] = {k: [] for k in ("even_qv", "odd_qv", "even_cov", "odd_cov")}
+    for n in range(max(1, t.exp), n_max + 1):
+        gx, gy = oracle_grid_pairs(x, n), oracle_grid_pairs(y, n)
+        cov = oracle_cov_approx(gx, gy, n, t)
+        qsum = oracle_qv_of_sum(gx, gy, n, t)
+        even = n % 2 == 0
+        cov_lim = (COV_LIMIT_EVEN if even else COV_LIMIT_ODD) * tf
+        sum_lim = (SUM_LIMIT_EVEN if even else SUM_LIMIT_ODD) * tf
+        buckets["even_cov" if even else "odd_cov"].append(QVRow(n, t, cov, abs(cov - cov_lim)))
+        buckets["even_qv" if even else "odd_qv"].append(QVRow(n, t, qsum, abs(qsum - sum_lim)))
+    return CounterexampleStudy(
+        even_qv=QVSeries("qv_of_sum", buckets["even_qv"]),
+        odd_qv=QVSeries("qv_of_sum", buckets["odd_qv"]),
+        even_cov=QVSeries("covariation", buckets["even_cov"]),
+        odd_cov=QVSeries("covariation", buckets["odd_cov"]),
+    )
 
 
 def oracle_decimal(v: QuadValue, digits: int) -> str:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -212,6 +213,7 @@ MALFORMED = [
     ("eval --t 1/2 --scheme file:{dup}", 2),
     ("eval --t 1/16 --scheme file:{short}", 3),
     ("sample --grid 40", 2),
+    ("sample --grid -1", 2),
     ("sample --grid 3 --scheme file:{deep}", 2),
     ("sample --grid 5 --scheme file:{short}", 3),
     ("extrema --grid 27", 2),
@@ -219,23 +221,32 @@ MALFORMED = [
     ("extrema --grid 3 --scheme file:{bare}", 2),
     ("qv --level 4 --t 1/0", 2),
     ("qv --level 27", 2),
+    ("qv --level -1", 2),
     ("qv --level 4 --stride 3", 2),
     ("qv --level 3 --scheme file:{wide}", 2),
     ("cov --level 4 --t 1/0", 2),
     ("cov --level 30", 2),
+    ("cov --level -1", 2),
     ("cov --level 4 --scheme-y nonsense", 2),
     ("counterexample --levels 4 --t 1/0", 2),
     ("counterexample --levels 40", 2),
+    ("counterexample --levels -1", 2),
     ("modulus --grid 4 --h 1/0", 2),
     ("modulus --grid 4 --h 2", 2),
     ("modulus --grid 27 --h 1/2", 2),
+    ("modulus --grid 27", 2),
+    ("modulus --grid -1 --h 1/2", 2),
     ("modulus --grid 4 --h 1/4 --scheme file:{dup}", 2),
     ("witness --levels 3 --out {missing}", 2),
+    ("witness --levels -1", 2),
     ("ito --poly 1/0 --level 3", 2),
     ("ito --poly= --level 3", 2),
     ("ito --poly 1,x --level 3", 2),
     ("ito --poly 0,1 --level 40", 2),
     ("ito --poly 0,1 --levels 40", 2),
+    ("ito --poly 0,1 --level -1", 2),
+    ("ito --poly 0,1 --levels -1", 2),
+    ("ito --poly 0,1e4000000 --level 3", 2),
     ("ito --poly 0,1 --level 3 --t 1/3", 2),
     ("ito --poly 0,0,1 --level 4 --scheme bernoulli:1/0:3", 2),
 ]
@@ -275,6 +286,30 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv.format(**scheme_files).split())
         assert code == expected
         _assert_one_error_line(err)
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            ("sample --grid -1", "--grid"),
+            ("extrema --grid 27", "--grid"),
+            ("qv --level -1", "--level"),
+            ("cov --level 27", "--level"),
+            ("counterexample --levels -1", "--levels"),
+            ("modulus --grid -1 --h 1/2", "--grid"),
+            ("ito --poly 0,1 --level -1", "--level"),
+            ("ito --poly 0,1 --levels 27", "--levels"),
+        ],
+    )
+    def test_level_error_names_option_and_range(self, capsys, argv, option):
+        code, _, err = run(capsys, *argv.split())
+        assert code == 2
+        assert err.startswith(f"error: {option} must be in [0, 26], got ")
+
+    def test_long_poly_exponent_exits_quickly(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "ito", "--poly=0,1e4000000", "--level", "3")
+        assert code == 2 and "exponent" in err
+        assert time.perf_counter() - start < 0.5
 
     def test_every_subcommand_covered(self):
         commands = set(build_parser()._subparsers._group_actions[0].choices)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from math import isqrt, prod
 
@@ -49,6 +50,17 @@ class TestPolynomial:
     def test_parse_rejects_with_value_error(self, text):
         with pytest.raises(ValueError):
             P(text)
+
+    @pytest.mark.parametrize("text", ["1e3000", "-2.5E-3000", "1e1_000", "0,1e10000"])
+    def test_parse_accepts_exponents_up_to_the_bound(self, text):
+        assert P(text).coeffs[-1] == F(text.split(",")[-1])
+
+    @pytest.mark.parametrize("text", ["1e10001", "1e-1000000", "0,1E+4000000", "1e1_0000_0", "1e" + "9" * 5000])
+    def test_parse_refuses_exponents_beyond_the_bound(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent above 10000"):
+            P(text)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestRiemannSums:
