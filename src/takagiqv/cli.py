@@ -68,6 +68,11 @@ def _emit(records: list[dict], fields: list[str], args: argparse.Namespace) -> N
         for rec in records:
             lines.append(",".join(str(rec.get(f, "")) for f in fields))
         text = "\n".join(lines) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args: argparse.Namespace) -> None:
+    """Write text to the --out path, or to stdout without one."""
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -80,10 +85,6 @@ def _scheme(args: argparse.Namespace, attr: str = "scheme") -> TakagiFunction:
     if spec.startswith("bernoulli:") and spec.count(":") == 1:
         spec = f"{spec}:{args.seed}"
     return TakagiFunction(parse_scheme(spec))
-
-
-def _fraction(text: str) -> Fraction:
-    return parse_exact_fraction(text)
 
 
 def _level(args: argparse.Namespace, option: str) -> int:
@@ -104,8 +105,8 @@ def _is_dyadic(t: Fraction) -> bool:
 
 def cmd_eval(args: argparse.Namespace) -> None:
     fn = _scheme(args)
-    t = _fraction(args.t)
-    tol = _fraction(args.tol)
+    t = parse_exact_fraction(args.t)
+    tol = parse_exact_fraction(args.tol)
     print(f"scheme: {fn.scheme.spec}")
     print(f"t: {t}")
     if _is_dyadic(t):
@@ -158,11 +159,7 @@ def cmd_extrema(args: argparse.Namespace) -> None:
         "oscillation": str(rep.oscillation),
         "oscillation_decimal": rep.oscillation.decimal(DECIMAL_DIGITS),
     }
-    text = json.dumps(record, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(record, indent=2) + "\n", args)
 
 
 def cmd_qv(args: argparse.Namespace) -> None:
@@ -170,7 +167,7 @@ def cmd_qv(args: argparse.Namespace) -> None:
     series = qv_profile(fn, _level(args, "level"), args.stride)
     rows = series.rows
     if args.t is not None:
-        limit = _fraction(args.t)
+        limit = parse_exact_fraction(args.t)
         rows = [r for r in rows if r.t.as_fraction() <= limit]
     _emit([_row_record(r) for r in rows], list(SERIES_FIELDS), args)
 
@@ -178,7 +175,7 @@ def cmd_qv(args: argparse.Namespace) -> None:
 def cmd_cov(args: argparse.Namespace) -> None:
     fx = _scheme(args)
     fy = _scheme(args, "scheme_y")
-    t = Dyadic.from_fraction(_fraction(args.t))
+    t = Dyadic.from_fraction(parse_exact_fraction(args.t))
     if t.exp > _level(args, "level"):
         raise ValueError(f"t={t} needs level >= {t.exp}")
     series = cov_profile(fx, fy, args.level, t)
@@ -186,7 +183,7 @@ def cmd_cov(args: argparse.Namespace) -> None:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> None:
-    t = Dyadic.from_fraction(_fraction(args.t))
+    t = Dyadic.from_fraction(parse_exact_fraction(args.t))
     study = counterexample_series(_level(args, "levels"), t)
     records = []
     for name in ("even_qv", "odd_qv", "even_cov", "odd_cov"):
@@ -201,7 +198,7 @@ def cmd_modulus(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     grid = _level(args, "grid")
     if args.h is not None:
-        reports = [modulus_scan(fn, grid, _fraction(args.h))]
+        reports = [modulus_scan(fn, grid, parse_exact_fraction(args.h))]
     else:
         reports = sweep_all_steps(fn, grid)
     records = []
@@ -243,7 +240,7 @@ def cmd_witness(args: argparse.Namespace) -> None:
 def cmd_ito(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     poly = RationalPolynomial.parse(args.poly)
-    t = Dyadic.from_fraction(_fraction(args.t))
+    t = Dyadic.from_fraction(parse_exact_fraction(args.t))
     if args.levels is None:
         grids = [(_level(args, "level"), fn)]
     else:

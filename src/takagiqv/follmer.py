@@ -197,43 +197,39 @@ def _power_sums(
     return sums
 
 
-def _weighted_pairs(
-    a: list[int], p: np.ndarray, q: np.ndarray, level: int, n: int, increments: bool
-) -> tuple[int, int]:
-    """Exact sum over j < n of g_j * w_j as an integer pair, where
-    g_j = sum a_i u_j**i 2**(level*(deg-i)) and u_j, w_j are as in _power_sums."""
+def _riemann_sum(
+    g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational, increments: bool
+) -> QuadValue:
+    """sum of g(x(s)) * w over [s, s'] in [0, t], with w = x(s') - x(s) when
+    ``increments``, else s' - s: the kernel of the module docstring."""
+    t = _grid_index(level, t)
+    n = t.numerator_at(level)
+    p, q = _pairs(x, level)
+    a, den = _scaled_coeffs(g)
     deg = len(a) - 1
     # S_0 telescopes
     s0 = [int(p[n]) - int(p[0]), int(q[n]) - int(q[0])] if increments else [n, 0]
     sums = [s0, *_power_sums(p, q, n, deg, increments)]
-    return tuple(
+    sp, sq = (
         sum(ai * s[part] << (level * (deg - i)) for i, (ai, s) in enumerate(zip(a, sums)))
         for part in (0, 1)
     )
+    scale = den << (level * len(a))
+    return QuadValue(Fraction(sp, scale), Fraction(sq, scale))
 
 
 def follmer_sum(
     g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational
 ) -> QuadValue:
     """Exact left-endpoint Riemann sum of g(x) dx over [0, t] at level n."""
-    t = _grid_index(level, t)
-    p, q = _pairs(x, level)
-    a, den = _scaled_coeffs(g)
-    sp, sq = _weighted_pairs(a, p, q, level, t.numerator_at(level), increments=True)
-    scale = den << (level * len(a))
-    return QuadValue(Fraction(sp, scale), Fraction(sq, scale))
+    return _riemann_sum(g, x, level, t, increments=True)
 
 
 def time_sum(
     g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational
 ) -> QuadValue:
     """sum of g(x(s)) * (s' - s) over [s, s'] in [0, t]: the dt-discretization."""
-    t = _grid_index(level, t)
-    p, q = _pairs(x, level)
-    a, den = _scaled_coeffs(g)
-    sp, sq = _weighted_pairs(a, p, q, level, t.numerator_at(level), increments=False)
-    scale = den << (level * len(a))
-    return QuadValue(Fraction(sp, scale), Fraction(sq, scale))
+    return _riemann_sum(g, x, level, t, increments=False)
 
 
 def _residual_and_sum(

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .gridscan import exact_absmax
+from .gridscan import abs_extremum, block_extrema
 from .qfield import Dyadic, QuadValue, Rational, SQRT2, _as_fraction, pow2_half
 from .schemes import AllPlus, NegHalfSplit
-from .takagi import TakagiFunction, pair_value, thirds_value
+from .takagi import TakagiFunction, pair_blocks, pair_value, thirds_value
 
 # 1 + 1/sqrt2 and (sqrt8 + 2)/3, the two omega coefficients
 _SLOPE_COEF = QuadValue(1, Fraction(1, 2))
@@ -65,11 +65,26 @@ class ModulusReport:
     witness_t: Fraction
 
 
+def _lag_blocks(p: np.ndarray, q: np.ndarray, j: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The increments p[i+j] - p[i], q[i+j] - q[i] in the block layout of ``pair_blocks``.
+
+    Every block is written into the same scratch rows, so no full-size
+    increment array is formed.
+    """
+    n = len(p) - j
+    buf = None
+    for off, bp, bq in pair_blocks(p[:n], q[:n]):
+        w = len(bp)
+        if buf is None:
+            buf = np.empty((2, w), dtype=np.int64)
+        np.subtract(p[off + j : off + j + w], bp, out=buf[0, :w])
+        np.subtract(q[off + j : off + j + w], bq, out=buf[1, :w])
+        yield off, buf[0, :w], buf[1, :w]
+
+
 def _scan_report(p: np.ndarray, q: np.ndarray, grid_level: int, j: int) -> ModulusReport:
     h = Fraction(j, 1 << grid_level)
-    dp = p[j:] - p[:-j]
-    dq = q[j:] - q[:-j]
-    mp, mq, ties = exact_absmax(dp, dq)
+    mp, mq, ties = abs_extremum(*block_extrema(_lag_blocks(p, q, j)))
     scan_max = pair_value(mp, mq, grid_level)
     om = omega(h)
     return ModulusReport(

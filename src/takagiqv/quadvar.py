@@ -91,10 +91,10 @@ def _blocks(x: GridLike, level: int) -> Iterator[Block]:
     if isinstance(x, TakagiFunction):
         return x._blocks(level)  # GRID_LEVEL_CAP bounds every sum formed below
     p, q = (np.asarray(a) for a in _pairs(x, level))
-    return _checked_blocks(p, q, level)
+    return _checked_blocks(p, q)
 
 
-def _checked_blocks(p: np.ndarray, q: np.ndarray, level: int) -> Iterator[Block]:
+def _checked_blocks(p: np.ndarray, q: np.ndarray) -> Iterator[Block]:
     """Views of a pair grid; ValueError before an int64 sum over a block could overflow.
 
     With d the largest increment size in a block of w intervals, each
@@ -105,7 +105,7 @@ def _checked_blocks(p: np.ndarray, q: np.ndarray, level: int) -> Iterator[Block]
     for a in (p, q):
         if max(-int(a.min()), int(a.max())) >= _ENTRY_LIMIT:
             raise ValueError("pair grid entries must be below 2**61 in size")
-    for off, bp, bq in pair_blocks(p, q, level):
+    for off, bp, bq in pair_blocks(p, q):
         d = max(int(np.abs(np.diff(bp)).max()), int(np.abs(np.diff(bq)).max()))
         if 12 * (len(bp) - 1) * d * d >= 1 << 63:
             raise ValueError(f"pair grid increments up to {d} would overflow int64 sums")

@@ -76,9 +76,9 @@ class CoefficientScheme:
 
 
 class _Negated(CoefficientScheme):
-    def __init__(self, inner: CoefficientScheme) -> None:
+    def __init__(self, inner: CoefficientScheme, spec: str | None = None) -> None:
         self.inner = inner
-        self.spec = f"neg({inner.spec})"
+        self.spec = spec or f"neg({inner.spec})"
 
     def theta(self, m: int, k: int) -> int:
         return -self.inner.theta(m, k)
@@ -172,18 +172,11 @@ class HalfSplit(CoefficientScheme):
         return out
 
 
-class NegHalfSplit(CoefficientScheme):
+class NegHalfSplit(_Negated):
     """The sign-flipped half split (every theta negated)."""
 
-    spec = "neg_half_split"
-
-    _inner = HalfSplit()
-
-    def theta(self, m: int, k: int) -> int:
-        return -self._inner.theta(m, k)
-
-    def row(self, m: int) -> np.ndarray:
-        return -self._inner.row(m)
+    def __init__(self) -> None:
+        super().__init__(HalfSplit(), "neg_half_split")
 
 
 class Bernoulli(CoefficientScheme):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .qfield import Dyadic, QuadValue, Rational, _as_fraction, pow2_half
 from .schauder import eval_e
-from .schemes import AllPlus, CoefficientScheme, HalfSplit, NegHalfSplit
+from .schemes import AllPlus, CoefficientScheme, HalfSplit, _Negated
 
 # Sum of all wedge heights 2**-(m+2)/2: the series tail after M generations
 # is bounded by TAIL_SUM * 2**-(M/2) in sup norm.
@@ -198,13 +198,11 @@ def block_bits(level: int) -> int:
     return min(BLOCK, 1 << level).bit_length() - 1
 
 
-def pair_blocks(
-    p: np.ndarray, q: np.ndarray, level: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Views of a level pair grid in the block layout of ``_blocks``."""
-    width = 1 << block_bits(level)
-    for off in range(0, 1 << level, width):
-        yield off, p[off : off + width + 1], q[off : off + width + 1]
+def pair_blocks(p: np.ndarray, q: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Views of two equal-length arrays as (offset, p, q) blocks of at most
+    BLOCK + 1 points that share endpoints: on a level grid, the layout of ``_blocks``."""
+    for off in range(0, max(len(p) - 1, 1), BLOCK):
+        yield off, p[off : off + BLOCK + 1], q[off : off + BLOCK + 1]
 
 
 def coarsen(p: np.ndarray, q: np.ndarray, level: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,23 +256,23 @@ def _all_plus_thirds(t: Fraction) -> QuadValue:
 def thirds_value(fn: TakagiFunction, t: Rational) -> QuadValue:
     """Exact value at a point with denominator 3 * 2**n.
 
-    Supported for the all-plus function and the two half-split functions,
-    whose values at such points reduce to the all-plus case through the
-    reflection identity around t = 1/2.
+    Supported for the all-plus and half-split functions and their
+    negations (neg_half_split among them): half-split values at such points
+    reduce to the all-plus case through the reflection identity around
+    t = 1/2.
     """
     t = _as_fraction(t)
     _check_unit_interval(t)
     scheme = fn.scheme
+    if isinstance(scheme, _Negated) and isinstance(scheme.inner, (AllPlus, HalfSplit)):
+        # negated coefficients negate the function
+        return -thirds_value(TakagiFunction(scheme.inner), t)
     if isinstance(scheme, AllPlus):
         return _all_plus_thirds(t)
     if isinstance(scheme, HalfSplit):
         if t <= Fraction(1, 2):
             return _all_plus_thirds(t)
         return QuadValue(Fraction(1, 2), 0) - _all_plus_thirds(t - Fraction(1, 2))
-    if isinstance(scheme, NegHalfSplit):
-        if t <= Fraction(1, 2):
-            return -_all_plus_thirds(t)
-        return _all_plus_thirds(t - Fraction(1, 2)) - QuadValue(Fraction(1, 2), 0)
     raise ValueError(
         f"thirds evaluation supports all_plus/half_split/neg_half_split, not {scheme.spec}"
     )

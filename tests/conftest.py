@@ -21,6 +21,7 @@ import pytest
 
 from takagiqv.extrema import ExtremaReport
 from takagiqv.follmer import _scaled_coeffs
+from takagiqv.modulus import ModulusReport, nu, omega
 from takagiqv.qfield import Dyadic, QuadValue, sign_pair
 from takagiqv.quadvar import (
     COV_LIMIT_EVEN,
@@ -143,6 +144,33 @@ def oracle_grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
         min=lo,
         argmin=[Dyadic(j, level) for j in lo_ties],
         oscillation=hi - lo,
+    )
+
+
+def oracle_modulus_scan(fn: TakagiFunction, level: int, h) -> ModulusReport:
+    """The full-size increments x(t + h) - x(t) of one full grid, screened once
+    for their maximum and once, negated, for the maximum of their negation."""
+    h = Fraction(h)
+    j = int(h * (1 << level))
+    p, q = oracle_grid_pairs(fn, level)
+    dp, dq = p[j:] - p[:-j], q[j:] - q[:-j]
+    hi_p, hi_q, hi_ties = _oracle_argmax(dp, dq)
+    lo_p, lo_q, lo_ties = _oracle_argmax(-dp, -dq)  # minus the minimum
+    c = sign_pair(hi_p - lo_p, hi_q - lo_q)  # max vs -min
+    if c > 0:
+        mp, mq, ties = hi_p, hi_q, hi_ties
+    elif c < 0:
+        mp, mq, ties = lo_p, lo_q, lo_ties
+    else:
+        mp, mq, ties = hi_p, hi_q, sorted(set(hi_ties) | set(lo_ties))
+    scan_max, om = pair_value(mp, mq, level), omega(h)
+    return ModulusReport(
+        h=h,
+        nu=nu(h),
+        omega=om,
+        scan_max=scan_max,
+        ratio_decimal=(scan_max / om).decimal(8),
+        witness_t=Fraction(ties[0], 1 << level),
     )
 
 

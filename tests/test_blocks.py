@@ -2,11 +2,13 @@
 
 The block width is forced down to 2, 8 and 64 intervals so that grids of
 level <= 12 run through many blocks: strides wider than a block, times
-inside a block, coarse profile levels read from the block endpoints, and
-ties on the endpoint two blocks share.
+inside a block, coarse profile levels read from the block endpoints,
+modulus lags inside, equal to and wider than a block, and ties on the
+endpoint two blocks share.
 """
 
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from takagiqv import takagi
 from takagiqv.extrema import grid_extrema
 from takagiqv.gridscan import block_extrema, exact_absmax, exact_argmax, exact_argmin
+from takagiqv.modulus import modulus_scan, sweep_all_steps
 from takagiqv.qfield import Dyadic
 from takagiqv.quadvar import (
     counterexample_series,
@@ -32,6 +35,7 @@ from conftest import (
     oracle_cov_approx,
     oracle_grid_extrema,
     oracle_grid_pairs,
+    oracle_modulus_scan,
     oracle_qv_approx,
     oracle_qv_of_sum,
     oracle_qv_profile,
@@ -86,8 +90,18 @@ class TestBlocks:
         f = fn("half_split")
         p, q = f.grid_pairs(7)
         streamed = [(off, bp.copy(), bq.copy()) for off, bp, bq in f._blocks(7)]
-        for (o1, p1, q1), (o2, p2, q2) in zip(streamed, pair_blocks(p, q, 7), strict=True):
+        for (o1, p1, q1), (o2, p2, q2) in zip(streamed, pair_blocks(p, q), strict=True):
             assert o1 == o2 and np.array_equal(p1, p2) and np.array_equal(q1, q2)
+
+    def test_pair_blocks_of_any_length(self, width):
+        for n in range(1, 3 * width + 3):
+            a = np.arange(n)
+            blocks = list(pair_blocks(a, -a))
+            assert [off for off, _, _ in blocks] == list(range(0, max(n - 1, 1), width))
+            for off, bp, bq in blocks:
+                assert 1 <= len(bp) <= width + 1
+                assert np.array_equal(bp, a[off : off + len(bp)]) and np.array_equal(bq, -bp)
+            assert blocks[-1][0] + len(blocks[-1][1]) == n  # the last block ends the array
 
     def test_level_above_cap_refused(self):
         with pytest.raises(ValueError, match=r"\[0, 26\]"):
@@ -110,7 +124,7 @@ class TestExtrema:
         # maxima at 2, 4, 5, 7 and minima at 0, 6, 8; 2, 4, 6 end a width-2 block
         p = np.array([0, 1, 3, 1, 3, 3, 0, 3, 0], dtype=np.int64)
         q = np.zeros_like(p)
-        hi, lo = block_extrema(pair_blocks(p, q, 3))
+        hi, lo = block_extrema(pair_blocks(p, q))
         assert hi == (3, 0, [2, 4, 5, 7])
         assert lo == (0, 0, [0, 6, 8])
 
@@ -135,6 +149,55 @@ class TestExtrema:
             mp, mq, ties = exact_absmax(dp, dq)
             assert pair_value(mp, mq, 8) == top
             assert ties == [i for i, v in enumerate(sizes) if v == top]
+
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    @pytest.mark.parametrize("length", ["1", "2", "w"])
+    def test_full_array_scans_of_block_lengths(self, width, length, extra):
+        n = {"1": 1, "2": 2, "w": width}[length] + extra
+        rng = np.random.default_rng(1000 * width + 10 * n + extra)
+        for _ in range(20):
+            # few distinct values, so ties are common, some across blocks
+            p = rng.integers(-3, 4, n).astype(np.int64)
+            q = rng.integers(-2, 3, n).astype(np.int64)
+            values = [pair_value(int(a), int(b), 0) for a, b in zip(p, q)]
+            by_value = cmp_to_key(lambda u, v: u.compare(v))
+            top, bottom = max(values, key=by_value), min(values, key=by_value)
+            size = max(abs(top), abs(bottom), key=by_value)
+            hi, lo = exact_argmax(p, q), exact_argmin(p, q)
+            assert hi == _oracle_argmax(p, q)
+            lo_p, lo_q, lo_ties = _oracle_argmax(-p, -q)
+            assert lo == (-lo_p, -lo_q, lo_ties)
+            assert pair_value(hi[0], hi[1], 0) == top
+            assert hi[2] == [i for i, v in enumerate(values) if v == top]
+            assert pair_value(lo[0], lo[1], 0) == bottom
+            assert lo[2] == [i for i, v in enumerate(values) if v == bottom]
+            mp, mq, ties = exact_absmax(p, q)
+            assert pair_value(mp, mq, 0) == size
+            assert ties == [i for i, v in enumerate(values) if abs(v) == size]
+
+
+class TestModulus:
+    """Lagged increment blocks against full-size increment arrays."""
+
+    @pytest.mark.parametrize("spec", SCHEMES)
+    def test_scan_matches_oracle(self, width, spec):
+        f = fn(spec)
+        for j in sorted({1, width - 1, width, width + 1, 2 * width + 3, 255, 256}):
+            h = F(j, 256)
+            assert modulus_scan(f, 8, h) == oracle_modulus_scan(f, 8, h), j
+
+    @pytest.mark.parametrize("spec", SCHEMES)
+    def test_sweep_matches_oracle_at_every_step(self, width, spec):
+        f = fn(spec)
+        reports = sweep_all_steps(f, 6)
+        assert reports == [oracle_modulus_scan(f, 6, F(j, 64)) for j in range(1, 65)]
+
+    def test_default_width_lags_across_blocks(self):
+        f = fn("alt_mk")
+        for j in (1, 3, (1 << 16) - 1, 1 << 16, (1 << 16) + 3, (1 << 17) - 1, 1 << 17):
+            h = F(j, 1 << 17)
+            assert modulus_scan(f, 17, h) == oracle_modulus_scan(f, 17, h), j
 
 
 TIMES = [F(0), F(1, 8), F(5, 16), F(1, 2), F(11, 16), F(1)]

@@ -143,6 +143,15 @@ class TestSeriesCommands:
         assert rec["h_den"] == "256"
         assert float(rec["ratio_decimal"]) <= 1.0
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_modulus_ignores_takagi_threads(self, capsys, monkeypatch, value):
+        argv = ("modulus", "--grid", "4", "--h", "1/16")
+        code, unset, _ = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setenv("TAKAGI_THREADS", value)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, unset, "")
+
     def test_ito_profile(self, capsys):
         code, out, _ = run(capsys, "ito", "--scheme", "all_plus", "--poly", "0,0,1", "--levels", "8")
         lines = out.strip().split("\n")
@@ -168,7 +177,38 @@ class TestSeriesCommands:
             run(capsys, "ito", "--scheme", "all_plus", "--poly", "0,0,1")
 
 
+#: ``extrema --grid 6``, byte for byte: the maximum is attained twice and
+#: the minimum at both ends.
+EXTREMA_GRID_6 = """\
+{
+  "level": 6,
+  "max": "35/64 + 21/64*sqrt(2)",
+  "max_decimal": "1.010913825154",
+  "argmax": [
+    "21/64",
+    "43/64"
+  ],
+  "min": "0",
+  "min_decimal": "0.000000000000",
+  "argmin": [
+    "0",
+    "1"
+  ],
+  "oscillation": "35/64 + 21/64*sqrt(2)",
+  "oscillation_decimal": "1.010913825154"
+}
+"""
+
+
 class TestFilesAndExitCodes:
+    def test_extrema_golden(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "extrema", "--grid", "6")
+        assert (code, out) == (0, EXTREMA_GRID_6)
+        target = tmp_path / "extrema.json"
+        code, out, _ = run(capsys, "extrema", "--grid", "6", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == EXTREMA_GRID_6.encode()
+
     def test_out_file_golden(self, tmp_path, capsys):
         target = tmp_path / "a.csv"
         again = tmp_path / "b.csv"

@@ -7,6 +7,8 @@ from takagiqv.schemes import (
     BUILTIN_NAMES,
     Bernoulli,
     Explicit,
+    HalfSplit,
+    NegHalfSplit,
     SchemeDepthError,
     parse_exact_fraction,
     parse_scheme,
@@ -37,6 +39,13 @@ class TestNamedSchemes:
         b = parse_scheme("neg_half_split")
         for m in range(5):
             assert np.array_equal(a.row(m), -b.row(m))
+
+    def test_neg_half_split_is_the_negated_half_split(self):
+        neg = NegHalfSplit()
+        assert neg.spec == parse_scheme("neg_half_split").spec == "neg_half_split"
+        for m in range(11):
+            assert np.array_equal(neg.row(m), -HalfSplit().row(m))
+        assert isinstance(neg.negated(), HalfSplit)
 
     def test_block(self):
         s = parse_scheme("block:5")

@@ -164,6 +164,12 @@ class TestThirds:
         with pytest.raises(ValueError):
             thirds_value(fn("all_plus"), F(1, 4))
 
+    def test_negated_wrappers(self):
+        hat = TakagiFunction(parse_scheme("all_plus").negated())
+        assert thirds_value(hat, F(1, 3)) == -THIRDS_PEAK
+        with pytest.raises(ValueError, match=r"neg\(alt_m\)"):
+            thirds_value(TakagiFunction(parse_scheme("alt_m").negated()), F(1, 3))
+
     def test_rejects_other_schemes(self):
         with pytest.raises(ValueError):
             thirds_value(fn("alt_m"), F(1, 3))
