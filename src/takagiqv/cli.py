@@ -3,7 +3,11 @@
 Times and steps are parsed as exact fractions only (``num`` or ``num/den``);
 decimal input is rejected so no precision is lost at the boundary.  All
 output is deterministic for a fixed command line, including bernoulli
-schemes (the seed is part of the scheme spec).
+schemes (the seed is part of the scheme spec).  Every value is computed
+before the first line is written, so a failing command prints nothing to
+stdout.  Rows of grid values and sums are written from their integer
+pairs: reduced fractions from trailing zeros, decimals by integer-only
+rounding (``qfield.decimal_pair``).
 
 Exit codes: 0 success, 2 invalid configuration, 3 scheme depth exceeded.
 """
@@ -12,15 +16,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .extrema import grid_extrema
 from .follmer import RationalPolynomial, _residual_and_sum
 from .modulus import modulus_scan, sweep_all_steps, witness_ratios, witness_steps
-from .qfield import Dyadic, QuadValue
-from .quadvar import QVRow, counterexample_series, cov_profile, qv_profile
+from .qfield import Dyadic, QuadValue, decimal_pair
+from .quadvar import QVSeries, counterexample_series, cov_profile, qv_profile
 from .schemes import SchemeDepthError, parse_exact_fraction, parse_scheme
 from .takagi import GRID_LEVEL_CAP, TakagiFunction, coarsen, thirds_value
 
@@ -39,34 +47,49 @@ SERIES_FIELDS = (
 )
 
 
-def _series_record(level: int, t: Fraction, value: QuadValue) -> dict:
-    return {
-        "level": level,
-        "t_num": t.numerator,
-        "t_den": t.denominator,
-        "value_a_num": value.a.numerator,
-        "value_a_den": value.a.denominator,
-        "value_b_num": value.b.numerator,
-        "value_b_den": value.b.denominator,
-        "value_decimal": value.decimal(DECIMAL_DIGITS),
-    }
+def _reduced(num: Sequence[int] | np.ndarray, bits: int) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of num / 2**bits in lowest terms, elementwise.
+
+    From the trailing zeros of num (``num & -num``), in int64: every entry
+    and 2**bits must fit, as GRID_LEVEL_CAP ensures for grid values and sums.
+    """
+    num = np.asarray(num, dtype=np.int64)
+    den = 1 << bits
+    low = np.minimum(num & -num, den)  # the power of two that cancels
+    low[num == 0] = den
+    return (num // low).tolist(), (den // low).tolist()
 
 
-def _row_record(row: QVRow, **extra) -> dict:
-    rec = _series_record(row.level, row.t.as_fraction(), row.value)
-    rec.update(extra)
-    if row.distance is not None:
-        rec["distance_decimal"] = row.distance.decimal(DECIMAL_DIGITS)
-    return rec
+def _fraction_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for num/den in lowest terms."""
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
-def _emit(records: list[dict], fields: list[str], args: argparse.Namespace) -> None:
+def _pair_rows(level: int, t_num: Sequence[int] | np.ndarray, t_bits: int,
+               p: Sequence[int] | np.ndarray, q: Sequence[int] | np.ndarray,
+               bits: int) -> Iterator[list]:
+    """SERIES_FIELDS cells of the values (p + q*sqrt(2)) / 2**bits at the times t_num / 2**t_bits."""
+    den = 1 << bits
+    p, q = np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64)
+    cols = (*_reduced(t_num, t_bits), *_reduced(p, bits), *_reduced(q, bits), p.tolist(), q.tolist())
+    for tn, td, an, ad, bn, bd, a, b in zip(*cols):
+        yield [level, tn, td, an, ad, bn, bd, decimal_pair(a, b, den, DECIMAL_DIGITS)]
+
+
+def _value_row(level: int, t: Fraction, value: QuadValue) -> list:
+    """SERIES_FIELDS cells of an exact value at t."""
+    a, b = value.a, value.b
+    return [level, t.numerator, t.denominator, a.numerator, a.denominator,
+            b.numerator, b.denominator, value.decimal(DECIMAL_DIGITS)]
+
+
+def _emit(rows: Iterable[list], fields: list[str], args: argparse.Namespace) -> None:
+    """Rows of cells in field order, as CSV lines or a JSON list of records."""
     if args.format == "json":
-        text = json.dumps(records, indent=2) + "\n"
+        text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
     else:
         lines = [",".join(fields)]
-        for rec in records:
-            lines.append(",".join(str(rec.get(f, "")) for f in fields))
+        lines += (",".join(map(str, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     _write(text, args)
 
@@ -104,46 +127,45 @@ def _is_dyadic(t: Fraction) -> bool:
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
+    if args.digits < 1:
+        raise ValueError(f"--digits must be >= 1, got {args.digits}")
     fn = _scheme(args)
     t = parse_exact_fraction(args.t)
     tol = parse_exact_fraction(args.tol)
-    print(f"scheme: {fn.scheme.spec}")
-    print(f"t: {t}")
+    bound = None
     if _is_dyadic(t):
         v = fn.at_dyadic(t)
-        print(f"value: {v}")
-        print(f"decimal: {v.decimal(args.digits)}")
-        return
-    try:
-        v = thirds_value(fn, t)
-    except ValueError:
-        v, bound = fn.approx(t, tol)
-        print(f"value: {v}  (truncated series)")
-        print(f"decimal: {v.decimal(args.digits)}")
-        print(f"tail_bound: {bound.decimal(args.digits)}")
-        return
-    print(f"value: {v}")
-    print(f"decimal: {v.decimal(args.digits)}")
+    else:
+        try:
+            v = thirds_value(fn, t)
+        except ValueError:
+            v, bound = fn.approx(t, tol)
+    # every value is computed before the first line is printed
+    lines = [
+        f"scheme: {fn.scheme.spec}",
+        f"t: {t}",
+        f"value: {v}" + ("" if bound is None else "  (truncated series)"),
+        f"decimal: {v.decimal(args.digits)}",
+    ]
+    if bound is not None:
+        lines.append(f"tail_bound: {bound.decimal(args.digits)}")
+    print("\n".join(lines))
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
     fn = _scheme(args)
-    p, q = fn.grid_pairs(_level(args, "grid"))
-    den = 1 << args.grid
-    records = []
-    for j in range(den + 1):
-        a = Fraction(int(p[j]), den)
-        b = Fraction(int(q[j]), den)
-        v = QuadValue(a, b)
-        records.append(
-            {
-                "t": str(Fraction(j, den)),
-                "value_decimal": v.decimal(DECIMAL_DIGITS),
-                "value_a": str(a),
-                "value_b": str(b),
-            }
+    n = _level(args, "grid")
+    p, q = fn.grid_pairs(n)
+    den = 1 << n
+    rows = (
+        [_fraction_text(tn, td), decimal_pair(a, b, den, DECIMAL_DIGITS),
+         _fraction_text(an, ad), _fraction_text(bn, bd)]
+        for tn, td, an, ad, bn, bd, a, b in zip(
+            *_reduced(np.arange(den + 1), n), *_reduced(p, n), *_reduced(q, n),
+            p.tolist(), q.tolist(),
         )
-    _emit(records, ["t", "value_decimal", "value_a", "value_b"], args)
+    )
+    _emit(rows, ["t", "value_decimal", "value_a", "value_b"], args)
 
 
 def cmd_extrema(args: argparse.Namespace) -> None:
@@ -164,12 +186,29 @@ def cmd_extrema(args: argparse.Namespace) -> None:
 
 def cmd_qv(args: argparse.Namespace) -> None:
     fn = _scheme(args)
-    series = qv_profile(fn, _level(args, "level"), args.stride)
-    rows = series.rows
+    n = _level(args, "level")
+    count = None
     if args.t is not None:
         limit = parse_exact_fraction(args.t)
-        rows = [r for r in rows if r.t.as_fraction() <= limit]
-    _emit([_row_record(r) for r in rows], list(SERIES_FIELDS), args)
+        if not 0 <= limit <= 1:
+            raise ValueError(f"--t must be in [0, 1], got {limit}")
+        # the rows at t = i * stride / 2**n <= limit
+        count = math.floor(limit * (1 << n)) // args.stride + 1
+    sums = qv_profile(fn, n, args.stride).sums
+    a, b = sums.a[:count], sums.b[:count]
+    t_num = np.arange(len(a)) * sums.stride
+    _emit(_pair_rows(n, t_num, n, a, b, 2 * n), list(SERIES_FIELDS), args)
+
+
+def _series_rows(series: QVSeries, *extra: str) -> list[list]:
+    """Cells of a series' rows, then the extra cells, then the distance if the rows carry one."""
+    rows = []
+    for r in series.rows:
+        row = _value_row(r.level, r.t.as_fraction(), r.value) + list(extra)
+        if r.distance is not None:
+            row.append(r.distance.decimal(DECIMAL_DIGITS))
+        rows.append(row)
+    return rows
 
 
 def cmd_cov(args: argparse.Namespace) -> None:
@@ -179,19 +218,17 @@ def cmd_cov(args: argparse.Namespace) -> None:
     if t.exp > _level(args, "level"):
         raise ValueError(f"t={t} needs level >= {t.exp}")
     series = cov_profile(fx, fy, args.level, t)
-    _emit([_row_record(r) for r in series.rows], list(SERIES_FIELDS), args)
+    _emit(_series_rows(series), list(SERIES_FIELDS), args)
 
 
 def cmd_counterexample(args: argparse.Namespace) -> None:
     t = Dyadic.from_fraction(parse_exact_fraction(args.t))
     study = counterexample_series(_level(args, "levels"), t)
-    records = []
+    rows = []
     for name in ("even_qv", "odd_qv", "even_cov", "odd_cov"):
-        series = getattr(study, name)
-        for row in series.rows:
-            records.append(_row_record(row, series=name))
+        rows += _series_rows(getattr(study, name), name)
     fields = list(SERIES_FIELDS) + ["series", "distance_decimal"]
-    _emit(records, fields, args)
+    _emit(rows, fields, args)
 
 
 def cmd_modulus(args: argparse.Namespace) -> None:
@@ -201,40 +238,30 @@ def cmd_modulus(args: argparse.Namespace) -> None:
         reports = [modulus_scan(fn, grid, parse_exact_fraction(args.h))]
     else:
         reports = sweep_all_steps(fn, grid)
-    records = []
-    for rep in reports:
-        rec = _series_record(args.grid, rep.witness_t, rep.scan_max)
-        rec.update(
-            {
-                "kind": "modulus",
-                "h_num": rep.h.numerator,
-                "h_den": rep.h.denominator,
-                "nu": rep.nu,
-                "omega_decimal": rep.omega.decimal(DECIMAL_DIGITS),
-                "ratio_decimal": rep.ratio_decimal,
-            }
-        )
-        records.append(rec)
+    ties, mp, mq = zip(*[(rep.tie, *rep.pair) for rep in reports])
+    rows = (
+        row + ["modulus", rep.h.numerator, rep.h.denominator, rep.nu,
+               decimal_pair(*rep.omega.pair(), DECIMAL_DIGITS), rep.ratio_decimal]
+        for row, rep in zip(_pair_rows(grid, ties, grid, mp, mq, grid), reports)
+    )
     fields = list(SERIES_FIELDS) + [
         "kind", "h_num", "h_den", "nu", "omega_decimal", "ratio_decimal",
     ]
-    _emit(records, fields, args)
+    _emit(rows, fields, args)
 
 
 def cmd_witness(args: argparse.Namespace) -> None:
     if args.levels < 1:
         # a row count, not a grid level: witness rows use closed forms
         raise ValueError(f"--levels must be >= 1, got {args.levels}")
-    records = []
+    rows = []
     for kind in ("part_a", "part_b"):
         for row in witness_ratios(kind, 1, args.levels):
             t_n, _ = witness_steps(row.n)
             t0 = Fraction(0) if kind == "part_a" else t_n
-            rec = _series_record(row.n, t0, row.increment)
-            rec.update({"kind": kind, "ratio_decimal": row.ratio_decimal})
-            records.append(rec)
+            rows.append(_value_row(row.n, t0, row.increment) + [kind, row.ratio_decimal])
     fields = list(SERIES_FIELDS) + ["kind", "ratio_decimal"]
-    _emit(records, fields, args)
+    _emit(rows, fields, args)
 
 
 def cmd_ito(args: argparse.Namespace) -> None:
@@ -248,19 +275,13 @@ def cmd_ito(args: argparse.Namespace) -> None:
         top = _level(args, "levels")
         p, q = fn.grid_pairs(top)
         grids = ((n, coarsen(p, q, top, n)) for n in range(max(1, t.exp), top + 1))
-    records = []
+    rows = []
     for n, grid in grids:
         res, rsum = _residual_and_sum(poly, grid, n, t)
-        rec = _series_record(n, t.as_fraction(), res)
-        rec.update(
-            {
-                "kind": "ito_residual",
-                "riemann_sum_decimal": rsum.decimal(DECIMAL_DIGITS),
-            }
-        )
-        records.append(rec)
+        rows.append(_value_row(n, t.as_fraction(), res)
+                    + ["ito_residual", rsum.decimal(DECIMAL_DIGITS)])
     fields = list(SERIES_FIELDS) + ["kind", "riemann_sum_decimal"]
-    _emit(records, fields, args)
+    _emit(rows, fields, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

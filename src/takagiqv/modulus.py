@@ -10,8 +10,14 @@ the class never exceed sqrt2 * omega(h).  Both bounds are sharp along the
 witness steps h_n = (2/3) * 2**-n: from t = 0 for the all-plus function,
 and across t_n = 1/2 - (1/3) * 2**-n for the negated half-split function.
 
-nu is decided by exact rational comparison, so h at an exact power of two
+nu is decided by exact integer comparison, so h at an exact power of two
 gets nu(2**-n) = n even though omega jumps there.
+
+For h = a/d, omega(h) is one integer pair over 3d * 2**(nu//2), doubled
+for even nu, read off from a, d and the parity of nu.  A scan report keeps
+its largest increment as the integer pair (p, q) over 2**level, and the
+ratio x / omega is rendered from integers as x * conj(omega) / norm(omega)
+(``qfield.decimal_ratio``), as are the witness ratios.
 """
 
 from __future__ import annotations
@@ -23,21 +29,17 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .gridscan import abs_extremum, block_extrema
-from .qfield import Dyadic, QuadValue, Rational, SQRT2, _as_fraction, pow2_half
+from .qfield import Dyadic, QuadValue, Rational, _as_fraction, decimal_ratio
 from .schemes import AllPlus, NegHalfSplit
 from .takagi import TakagiFunction, pair_blocks, pair_value, thirds_value
-
-# 1 + 1/sqrt2 and (sqrt8 + 2)/3, the two omega coefficients
-_SLOPE_COEF = QuadValue(1, Fraction(1, 2))
-_TAIL_COEF = QuadValue(Fraction(2, 3), Fraction(2, 3))
 
 
 def nu(h: Rational) -> int:
     """The unique n >= 0 with 2**-(n+1) < h <= 2**-n, by integer comparison."""
     h = _as_fraction(h)
-    if not 0 < h <= 1:
-        raise ValueError(f"h={h} outside (0, 1]")
     p, q = h.numerator, h.denominator
+    if not 0 < p <= q:
+        raise ValueError(f"h={h} outside (0, 1]")
     n = max(q.bit_length() - p.bit_length(), 0)
     while (p << n) > q:
         n -= 1
@@ -47,22 +49,58 @@ def nu(h: Rational) -> int:
 
 
 def omega(h: Rational) -> QuadValue:
-    """The continuity envelope at h, exact in Q(sqrt(2))."""
+    """The continuity envelope at h, exact in Q(sqrt(2)).
+
+    For h = a/d in lowest terms and s = 3a * 4**(nu//2), omega(h) is the
+    one integer pair
+
+        (2s + 4d + (s + 4d) sqrt2) / (3d * 2**(nu//2 + 1))   for even nu,
+        (s + 2d + (s + d) sqrt2) / (3d * 2**(nu//2))          for odd nu.
+    """
     h = _as_fraction(h)
     n = nu(h)
-    return _SLOPE_COEF * pow2_half(n) * h + _TAIL_COEF * pow2_half(-n)
+    a, d = h.numerator, h.denominator
+    k = n // 2
+    s = 3 * a << 2 * k
+    if n % 2:
+        p, q, den = s + 2 * d, s + d, 3 * d << k
+    else:
+        p, q, den = 2 * s + 4 * d, s + 4 * d, 3 * d << (k + 1)
+    return QuadValue(Fraction(p, den), Fraction(q, den))
 
 
 @dataclass(frozen=True)
 class ModulusReport:
-    """Largest grid increment at step h versus the envelope."""
+    """Largest grid increment at step h versus the envelope omega(h).
+
+    The increment is kept as the integer pair (p, q) of
+    (p + q*sqrt(2)) / 2**level, first reached from t = tie / 2**level;
+    ``scan_max``, ``witness_t`` and ``ratio_decimal`` are built from these
+    integers when asked for.
+    """
 
     h: Fraction
-    nu: int
     omega: QuadValue
-    scan_max: QuadValue
-    ratio_decimal: str
-    witness_t: Fraction
+    level: int
+    pair: tuple[int, int]
+    tie: int
+
+    @property
+    def nu(self) -> int:
+        return nu(self.h)
+
+    @property
+    def scan_max(self) -> QuadValue:
+        return pair_value(*self.pair, self.level)
+
+    @property
+    def witness_t(self) -> Fraction:
+        return Fraction(self.tie, 1 << self.level)
+
+    @property
+    def ratio_decimal(self) -> str:
+        """scan_max / omega to 8 places."""
+        return decimal_ratio((*self.pair, 1 << self.level), self.omega.pair(), 8)
 
 
 def _lag_blocks(p: np.ndarray, q: np.ndarray, j: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -85,16 +123,7 @@ def _lag_blocks(p: np.ndarray, q: np.ndarray, j: int) -> Iterator[tuple[int, np.
 def _scan_report(p: np.ndarray, q: np.ndarray, grid_level: int, j: int) -> ModulusReport:
     h = Fraction(j, 1 << grid_level)
     mp, mq, ties = abs_extremum(*block_extrema(_lag_blocks(p, q, j)))
-    scan_max = pair_value(mp, mq, grid_level)
-    om = omega(h)
-    return ModulusReport(
-        h=h,
-        nu=nu(h),
-        omega=om,
-        scan_max=scan_max,
-        ratio_decimal=(scan_max / om).decimal(8),
-        witness_t=Fraction(ties[0], 1 << grid_level),
-    )
+    return ModulusReport(h, omega(h), grid_level, (mp, mq), ties[0])
 
 
 def modulus_scan(fn: TakagiFunction, grid_level: int, h: Dyadic | Rational) -> ModulusReport:
@@ -146,11 +175,15 @@ def witness_ratios(kind: str, n_lo: int = 1, n_hi: int = 12) -> list[WitnessRow]
         om = omega(h_n)
         if kind == "part_a":
             inc = thirds_value(hat, h_n)  # x(0) = 0
-            expected = om - QuadValue(1, 1) * h_n
         else:
             inc = thirds_value(low, t_n + h_n) - thirds_value(low, t_n)
-            expected = SQRT2 * om - QuadValue(2, 1) * h_n
-        if inc != expected:
+        # the identity in integers: h_n = 1/H, omega = (op + oq sqrt2)/od,
+        # and the expected value is (ep + eq sqrt2)/(od H)
+        (ip, iq, d), (op, oq, od) = inc.pair(), om.pair()
+        big_h = 3 << (n - 1)
+        a, b = op * big_h - od, oq * big_h - od
+        ep, eq = (a, b) if kind == "part_a" else (2 * b, a)
+        if ip * od * big_h != ep * d or iq * od * big_h != eq * d:
             raise ArithmeticError(f"witness identity failed at n={n} ({kind})")
-        rows.append(WitnessRow(n, inc, (inc / om).decimal(8)))
+        rows.append(WitnessRow(n, inc, decimal_ratio((ip, iq, d), (op, oq, od), 8)))
     return rows

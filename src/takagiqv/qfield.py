@@ -73,6 +73,22 @@ def decimal_pair(p: int, q: int, den: int, digits: int) -> str:
     return f"{sign}{whole}.{part:0{digits}d}"
 
 
+def decimal_ratio(x: tuple[int, int, int], y: tuple[int, int, int], digits: int) -> str:
+    """x / y rounded like ``decimal_pair``, for x, y given as (p, q, d): (p + q*sqrt(2)) / d.
+
+    x / y = x * conj(y) / norm(y), all in integers; a negative norm moves
+    its sign into the numerator pair.
+    """
+    xp, xq, xd = x
+    yp, yq, yd = y
+    norm = yp * yp - 2 * yq * yq
+    if norm == 0:
+        raise ZeroDivisionError("division by zero in Q(sqrt(2))")
+    if norm < 0:
+        yd, norm = -yd, -norm
+    return decimal_pair((xp * yp - 2 * xq * yq) * yd, (xq * yp - xp * yq) * yd, xd * norm, digits)
+
+
 @total_ordering
 class QuadValue:
     """A number a + b*sqrt(2) with exact rational components."""
@@ -195,7 +211,7 @@ class QuadValue:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * _SQRT2_F
 
-    def _over_common_den(self) -> tuple[int, int, int]:
+    def pair(self) -> tuple[int, int, int]:
         """(p, q, d) with self == (p + q*sqrt(2)) / d and d > 0."""
         a, b = self.a, self.b
         d = lcm(a.denominator, b.denominator)
@@ -203,12 +219,12 @@ class QuadValue:
 
     def floor(self) -> int:
         """Exact floor, via integer square roots only."""
-        p, q, d = self._over_common_den()
+        p, q, d = self.pair()
         return (p + _floor_sqrt2(q)) // d
 
     def decimal(self, digits: int) -> str:
         """Correctly rounded, half-to-even decimal with `digits` fractional digits."""
-        return decimal_pair(*self._over_common_den(), digits)
+        return decimal_pair(*self.pair(), digits)
 
     def __str__(self) -> str:
         if self.b == 0:

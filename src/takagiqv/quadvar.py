@@ -51,12 +51,47 @@ class QVRow:
     distance: QuadValue | None = None
 
 
-@dataclass(frozen=True)
-class QVSeries:
-    """Rows of (level, time, value), tagged qv / covariation / qv_of_sum."""
+class ProfileSums(NamedTuple):
+    """A running qv profile as integers: row i is the time i * stride / 2**level,
+    with value (a[i] + b[i]*sqrt(2)) / 4**level."""
 
-    tag: str
-    rows: list[QVRow]
+    level: int
+    stride: int
+    a: list[int]
+    b: list[int]
+
+    def rows(self) -> list[QVRow]:
+        n = self.level
+        return [QVRow(n, Dyadic(i * self.stride, n), _sum_value(a, b, n))
+                for i, (a, b) in enumerate(zip(self.a, self.b))]
+
+
+class QVSeries:
+    """Rows of (level, time, value), tagged qv / covariation / qv_of_sum.
+
+    A qv profile is held as its integer ``sums``; its rows are built the
+    first time they are asked for.
+    """
+
+    def __init__(self, tag: str, rows: list[QVRow] | None = None,
+                 sums: ProfileSums | None = None) -> None:
+        self.tag = tag
+        self.sums = sums
+        self._rows = rows
+
+    @property
+    def rows(self) -> list[QVRow]:
+        if self._rows is None:
+            self._rows = self.sums.rows()
+        return self._rows
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QVSeries):
+            return NotImplemented
+        return (self.tag, self.rows) == (other.tag, other.rows)
+
+    def __repr__(self) -> str:
+        return f"QVSeries({self.tag!r}, {self.rows!r})"
 
 
 def _grid_index(level: int, t: Dyadic | Rational) -> Dyadic:
@@ -195,11 +230,9 @@ def qv_profile(x: GridLike, level: int, stride: int = 1) -> QVSeries:
     if per_row > 1:
         part_a = [sum(part_a[i : i + per_row]) for i in range(0, len(part_a), per_row)]
         part_b = [sum(part_b[i : i + per_row]) for i in range(0, len(part_b), per_row)]
-    rows = [
-        QVRow(level, Dyadic(i * stride, level), _sum_value(a, b, level))
-        for i, (a, b) in enumerate(zip(accumulate(part_a, initial=0), accumulate(part_b, initial=0)))
-    ]
-    return QVSeries("qv", rows)
+    sums = ProfileSums(level, stride, list(accumulate(part_a, initial=0)),
+                       list(accumulate(part_b, initial=0)))
+    return QVSeries("qv", sums=sums)
 
 
 def _level_sums(

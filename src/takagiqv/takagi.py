@@ -10,7 +10,9 @@ dyadic point j/2**N is already exact at truncation level N.
 
 Evaluation surfaces:
 
-* ``partial_sum`` / ``at_dyadic`` -- exact scalar values via Fractions;
+* ``partial_sum`` / ``at_dyadic`` -- exact scalar values: the wedges at t
+  add up as one integer pair over den(t) * 2**ceil(n/2), turned into a
+  QuadValue once at the end;
 * ``grid_pairs`` -- all values on the grid j/2**N at once, as integer
   pairs (p, q) with value (p + q*sqrt(2)) / 2**N, built by the midpoint
   recursion (one numpy pass per generation);
@@ -19,19 +21,18 @@ Evaluation surfaces:
   its own, and a reduction over the grid never holds more than one block;
 * ``approx`` -- truncated series with a certified geometric tail bound;
 * ``thirds_value`` -- closed-form exact values at points with denominator
-  3 * 2**n for the three named functions that admit them.
+  3 * 2**n for the three named functions that admit them, as the level-n
+  integer pair plus the closed-form tail.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from .qfield import Dyadic, QuadValue, Rational, _as_fraction, pow2_half
-from .schauder import eval_e
 from .schemes import AllPlus, CoefficientScheme, HalfSplit, _Negated
 
 # Sum of all wedge heights 2**-(m+2)/2: the series tail after M generations
@@ -84,14 +85,35 @@ class TakagiFunction:
         """Exact value of the n-generation partial sum at rational t."""
         t = _as_fraction(t)
         _check_unit_interval(t)
-        acc = QuadValue(0, 0)
+        p, q, den = self._partial_pair(n, t)
+        return QuadValue(Fraction(p, den), Fraction(q, den))
+
+    def _partial_pair(self, n: int, t: Fraction) -> tuple[int, int, int]:
+        """The n-generation partial sum at t in [0, 1] as (p, q, den): (p + q*sqrt(2)) / den.
+
+        With t = u/v and c = ceil(n/2), den = v * 2**c: the generation-m
+        wedge containing t contributes theta * min(x, v - x) / v * 2**(-m/2),
+        x = u * 2**m - k * v its offset into the wedge's cell, and
+        2**c * 2**(-m/2) is a power of two (times sqrt(2) for odd m) for
+        every m < n.
+        """
+        u, v = t.numerator, t.denominator
+        c = (n + 1) // 2
+        theta = self.scheme.theta
+        p = q = 0
         for m in range(n):
-            # only the wedge whose support contains t contributes
-            k = min(math.floor(t * (1 << m)), (1 << m) - 1)
-            term = eval_e((m, k), t)
-            if term:
-                acc = acc + (term if self.scheme.theta(m, k) > 0 else -term)
-        return acc
+            # t * 2**m = k + x/v; at t = 1, x = 0 and no wedge contributes
+            k, x = divmod(u << m, v)
+            r = min(x, v - x)
+            if r:
+                term = r << (c - (m + 1) // 2)
+                if theta(m, k) < 0:
+                    term = -term
+                if m % 2:
+                    q += term
+                else:
+                    p += term
+        return p, q, v << c
 
     def at_dyadic(self, t: Dyadic | Rational) -> QuadValue:
         """Exact value at a dyadic point; generations >= exp(t) all vanish there."""
@@ -237,20 +259,36 @@ def _thirds_exponent(t: Fraction) -> int:
     return rest.bit_length() - 1
 
 
-def _all_plus_thirds(t: Fraction) -> QuadValue:
-    """Exact all-plus value at t = a/(3*2**n) via self-similarity.
+def _all_plus_thirds(t: Fraction) -> tuple[int, int, int]:
+    """Exact all-plus value at t = a/(3*2**n) via self-similarity, as (p, q, den).
 
     On the dyadic interval of width 2**-n containing t the tail of the
     series is a rescaled copy of the whole function, so the value equals
     the partial sum at level n plus 2**(-n/2) times the value at the
     fractional part 2**n*t mod 1, which is 1/3 or 2/3 -- both giving
-    THIRDS_PEAK.
+    THIRDS_PEAK = (2 + sqrt(2))/3.  Over the partial sum's denominator
+    3 * 2**n * 2**ceil(n/2), that tail is the pair (2**(n+1), 2**n) for
+    even n and (2**(n+1), 2**(n+1)) for odd n.
     """
     n = _thirds_exponent(t)
-    if n == 0:
-        return THIRDS_PEAK
-    hat = TakagiFunction(AllPlus())
-    return hat.partial_sum(n, t) + pow2_half(-n) * THIRDS_PEAK
+    p, q, den = TakagiFunction(AllPlus())._partial_pair(n, t)
+    return p + (2 << n), q + (1 << (n + n % 2)), den
+
+
+def _thirds_pair(scheme: CoefficientScheme, t: Fraction) -> tuple[int, int, int]:
+    if isinstance(scheme, _Negated) and isinstance(scheme.inner, (AllPlus, HalfSplit)):
+        # negated coefficients negate the function
+        p, q, den = _thirds_pair(scheme.inner, t)
+        return -p, -q, den
+    if isinstance(scheme, AllPlus) or (isinstance(scheme, HalfSplit) and 2 * t <= 1):
+        return _all_plus_thirds(t)
+    if isinstance(scheme, HalfSplit):
+        # reflected around t = 1/2: the value is 1/2 minus the all-plus value at t - 1/2
+        p, q, den = _all_plus_thirds(t - Fraction(1, 2))
+        return den - 2 * p, -2 * q, 2 * den
+    raise ValueError(
+        f"thirds evaluation supports all_plus/half_split/neg_half_split, not {scheme.spec}"
+    )
 
 
 def thirds_value(fn: TakagiFunction, t: Rational) -> QuadValue:
@@ -263,19 +301,8 @@ def thirds_value(fn: TakagiFunction, t: Rational) -> QuadValue:
     """
     t = _as_fraction(t)
     _check_unit_interval(t)
-    scheme = fn.scheme
-    if isinstance(scheme, _Negated) and isinstance(scheme.inner, (AllPlus, HalfSplit)):
-        # negated coefficients negate the function
-        return -thirds_value(TakagiFunction(scheme.inner), t)
-    if isinstance(scheme, AllPlus):
-        return _all_plus_thirds(t)
-    if isinstance(scheme, HalfSplit):
-        if t <= Fraction(1, 2):
-            return _all_plus_thirds(t)
-        return QuadValue(Fraction(1, 2), 0) - _all_plus_thirds(t - Fraction(1, 2))
-    raise ValueError(
-        f"thirds evaluation supports all_plus/half_split/neg_half_split, not {scheme.spec}"
-    )
+    p, q, den = _thirds_pair(fn.scheme, t)
+    return QuadValue(Fraction(p, den), Fraction(q, den))
 
 
 # -- coefficient recovery ------------------------------------------------------

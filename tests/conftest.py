@@ -21,8 +21,8 @@ import pytest
 
 from takagiqv.extrema import ExtremaReport
 from takagiqv.follmer import _scaled_coeffs
-from takagiqv.modulus import ModulusReport, nu, omega
-from takagiqv.qfield import Dyadic, QuadValue, sign_pair
+from takagiqv.modulus import ModulusReport, nu
+from takagiqv.qfield import Dyadic, QuadValue, pow2_half, sign_pair
 from takagiqv.quadvar import (
     COV_LIMIT_EVEN,
     COV_LIMIT_ODD,
@@ -48,6 +48,25 @@ def oracle_partial(fn: TakagiFunction, n: int, t: Fraction) -> QuadValue:
             if term:
                 acc = acc + term * fn.scheme.theta(m, k)
     return acc
+
+
+def oracle_partial_sum(fn: TakagiFunction, n: int, t: Fraction) -> QuadValue:
+    """The n-generation partial sum as one QuadValue per generation: only the
+    wedge whose support contains t contributes, evaluated by ``eval_e``."""
+    acc = QuadValue(0, 0)
+    for m in range(n):
+        k = min(math.floor(t * (1 << m)), (1 << m) - 1)
+        term = eval_e((m, k), t)
+        if term:
+            acc = acc + (term if fn.scheme.theta(m, k) > 0 else -term)
+    return acc
+
+
+def oracle_omega(h: Fraction) -> QuadValue:
+    """(1 + 1/sqrt2) h 2**(nu/2) + (1/3)(sqrt8 + 2) 2**(-nu/2), in QuadValue products."""
+    n = nu(h)
+    slope, tail = QuadValue(1, Fraction(1, 2)), QuadValue(Fraction(2, 3), Fraction(2, 3))
+    return slope * pow2_half(n) * h + tail * pow2_half(-n)
 
 
 def oracle_grid(fn: TakagiFunction, level: int) -> list[QuadValue]:
@@ -163,15 +182,7 @@ def oracle_modulus_scan(fn: TakagiFunction, level: int, h) -> ModulusReport:
         mp, mq, ties = lo_p, lo_q, lo_ties
     else:
         mp, mq, ties = hi_p, hi_q, sorted(set(hi_ties) | set(lo_ties))
-    scan_max, om = pair_value(mp, mq, level), omega(h)
-    return ModulusReport(
-        h=h,
-        nu=nu(h),
-        omega=om,
-        scan_max=scan_max,
-        ratio_decimal=(scan_max / om).decimal(8),
-        witness_t=Fraction(ties[0], 1 << level),
-    )
+    return ModulusReport(h, oracle_omega(h), level, (mp, mq), ties[0])
 
 
 def _oracle_sum_value(a: int, b: int, level: int) -> QuadValue:

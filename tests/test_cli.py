@@ -1,3 +1,6 @@
+import argparse
+import csv
+import io
 import json
 import math
 import subprocess
@@ -7,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from takagiqv.cli import build_parser, main
+from takagiqv.cli import SERIES_FIELDS, _emit, _pair_rows, _reduced, build_parser, main
 from takagiqv.follmer import RationalPolynomial, follmer_sum, ito_residual
 from takagiqv.qfield import QuadValue
 from takagiqv.schemes import parse_scheme
@@ -177,6 +180,44 @@ class TestSeriesCommands:
             run(capsys, "ito", "--scheme", "all_plus", "--poly", "0,0,1")
 
 
+#: Numerators for the reduced-fraction columns: zero, odd, even, negative,
+#: and beyond the 2**53 that a float holds exactly.
+NUMERATORS = [0, 1, 3, -5, 6, -12, 40, 1 << 40, (1 << 53) + 1, 3 << 53, -(1 << 60), (1 << 62) - 1]
+
+
+class TestRowWriter:
+    @pytest.mark.parametrize("bits", [0, 1, 5, 30, 52, 62])
+    def test_reduced_columns(self, bits):
+        nums, dens = _reduced(NUMERATORS, bits)
+        for x, n, d in zip(NUMERATORS, nums, dens):
+            want = F(x, 1 << bits)
+            assert (n, d) == (want.numerator, want.denominator)
+            assert type(n) is int and type(d) is int
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bits", [0, 3, 62])
+    def test_series_columns(self, capsys, fmt, bits):
+        p = NUMERATORS
+        q = NUMERATORS[::-1]
+        t_num = list(range(len(p)))
+        args = argparse.Namespace(format=fmt, out=None)
+        _emit(_pair_rows(7, t_num, 4, p, q, bits), list(SERIES_FIELDS), args)
+        out = capsys.readouterr().out
+        records = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        assert len(records) == len(p)
+        for rec, j, a, b in zip(records, t_num, p, q):
+            got = {k: F(int(rec[f"{k}_num"]), int(rec[f"{k}_den"])) for k in ("t", "value_a", "value_b")}
+            assert got == {"t": F(j, 16), "value_a": F(a, 1 << bits), "value_b": F(b, 1 << bits)}
+            for k in ("t", "value_a", "value_b"):
+                # lowest terms, as Fraction prints them
+                assert int(rec[f"{k}_den"]) == got[k].denominator
+            assert int(rec["level"]) == 7
+            value = QuadValue(F(a, 1 << bits), F(b, 1 << bits))
+            assert rec["value_decimal"] == value.decimal(12)
+        if fmt == "json":
+            assert all(type(rec["value_a_num"]) is int for rec in records)
+
+
 #: ``extrema --grid 6``, byte for byte: the maximum is attained twice and
 #: the minimum at both ends.
 EXTREMA_GRID_6 = """\
@@ -252,6 +293,8 @@ MALFORMED = [
     ("eval --t 1/2 --scheme bernoulli:1/0:3", 2),
     ("eval --t 1/2 --scheme file:{dup}", 2),
     ("eval --t 1/16 --scheme file:{short}", 3),
+    ("eval --t 1/3 --digits 0", 2),
+    ("eval --t 1/7 --digits -1", 2),
     ("sample --grid 40", 2),
     ("sample --grid -1", 2),
     ("sample --grid 3 --scheme file:{deep}", 2),
@@ -264,6 +307,8 @@ MALFORMED = [
     ("qv --level -1", 2),
     ("qv --level 4 --stride 3", 2),
     ("qv --level 3 --scheme file:{wide}", 2),
+    ("qv --level 3 --t -1", 2),
+    ("qv --level 3 --t 5", 2),
     ("cov --level 4 --t 1/0", 2),
     ("cov --level 30", 2),
     ("cov --level -1", 2),
@@ -325,6 +370,7 @@ class TestMalformedInput:
     def test_exit_code_and_one_error_line(self, capsys, scheme_files, argv, expected):
         code, out, err = run(capsys, *argv.format(**scheme_files).split())
         assert code == expected
+        assert out == ""
         _assert_one_error_line(err)
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from takagiqv.modulus import (
     ModulusReport,
@@ -17,9 +18,29 @@ from takagiqv.qfield import QuadValue, SQRT2, pow2_half
 from takagiqv.schemes import BUILTIN_NAMES, parse_scheme
 from takagiqv.takagi import TakagiFunction, thirds_value
 
+from conftest import oracle_omega
+
 
 def fn(spec):
     return TakagiFunction(parse_scheme(spec))
+
+
+#: Steps in (0, 1]: any a/d, exact powers of two and their neighbours (the
+#: nu boundary), and the witness steps 2/(3 * 2**n).
+steps = st.one_of(
+    st.integers(1, 10 ** 6).flatmap(lambda d: st.integers(1, d).map(lambda a: F(a, d))),
+    st.integers(0, 60).map(lambda n: F(1, 1 << n)),
+    st.builds(lambda n, k, e: F((1 << k) + e, 1 << (n + k)),
+              st.integers(1, 40), st.integers(1, 20), st.sampled_from([-1, 1])),
+    st.integers(0, 60).map(lambda n: F(2, 3 << n)),
+)
+
+
+class TestOmegaOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(steps)
+    def test_matches_oracle(self, h):
+        assert omega(h) == oracle_omega(h)
 
 
 class TestNu:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from takagiqv.qfield import SQRT2, Dyadic, QuadValue, decimal_pair, pow2_half, sign_pair
+from takagiqv.qfield import SQRT2, Dyadic, QuadValue, decimal_pair, decimal_ratio, pow2_half, sign_pair
 
 from conftest import oracle_decimal
 
@@ -115,6 +115,21 @@ class TestDecimal:
         assert u.decimal(digits) == want
         d = u.a.denominator * u.b.denominator
         assert decimal_pair(int(u.a * d), int(u.b * d), d, digits) == want
+
+    @given(wide_quads, wide_quads.filter(bool), st.integers(1, 20))
+    def test_ratio_matches_division(self, x, y, digits):
+        assert decimal_ratio(x.pair(), y.pair(), digits) == (x / y).decimal(digits)
+
+    @pytest.mark.parametrize("y", [QuadValue(1, 1), QuadValue(F(-1, 3), F(5, 7)), QuadValue(0, F(-2, 9))])
+    def test_ratio_with_negative_norm(self, y):
+        assert y.a * y.a - 2 * y.b * y.b < 0
+        for x in (QuadValue(F(3, 8), F(-1, 16)), QuadValue(F(-7, 3), 0), QuadValue(0, 0)):
+            for digits in range(1, 21):
+                assert decimal_ratio(x.pair(), y.pair(), digits) == (x / y).decimal(digits)
+
+    def test_ratio_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            decimal_ratio((1, 0, 1), (0, 0, 1), 3)
 
     def test_non_dyadic(self):
         u = QuadValue(F(2, 3), F(1, 7))

@@ -15,7 +15,7 @@ from takagiqv.takagi import (
     thirds_value,
 )
 
-from conftest import oracle_grid_pairs, oracle_partial
+from conftest import oracle_grid_pairs, oracle_partial, oracle_partial_sum
 
 ALL_SCHEMES = BUILTIN_NAMES + ("bernoulli:1/2:1",)
 
@@ -24,7 +24,33 @@ def fn(spec: str) -> TakagiFunction:
     return TakagiFunction(parse_scheme(spec))
 
 
+#: Points of [0, 1]: dyadic, a/(3*2**k), a/7 and a/999.
+unit_points = st.one_of(
+    st.integers(0, 40).flatmap(lambda k: st.integers(0, 1 << k).map(lambda a: F(a, 1 << k))),
+    st.integers(0, 30).flatmap(lambda k: st.integers(0, 3 << k).map(lambda a: F(a, 3 << k))),
+    st.integers(0, 7).map(lambda a: F(a, 7)),
+    st.integers(0, 999).map(lambda a: F(a, 999)),
+)
+
+
 class TestPartialSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(ALL_SCHEMES), unit_points, st.integers(0, 64))
+    def test_matches_oracle(self, spec, t, n):
+        f = fn(spec)
+        assert f.partial_sum(n, t) == oracle_partial_sum(f, n, t)
+
+    @pytest.mark.parametrize("spec", ["all_plus", "half_split", "neg_half_split"])
+    def test_thirds_tail_at_every_parity(self, spec):
+        # thirds_value adds the closed-form tail to the level-n pair; the
+        # all-plus partial sums converge to it at rate 2**(-n/2)
+        f = fn(spec)
+        for k in range(0, 12):
+            for a in (1, 2, (3 << k) - 1):
+                t = F(a, 3 << k)
+                diff = thirds_value(f, t) - oracle_partial_sum(f, 2 * k + 40, t)
+                assert abs(float(diff)) < 2.0 ** -(k + 19)
+
     def test_two_generations_at_quarter(self):
         assert fn("all_plus").partial_sum(2, F(1, 4)) == QuadValue(F(1, 4), F(1, 4))
 
