@@ -156,14 +156,9 @@ def cmd_sample(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     n = _level(args, "grid")
     p, q = fn.grid_pairs(n)
-    den = 1 << n
     rows = (
-        [_fraction_text(tn, td), decimal_pair(a, b, den, DECIMAL_DIGITS),
-         _fraction_text(an, ad), _fraction_text(bn, bd)]
-        for tn, td, an, ad, bn, bd, a, b in zip(
-            *_reduced(np.arange(den + 1), n), *_reduced(p, n), *_reduced(q, n),
-            p.tolist(), q.tolist(),
-        )
+        [_fraction_text(tn, td), dec, _fraction_text(an, ad), _fraction_text(bn, bd)]
+        for _, tn, td, an, ad, bn, bd, dec in _pair_rows(n, np.arange(len(p)), n, p, q, n)
     )
     _emit(rows, ["t", "value_decimal", "value_a", "value_b"], args)
 

@@ -40,17 +40,6 @@ class TestPartialSum:
         f = fn(spec)
         assert f.partial_sum(n, t) == oracle_partial_sum(f, n, t)
 
-    @pytest.mark.parametrize("spec", ["all_plus", "half_split", "neg_half_split"])
-    def test_thirds_tail_at_every_parity(self, spec):
-        # thirds_value adds the closed-form tail to the level-n pair; the
-        # all-plus partial sums converge to it at rate 2**(-n/2)
-        f = fn(spec)
-        for k in range(0, 12):
-            for a in (1, 2, (3 << k) - 1):
-                t = F(a, 3 << k)
-                diff = thirds_value(f, t) - oracle_partial_sum(f, 2 * k + 40, t)
-                assert abs(float(diff)) < 2.0 ** -(k + 19)
-
     def test_two_generations_at_quarter(self):
         assert fn("all_plus").partial_sum(2, F(1, 4)) == QuadValue(F(1, 4), F(1, 4))
 
@@ -183,6 +172,17 @@ class TestThirds:
         exact = thirds_value(fn("all_plus"), t)
         value, bound = fn("all_plus").approx(t, F(1, 10 ** 8))
         assert abs(value - exact).compare(bound) <= 0
+
+    @pytest.mark.parametrize("spec", ["all_plus", "half_split", "neg_half_split"])
+    def test_against_oracle_partial_sums(self, spec):
+        # the closed-form tail at both parities of n, on both sides of 1/2:
+        # the partial sums converge to the value at rate 2**(-n/2)
+        f = fn(spec)
+        for k in range(0, 12):
+            for a in (1, 2, (3 << k) - 1):
+                t = F(a, 3 << k)
+                diff = thirds_value(f, t) - oracle_partial_sum(f, 2 * k + 40, t)
+                assert abs(float(diff)) < 2.0 ** -(k + 19)
 
     def test_rejects_other_denominators(self):
         with pytest.raises(ValueError):
