@@ -236,7 +236,7 @@ def cmd_modulus(args: argparse.Namespace) -> None:
     ties, mp, mq = zip(*[(rep.tie, *rep.pair) for rep in reports])
     rows = (
         row + ["modulus", rep.h.numerator, rep.h.denominator, rep.nu,
-               decimal_pair(*rep.omega.pair(), DECIMAL_DIGITS), rep.ratio_decimal]
+               rep.omega.decimal(DECIMAL_DIGITS), rep.ratio_decimal]
         for row, rep in zip(_pair_rows(grid, ties, grid, mp, mq, grid), reports)
     )
     fields = list(SERIES_FIELDS) + [

@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .gridscan import abs_extremum, block_extrema
-from .qfield import Dyadic, QuadValue, Rational, _as_fraction, decimal_ratio
+from .qfield import SQRT2, Dyadic, QuadValue, Rational, _as_fraction, decimal_ratio
 from .schemes import AllPlus, NegHalfSplit
 from .takagi import TakagiFunction, pair_blocks, pair_value, thirds_value
 
@@ -175,15 +175,11 @@ def witness_ratios(kind: str, n_lo: int = 1, n_hi: int = 12) -> list[WitnessRow]
         om = omega(h_n)
         if kind == "part_a":
             inc = thirds_value(hat, h_n)  # x(0) = 0
+            expected = om - QuadValue(1, 1) * h_n
         else:
             inc = thirds_value(low, t_n + h_n) - thirds_value(low, t_n)
-        # the identity in integers: h_n = 1/H, omega = (op + oq sqrt2)/od,
-        # and the expected value is (ep + eq sqrt2)/(od H)
-        (ip, iq, d), (op, oq, od) = inc.pair(), om.pair()
-        big_h = 3 << (n - 1)
-        a, b = op * big_h - od, oq * big_h - od
-        ep, eq = (a, b) if kind == "part_a" else (2 * b, a)
-        if ip * od * big_h != ep * d or iq * od * big_h != eq * d:
+            expected = SQRT2 * om - QuadValue(2, 1) * h_n
+        if inc != expected:
             raise ArithmeticError(f"witness identity failed at n={n} ({kind})")
-        rows.append(WitnessRow(n, inc, decimal_ratio((ip, iq, d), (op, oq, od), 8)))
+        rows.append(WitnessRow(n, inc, decimal_ratio(inc.pair(), om.pair(), 8)))
     return rows

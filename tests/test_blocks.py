@@ -177,6 +177,12 @@ class TestExtrema:
             assert ties == [i for i, v in enumerate(values) if abs(v) == size]
 
 
+def assert_same_scan(rep, oracle, note=None):
+    """Equal reports, and a ratio column equal to the oracle's own quotient."""
+    assert rep == oracle, note
+    assert rep.ratio_decimal == (oracle.scan_max / oracle.omega).decimal(8), note
+
+
 class TestModulus:
     """Lagged increment blocks against full-size increment arrays."""
 
@@ -185,19 +191,21 @@ class TestModulus:
         f = fn(spec)
         for j in sorted({1, width - 1, width, width + 1, 2 * width + 3, 255, 256}):
             h = F(j, 256)
-            assert modulus_scan(f, 8, h) == oracle_modulus_scan(f, 8, h), j
+            assert_same_scan(modulus_scan(f, 8, h), oracle_modulus_scan(f, 8, h), j)
 
     @pytest.mark.parametrize("spec", SCHEMES)
     def test_sweep_matches_oracle_at_every_step(self, width, spec):
         f = fn(spec)
         reports = sweep_all_steps(f, 6)
-        assert reports == [oracle_modulus_scan(f, 6, F(j, 64)) for j in range(1, 65)]
+        assert len(reports) == 64
+        for j, rep in enumerate(reports, 1):
+            assert_same_scan(rep, oracle_modulus_scan(f, 6, F(j, 64)), j)
 
     def test_default_width_lags_across_blocks(self):
         f = fn("alt_mk")
         for j in (1, 3, (1 << 16) - 1, 1 << 16, (1 << 16) + 3, (1 << 17) - 1, 1 << 17):
             h = F(j, 1 << 17)
-            assert modulus_scan(f, 17, h) == oracle_modulus_scan(f, 17, h), j
+            assert_same_scan(modulus_scan(f, 17, h), oracle_modulus_scan(f, 17, h), j)
 
 
 TIMES = [F(0), F(1, 8), F(5, 16), F(1, 2), F(11, 16), F(1)]

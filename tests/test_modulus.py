@@ -198,6 +198,12 @@ class TestWitnesses:
         assert ratios_a[-1] >= 0.98
         assert ratios_b[-1] >= 1.40
 
+    @pytest.mark.parametrize("kind", ["part_a", "part_b"])
+    def test_ratio_column_is_the_quotient(self, kind):
+        for row in witness_ratios(kind, 1, 40):
+            _, h_n = witness_steps(row.n)
+            assert row.ratio_decimal == (row.increment / oracle_omega(h_n)).decimal(8), row.n
+
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             witness_ratios("part_c", 1, 2)
