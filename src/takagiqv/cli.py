@@ -30,7 +30,7 @@ from .modulus import modulus_scan, sweep_all_steps, witness_ratios, witness_step
 from .qfield import Dyadic, QuadValue, decimal_pair
 from .quadvar import QVSeries, counterexample_series, cov_profile, qv_profile
 from .schemes import SchemeDepthError, parse_exact_fraction, parse_scheme
-from .takagi import GRID_LEVEL_CAP, TakagiFunction, coarsen, thirds_value
+from .takagi import GRID_LEVEL_CAP, TakagiFunction, thirds_value
 
 DECIMAL_DIGITS = 12
 
@@ -260,19 +260,19 @@ def cmd_witness(args: argparse.Namespace) -> None:
 
 
 def cmd_ito(args: argparse.Namespace) -> None:
+    if (args.level is None) == (args.levels is None):
+        raise ValueError("ito needs exactly one of --level and --levels")
     fn = _scheme(args)
     poly = RationalPolynomial.parse(args.poly)
     t = Dyadic.from_fraction(parse_exact_fraction(args.t))
     if args.levels is None:
-        grids = [(_level(args, "level"), fn)]
+        levels = [_level(args, "level")]
     else:
-        # one top grid; every coarser level is a strided view of it
-        top = _level(args, "levels")
-        p, q = fn.grid_pairs(top)
-        grids = ((n, coarsen(p, q, top, n)) for n in range(max(1, t.exp), top + 1))
+        # each level builds its own grid, so no two are held at once
+        levels = range(max(1, t.exp), _level(args, "levels") + 1)
     rows = []
-    for n, grid in grids:
-        res, rsum = _residual_and_sum(poly, grid, n, t)
+    for n in levels:
+        res, rsum = _residual_and_sum(poly, fn, n, t)
         rows.append(_value_row(n, t.as_fraction(), res)
                     + ["ito_residual", rsum.decimal(DECIMAL_DIGITS)])
     fields = list(SERIES_FIELDS) + ["kind", "riemann_sum_decimal"]
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--poly", required=True,
                    help="comma-separated rational coefficients, ascending degree")
-    p.add_argument("--level", type=int)
+    p.add_argument("--level", type=int, help="one level (give --level or --levels)")
     p.add_argument("--levels", type=int, help="emit a profile up to this level")
     p.add_argument("--t", default="1")
     p.set_defaults(func=cmd_ito)
@@ -360,10 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "ito" and args.level is None and args.levels is None:
-        parser.error("ito needs --level or --levels")
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except SchemeDepthError as exc:

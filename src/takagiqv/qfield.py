@@ -102,12 +102,6 @@ class QuadValue:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadValue is immutable")
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, x: Rational) -> QuadValue:
-        return cls(x, 0)
-
     def conjugate(self) -> QuadValue:
         return QuadValue(self.a, -self.b)
 

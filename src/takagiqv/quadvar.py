@@ -17,9 +17,10 @@ increments, and the blocks add up in Python ints, so no full-size array is
 formed.  A caller's pair grid is refused with ValueError when its entries
 or increments are too large for the int64 sums to be exact.  Profiles over
 levels (:func:`cov_profile`, :func:`counterexample_series`) stream one
-top-level grid per function and read every coarser level from it: the
-level-n grid is every 2**(N-n)-th point of the level-N grid, its pairs
-shifted right by N - n.
+top-level grid per function and read from it every level whose stride
+fits in a block: the level-n grid is every 2**(N-n)-th point of the
+level-N grid, its pairs shifted right by N - n.  The coarser levels, of
+fewer points than a block, build their own grids.
 
 The covariation of the all-plus function with the generation-alternating
 one oscillates between two limits along even and odd levels;
@@ -37,7 +38,7 @@ import numpy as np
 
 from .qfield import Dyadic, QuadValue, Rational, _as_fraction
 from .schemes import AllPlus, AlternatingM
-from .takagi import TakagiFunction, _check_level, block_bits, pair_blocks
+from .takagi import TakagiFunction, _check_level, block_bits, pair_blocks, pair_value
 
 PairGrid = tuple[np.ndarray, np.ndarray]
 GridLike = Union[TakagiFunction, PairGrid]
@@ -62,7 +63,7 @@ class ProfileSums(NamedTuple):
 
     def rows(self) -> list[QVRow]:
         n = self.level
-        return [QVRow(n, Dyadic(i * self.stride, n), _sum_value(a, b, n))
+        return [QVRow(n, Dyadic(i * self.stride, n), pair_value(a, b, 2 * n))
                 for i, (a, b) in enumerate(zip(self.a, self.b))]
 
 
@@ -183,16 +184,11 @@ def _sum_sq(dx: Increments, dy: Increments) -> tuple[int, int]:
     return _square(dx)
 
 
-def _sum_value(a: int, b: int, level: int) -> QuadValue:
-    den = 1 << (2 * level)
-    return QuadValue(Fraction(a, den), Fraction(b, den))
-
-
 def _reduce(kernel: Callable[..., tuple[int, int]], level: int, t: Dyadic | Rational,
             *grids: GridLike) -> QuadValue:
     """kernel's sum over [0, t] at one level."""
     (a, b), = _level_sums(kernel, grids, level, t, level)
-    return _sum_value(a, b, level)
+    return pair_value(a, b, 2 * level)
 
 
 def qv_approx(x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
@@ -241,14 +237,15 @@ def _level_sums(
 ) -> list[tuple[int, ...]]:
     """kernel's sums over [0, t] at every level lo..top, from one streamed top grid each.
 
-    Each block gives int64 sums, added up in Python ints; blocks past t are
-    never built.  The level-n grid is every s-th point of the level-top
-    grid, s = 2**(top-n), with its pairs shifted right by top - n
-    (``coarsen``), so a sum of products of two increments is the same sum
-    at top scale shifted right by 2*(top - n).  Levels whose stride fits in
-    a block are summed from strided views of each block, the coarser ones
-    from the block endpoints, which make up the coarse grid.  A caller's
-    pair grid is checked for its own increments only, so it takes lo = top.
+    Every sum is formed at top scale: the level-n grid is every s-th point
+    of the level-top grid, s = 2**(top-n), its pairs shifted right by
+    top - n, so a sum of products of two increments is the same sum at top
+    scale shifted right by 2*(top - n).  Levels whose stride fits in a
+    block are summed from strided views of each block; each block gives
+    int64 sums, added up in Python ints, and blocks past t are never
+    built.  A coarser level n reads its own small grid (``grid_pairs(n)``)
+    shifted left by top - n.  A caller's pair grid is checked for its own
+    increments only, so it takes lo = top.
     """
     _check_level(top)
     j = _grid_index(top, t).numerator_at(top)
@@ -260,22 +257,18 @@ def _level_sums(
         got = kernel(*[_diffs(p, q, stride, b) for (p, q), b in zip(parts, bufs)])
         sums[n] = [u + v for u, v in zip(got, sums[n])] if n in sums else list(got)
 
-    edges: list[list[tuple[int, int]]] = [[] for _ in grids]
     # the blocks up to j, and the first one even when j = 0
     for blocks in islice(zip(*[_blocks(g, top) for g in grids]), max(1, -(-j >> bits))):
         off = blocks[0][0]
         end = min(len(blocks[0][1]) - 1, j - off) + 1
         parts = [(p[:end], q[:end]) for _, p, q in blocks]
-        for e, (p, q) in zip(edges, parts):
-            # the last edge so far is this block's first point
-            e[-1:] = [(int(p[0]), int(q[0])), (int(p[-1]), int(q[-1]))]
         for n in range(max(lo, top - bits), top + 1):
             add(n, 1 << (top - n), parts, bufs)
-    if lo < top - bits:
-        # j is a whole number of blocks here: the edges make up the coarse grid to j
-        coarse = [tuple(np.array(part, dtype=np.int64) for part in zip(*e)) for e in edges]
-        for n in range(lo, top - bits):
-            add(n, 1 << (top - bits - n), coarse, [None] * len(grids))
+    for n in range(lo, top - bits):
+        # t is on the level-lo grid, so j is a whole number of level-n intervals
+        shift = top - n
+        parts = [tuple(a[: (j >> shift) + 1] << shift for a in g.grid_pairs(n)) for g in grids]
+        add(n, 1, parts, [None] * len(grids))
     return [tuple(v >> 2 * (top - n) for v in sums[n]) for n in range(lo, top + 1)]
 
 
@@ -292,7 +285,7 @@ def cov_profile(x: TakagiFunction, y: TakagiFunction, n_max: int, t: Dyadic | Ra
     if n_max < lo:
         return QVSeries("covariation", [])
     sums = _level_sums(_cross, (x, y), n_max, t, lo)
-    rows = [QVRow(n, t, _sum_value(a, b, n)) for n, (a, b) in enumerate(sums, lo)]
+    rows = [QVRow(n, t, pair_value(a, b, 2 * n)) for n, (a, b) in enumerate(sums, lo)]
     return QVSeries("covariation", rows)
 
 
@@ -334,7 +327,7 @@ def counterexample_series(n_max: int, t: Dyadic | Rational) -> CounterexampleStu
     buckets: dict[str, list[QVRow]] = {k: [] for k in ("even_qv", "odd_qv", "even_cov", "odd_cov")}
     sums = _level_sums(_cov_and_sum_sq, (x, y), n_max, t, n0)
     for n, (ca, cb, sa, sb) in enumerate(sums, n0):
-        cov, qsum = _sum_value(ca, cb, n), _sum_value(sa, sb, n)
+        cov, qsum = pair_value(ca, cb, 2 * n), pair_value(sa, sb, 2 * n)
         even = n % 2 == 0
         cov_lim = (COV_LIMIT_EVEN if even else COV_LIMIT_ODD) * tf
         sum_lim = (SUM_LIMIT_EVEN if even else SUM_LIMIT_ODD) * tf

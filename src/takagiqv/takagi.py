@@ -13,12 +13,14 @@ Evaluation surfaces:
 * ``partial_sum`` / ``at_dyadic`` -- exact scalar values: the wedges at t
   add up as one integer pair over den(t) * 2**ceil(n/2), turned into a
   QuadValue once at the end;
-* ``grid_pairs`` -- all values on the grid j/2**N at once, as integer
-  pairs (p, q) with value (p + q*sqrt(2)) / 2**N, built by the midpoint
-  recursion (one numpy pass per generation);
-* ``_blocks`` -- the same grid streamed in blocks of at most BLOCK + 1
-  points: the series is local, so each cell of a coarse grid refines on
-  its own, and a reduction over the grid never holds more than one block;
+* ``_blocks`` -- the grid j/2**N as integer pairs (p, q) with value
+  (p + q*sqrt(2)) / 2**N, streamed in blocks of at most BLOCK + 1 points
+  and built by the midpoint recursion (one numpy pass per generation):
+  the series is local, so each cell of a coarse grid refines on its own,
+  and a reduction over the grid never holds more than one block.  It is
+  the only grid builder;
+* ``grid_pairs`` -- the same grid at once, its blocks copied into one
+  array;
 * ``approx`` -- truncated series with a certified geometric tail bound;
 * ``thirds_value`` -- closed-form exact values at points with denominator
   3 * 2**n for the three named functions that admit them, as the level-n
@@ -70,10 +72,7 @@ class TakagiFunction:
         return f"TakagiFunction({self.scheme.spec})"
 
     def row(self, m: int) -> np.ndarray:
-        """Generation-m coefficients, cached after first use.
-
-        Unlocked: rows are deterministic, so racing threads at worst build one twice.
-        """
+        """Generation-m coefficients, cached after first use."""
         got = self._rows.get(m)
         if got is None:
             got = self._rows[m] = self.scheme.row(m)
@@ -144,29 +143,25 @@ class TakagiFunction:
     # -- bulk evaluation on dyadic grids ---------------------------------------
 
     def _refine(
-        self, p: np.ndarray, q: np.ndarray, start: int, stop: int, first: int = 0,
-        buf: np.ndarray | None = None,
+        self, p: np.ndarray, q: np.ndarray, start: int, stop: int, first: int,
+        buf: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Run the midpoint recursion from generation start to stop.
+        """Run the midpoint recursion from generation start to stop, in the rows of buf.
 
         p, q hold the level-start values at the consecutive grid points
         first, first + 1, ...; refining leaves old values fixed and sets each
         new midpoint to the average of its neighbours plus theta times the
         new wedge height.  The result holds the level-stop values between
-        the same two endpoints.  Given a (5, m) int64 scratch array buf, m at
-        least the result's length, every generation is written into it
-        instead of into new arrays, and so is the result.
+        the same two endpoints.  Every generation, the result among them, is
+        written into the (5, m) int64 scratch array buf, m at least the
+        result's length, which p and q must not share.
         """
         for n in range(start, stop):
             cells = len(p) - 1
             size = 2 * cells + 1
-            if buf is None:
-                p_new, q_new = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-                step = np.empty(cells, dtype=np.int64)
-            else:
-                # alternate between two row pairs: the old generation is the other one
-                i = 2 * (n % 2)
-                p_new, q_new, step = buf[i, :size], buf[i + 1, :size], buf[4, :cells]
+            # alternate between two row pairs: the old generation is the other one
+            i = 2 * (n % 2)
+            p_new, q_new, step = buf[i, :size], buf[i + 1, :size], buf[4, :cells]
             for old, new in ((p, p_new), (q, q_new)):
                 np.left_shift(old, 1, out=new[::2])
                 np.add(old[:-1], old[1:], out=new[1::2])
@@ -182,19 +177,24 @@ class TakagiFunction:
     def grid_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Integer pairs for all grid values: x(j/2**level) = (p_j + q_j*sqrt2)/2**level.
 
-        The midpoint recursion (``_refine``) run on the one cell [0, 1].
+        The blocks of ``_blocks`` copied into one array each.
         """
         _check_level(level)
-        zero = np.zeros(2, dtype=np.int64)
-        return self._refine(zero, zero.copy(), 0, level)
+        p, q = np.empty((2, (1 << level) + 1), dtype=np.int64)
+        for off, bp, bq in self._blocks(level):
+            p[off : off + len(bp)] = bp
+            q[off : off + len(bq)] = bq
+        return p, q
 
     def _blocks(self, level: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """The level grid as (offset, p, q) blocks, left to right.
+        """The level grid as (offset, p, q) blocks, left to right: the one grid builder.
 
         With w = min(BLOCK, 2**level), block i holds the points i*w .. (i+1)*w,
         so neighbouring blocks share an endpoint.  Block i is cell i of the
-        level-(level - log2 w) grid refined on its own: its values depend
-        only on the cell's endpoints and the coefficients inside it.
+        coarse grid, of level c = level - log2 w, refined on its own: its
+        values depend only on the cell's endpoints and the coefficients
+        inside it.  The coarse grid is the one cell [0, 1] refined to level
+        c in a scratch array of 2**c + 1 points.
 
         Every block is built in the same scratch memory, since fresh arrays of
         this size take new pages each time: a block's arrays hold its values
@@ -203,7 +203,9 @@ class TakagiFunction:
         _check_level(level)
         bits = block_bits(level)
         coarse = level - bits
-        cp, cq = self.grid_pairs(coarse)
+        zp, zq = np.zeros((2, 2), dtype=np.int64)
+        cbuf = np.empty((5, (1 << coarse) + 1), dtype=np.int64)
+        cp, cq = self._refine(zp, zq, 0, coarse, 0, cbuf)
         buf = np.empty((5, (1 << bits) + 1), dtype=np.int64)
         for c in range(1 << coarse):
             p, q = self._refine(cp[c : c + 2], cq[c : c + 2], coarse, level, c, buf)
@@ -225,18 +227,6 @@ def pair_blocks(p: np.ndarray, q: np.ndarray) -> Iterator[tuple[int, np.ndarray,
     BLOCK + 1 points that share endpoints: on a level grid, the layout of ``_blocks``."""
     for off in range(0, max(len(p) - 1, 1), BLOCK):
         yield off, p[off : off + BLOCK + 1], q[off : off + BLOCK + 1]
-
-
-def coarsen(p: np.ndarray, q: np.ndarray, level: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The level-n pair grid inside a level grid, n <= level.
-
-    x(j/2**n) is the level grid's point j*2**(level-n), and its pair over
-    2**n is that point's pair shifted right by level - n, exactly.
-    """
-    shift = level - n
-    if shift == 0:
-        return p, q
-    return p[:: 1 << shift] >> shift, q[:: 1 << shift] >> shift
 
 
 def pair_value(p: int, q: int, level: int) -> QuadValue:

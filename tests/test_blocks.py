@@ -2,7 +2,7 @@
 
 The block width is forced down to 2, 8 and 64 intervals so that grids of
 level <= 12 run through many blocks: strides wider than a block, times
-inside a block, coarse profile levels read from the block endpoints,
+inside a block, coarse profile levels read from their own grids,
 modulus lags inside, equal to and wider than a block, and ties on the
 endpoint two blocks share.
 """
@@ -76,6 +76,8 @@ class TestBlocks:
         assert offsets == list(range(0, 1 << level, width))
         op, oq = oracle_grid_pairs(f, level)
         assert np.array_equal(p, op) and np.array_equal(q, oq)
+        gp, gq = f.grid_pairs(level)
+        assert np.array_equal(gp, op) and np.array_equal(gq, oq)
 
     @pytest.mark.parametrize("spec", SCHEMES)
     @pytest.mark.parametrize("level", [0, 1, 3, 9])
@@ -85,6 +87,8 @@ class TestBlocks:
         assert len(offsets) == max(1, (1 << level) // width)
         op, oq = oracle_grid_pairs(f, level)
         assert np.array_equal(p, op) and np.array_equal(q, oq)
+        gp, gq = f.grid_pairs(level)
+        assert np.array_equal(gp, op) and np.array_equal(gq, oq)
 
     def test_pair_blocks_share_the_layout(self, width):
         f = fn("half_split")

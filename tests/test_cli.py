@@ -176,8 +176,19 @@ class TestSeriesCommands:
         assert row[-1] == follmer_sum(poly.derivative(), fn, 7, 1).decimal(12)
 
     def test_ito_requires_level(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "ito", "--scheme", "all_plus", "--poly", "0,0,1")
+        code, out, err = run(capsys, "ito", "--scheme", "all_plus", "--poly", "0,0,1")
+        assert (code, out) == (2, "")
+        assert err == "error: ito needs exactly one of --level and --levels\n"
+
+    def test_ito_profile_rows_match_single_levels(self, capsys):
+        code, out, _ = run(capsys, "ito", "--scheme", "alt_mk", "--poly", "0,1,-1/2,1", "--levels", "10")
+        assert code == 0
+        header, *rows = out.strip().split("\n")
+        assert len(rows) == 10
+        for n, row in enumerate(rows, 1):
+            code, single, _ = run(capsys, "ito", "--scheme", "alt_mk", "--poly", "0,1,-1/2,1",
+                                  "--level", str(n))
+            assert code == 0 and single.strip().split("\n") == [header, row]
 
 
 #: Numerators for the reduced-fraction columns: zero, odd, even, negative,
@@ -334,6 +345,8 @@ MALFORMED = [
     ("ito --poly 0,1e4000000 --level 3", 2),
     ("ito --poly 0,1 --level 3 --t 1/3", 2),
     ("ito --poly 0,0,1 --level 4 --scheme bernoulli:1/0:3", 2),
+    ("ito --poly 0,1", 2),
+    ("ito --poly 0,1 --level 3 --levels 4", 2),
 ]
 
 #: One case per subcommand, run in a fresh interpreter.

@@ -113,6 +113,16 @@ class TestDyadicValues:
         with pytest.raises(ValueError):
             fn("all_plus").grid_pairs(27)
 
+    @pytest.mark.parametrize("level", [27, -1])
+    def test_grid_level_refused_before_allocating(self, monkeypatch, level):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the level check")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(ValueError, match=r"\[0, 26\]"):
+            fn("all_plus").grid_pairs(level)
+
     def test_dominated_by_all_plus(self):
         hat_p, hat_q = fn("all_plus").grid_pairs(8)
         for spec in ALL_SCHEMES + ("bernoulli:1/4:9",):
