@@ -5,9 +5,11 @@ decimal input is rejected so no precision is lost at the boundary.  All
 output is deterministic for a fixed command line, including bernoulli
 schemes (the seed is part of the scheme spec).  Every value is computed
 before the first line is written, so a failing command prints nothing to
-stdout.  Rows of grid values and sums are written from their integer
-pairs: reduced fractions from trailing zeros, decimals by integer-only
-rounding (``qfield.decimal_pair``).
+stdout.  Rows of grid values and sums are written column by column from
+their integer pairs: reduced fractions from trailing zeros, decimals from
+a float screen with an exact fallback (``qfield.decimal_column``), and
+each CSV line from one format call.  The argument parser is built once
+per process.
 
 Exit codes: 0 success, 2 invalid configuration, 3 scheme depth exceeded.
 """
@@ -15,24 +17,33 @@ Exit codes: 0 success, 2 invalid configuration, 3 scheme depth exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat, starmap
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .extrema import grid_extrema
 from .follmer import RationalPolynomial, _residual_and_sum
 from .modulus import modulus_scan, sweep_all_steps, witness_ratios, witness_steps
-from .qfield import Dyadic, QuadValue, decimal_pair
+from .qfield import Dyadic, QuadValue, decimal_column
 from .quadvar import QVSeries, counterexample_series, cov_profile, qv_profile
 from .schemes import SchemeDepthError, parse_exact_fraction, parse_scheme
 from .takagi import GRID_LEVEL_CAP, TakagiFunction, thirds_value
 
 DECIMAL_DIGITS = 12
+
+#: Rows of a long table are built this many at a time.
+ROW_CHUNK = 1 << 14
+
+#: ``witness --levels`` above this is refused: the rows' exact arithmetic
+#: grows fast with the level (about 1.5 s at 1000, 15 s at 2400).
+WITNESS_LEVEL_CAP = 1000
 
 #: Base CSV schema for series rows; some commands append extra columns.
 SERIES_FIELDS = (
@@ -60,20 +71,35 @@ def _reduced(num: Sequence[int] | np.ndarray, bits: int) -> tuple[list[int], lis
     return (num // low).tolist(), (den // low).tolist()
 
 
-def _fraction_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for num/den in lowest terms."""
-    return f"{num}/{den}" if den != 1 else str(num)
+def _fraction_column(num: Sequence[int] | np.ndarray, bits: int) -> list[str]:
+    """str(Fraction(num[i], 2**bits)) for every i."""
+    return [f"{n}/{d}" if d != 1 else str(n) for n, d in zip(*_reduced(num, bits))]
+
+
+def _chunked_rows(length: int, columns: Callable[[slice], Iterable[Iterable]]) -> Iterator[tuple]:
+    """Rows zipped from the columns of each slice of ROW_CHUNK rows.
+
+    Nothing is built before the first row is asked for, and a long table
+    never holds all its columns at once.
+    """
+    for lo in range(0, length, ROW_CHUNK):
+        yield from zip(*columns(slice(lo, lo + ROW_CHUNK)))
 
 
 def _pair_rows(level: int, t_num: Sequence[int] | np.ndarray, t_bits: int,
                p: Sequence[int] | np.ndarray, q: Sequence[int] | np.ndarray,
-               bits: int) -> Iterator[list]:
-    """SERIES_FIELDS cells of the values (p + q*sqrt(2)) / 2**bits at the times t_num / 2**t_bits."""
-    den = 1 << bits
+               bits: int, *extra: Sequence) -> Iterator[tuple]:
+    """SERIES_FIELDS cells of the values (p + q*sqrt(2)) / 2**bits at the times t_num / 2**t_bits,
+    then one cell from each extra column."""
+    t_num = np.asarray(t_num, dtype=np.int64)
     p, q = np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64)
-    cols = (*_reduced(t_num, t_bits), *_reduced(p, bits), *_reduced(q, bits), p.tolist(), q.tolist())
-    for tn, td, an, ad, bn, bd, a, b in zip(*cols):
-        yield [level, tn, td, an, ad, bn, bd, decimal_pair(a, b, den, DECIMAL_DIGITS)]
+
+    def columns(part: slice) -> list[Iterable]:
+        return [repeat(level), *_reduced(t_num[part], t_bits), *_reduced(p[part], bits),
+                *_reduced(q[part], bits), decimal_column(p[part], q[part], bits, DECIMAL_DIGITS),
+                *(column[part] for column in extra)]
+
+    return _chunked_rows(len(p), columns)
 
 
 def _value_row(level: int, t: Fraction, value: QuadValue) -> list:
@@ -83,14 +109,16 @@ def _value_row(level: int, t: Fraction, value: QuadValue) -> list:
             b.numerator, b.denominator, value.decimal(DECIMAL_DIGITS)]
 
 
-def _emit(rows: Iterable[list], fields: list[str], args: argparse.Namespace) -> None:
-    """Rows of cells in field order, as CSV lines or a JSON list of records."""
+def _emit(rows: Iterable[Sequence], fields: list[str], args: argparse.Namespace) -> None:
+    """Rows of cells in field order, as CSV lines or a JSON list of records.
+
+    A row has one int or str cell per field; a CSV line is one format call.
+    """
     if args.format == "json":
         text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
     else:
-        lines = [",".join(fields)]
-        lines += (",".join(map(str, row)) for row in rows)
-        text = "\n".join(lines) + "\n"
+        line = ",".join(["{}"] * len(fields)).format
+        text = "\n".join([",".join(fields), *starmap(line, rows), ""])
     _write(text, args)
 
 
@@ -156,11 +184,13 @@ def cmd_sample(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     n = _level(args, "grid")
     p, q = fn.grid_pairs(n)
-    rows = (
-        [_fraction_text(tn, td), dec, _fraction_text(an, ad), _fraction_text(bn, bd)]
-        for _, tn, td, an, ad, bn, bd, dec in _pair_rows(n, np.arange(len(p)), n, p, q, n)
-    )
-    _emit(rows, ["t", "value_decimal", "value_a", "value_b"], args)
+
+    def columns(part: slice) -> list[list[str]]:
+        t_num = np.arange(*part.indices(len(p)))
+        return [_fraction_column(t_num, n), decimal_column(p[part], q[part], n, DECIMAL_DIGITS),
+                _fraction_column(p[part], n), _fraction_column(q[part], n)]
+
+    _emit(_chunked_rows(len(p), columns), ["t", "value_decimal", "value_a", "value_b"], args)
 
 
 def cmd_extrema(args: argparse.Namespace) -> None:
@@ -234,11 +264,9 @@ def cmd_modulus(args: argparse.Namespace) -> None:
     else:
         reports = sweep_all_steps(fn, grid)
     ties, mp, mq = zip(*[(rep.tie, *rep.pair) for rep in reports])
-    rows = (
-        row + ["modulus", rep.h.numerator, rep.h.denominator, rep.nu,
-               rep.omega.decimal(DECIMAL_DIGITS), rep.ratio_decimal]
-        for row, rep in zip(_pair_rows(grid, ties, grid, mp, mq, grid), reports)
-    )
+    extra = zip(*[("modulus", rep.h.numerator, rep.h.denominator, rep.nu,
+                   rep.omega.decimal(DECIMAL_DIGITS), rep.ratio_decimal) for rep in reports])
+    rows = _pair_rows(grid, ties, grid, mp, mq, grid, *extra)
     fields = list(SERIES_FIELDS) + [
         "kind", "h_num", "h_den", "nu", "omega_decimal", "ratio_decimal",
     ]
@@ -246,9 +274,9 @@ def cmd_modulus(args: argparse.Namespace) -> None:
 
 
 def cmd_witness(args: argparse.Namespace) -> None:
-    if args.levels < 1:
+    if not 1 <= args.levels <= WITNESS_LEVEL_CAP:
         # a row count, not a grid level: witness rows use closed forms
-        raise ValueError(f"--levels must be >= 1, got {args.levels}")
+        raise ValueError(f"--levels must be in [1, {WITNESS_LEVEL_CAP}], got {args.levels}")
     rows = []
     for kind in ("part_a", "part_b"):
         for row in witness_ratios(kind, 1, args.levels):
@@ -303,49 +331,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", default="1/1000000000000",
                    help="tail tolerance for non-closed-form points")
     p.add_argument("--digits", type=int, default=DECIMAL_DIGITS)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="all values on a dyadic grid")
     common(p)
     p.add_argument("--grid", type=int, required=True, help="grid level N")
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("extrema", help="exact grid extrema report (JSON)")
     common(p)
     p.add_argument("--grid", type=int, required=True)
-    p.set_defaults(func=cmd_extrema)
 
     p = sub.add_parser("qv", help="running quadratic-variation profile")
     common(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--t", help="truncate rows after this time")
-    p.set_defaults(func=cmd_qv)
 
     p = sub.add_parser("cov", help="covariation of two schemes across levels")
     common(p)
     p.add_argument("--scheme-y", default="alt_m", dest="scheme_y")
     p.add_argument("--level", type=int, required=True, help="largest level")
     p.add_argument("--t", default="1")
-    p.set_defaults(func=cmd_cov)
 
     p = sub.add_parser("counterexample",
                        help="qv-of-sum and covariation subsequences for (all_plus, alt_m)")
     common(p, scheme=False)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--t", default="1")
-    p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("modulus", help="largest grid increment vs the envelope")
     common(p)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--h", help="step as an exact fraction; omit to sweep all steps")
-    p.set_defaults(func=cmd_modulus)
 
     p = sub.add_parser("witness", help="sharpness witnesses of the envelope bounds")
     common(p, scheme=False)
     p.add_argument("--levels", type=int, default=12)
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("ito", help="Riemann-sum residual for a polynomial integrand")
     common(p)
@@ -354,15 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, help="one level (give --level or --levels)")
     p.add_argument("--levels", type=int, help="emit a profile up to this level")
     p.add_argument("--t", default="1")
-    p.set_defaults(func=cmd_ito)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: built on the first call, then reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a cmd_* replaced after the parser was built still runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        args.func(args)
+        command(args)
     except SchemeDepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,10 +17,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .qfield import sign_pair
+from .qfield import _SQRT2_F, sign_pair
 from .takagi import pair_blocks
 
-_SQRT2_F = 1.4142135623730951
 
 #: (p*, q*, sorted tie indices) of one exact extremum.
 Extremum = tuple[int, int, list[int]]

@@ -16,6 +16,8 @@ from functools import total_ordering
 from math import isqrt, lcm
 from typing import Union
 
+import numpy as np
+
 Rational = Union[int, Fraction]
 
 _SQRT2_F = 1.4142135623730951
@@ -71,6 +73,45 @@ def decimal_pair(p: int, q: int, den: int, digits: int) -> str:
     sign = "-" if n < 0 else ""
     whole, part = divmod(abs(n), s)
     return f"{sign}{whole}.{part:0{digits}d}"
+
+
+def decimal_column(p: np.ndarray, q: np.ndarray, bits: int, digits: int) -> list[str]:
+    """decimal_pair(p[i], q[i], 2**bits, digits) for every i, for int64 arrays p and q.
+
+    A float screen with an exact fallback (Ziv's strategy for correctly
+    rounded results, ACM TOMS 17(3), 1991), bounded like the screen of
+    ``gridscan._float_candidates``.  x = value * 10**digits is computed in
+    float64, and tol = (|p| + 2|q|) * 10**digits / 2**bits * 2**-50 is at
+    least twice its rounding error, (3|p| + 5*sqrt(2)*|q|) * 2**-53 in the
+    same units.  A row whose x lies farther than tol from every rounding
+    half rounds to n = rint(x), and n prints exactly as ``%.{digits}f`` of
+    n / 10**digits, since |n| < 2**52.  decimal_pair decides the other
+    rows: exact ties (q == 0 at a dyadic half), near ties, and every
+    |x| >= 2**49, where tol reaches 1/2.
+    """
+    if not 1 <= digits <= 22:
+        raise ValueError("digits must be in [1, 22]")
+    s = float(10 ** digits)  # exact up to 10**22
+    scale = s * 2.0 ** -bits
+    x = q.astype(np.float64)
+    tol = np.abs(x)
+    tol *= 2.0
+    x *= _SQRT2_F
+    fp = p.astype(np.float64)
+    x += fp
+    x *= scale
+    tol += np.abs(fp, out=fp)
+    tol *= scale * 2.0 ** -50
+    n = np.rint(x)
+    x -= n  # exact: x and its nearest integer are within a factor of two (or n == 0)
+    near = np.abs(x, out=x) >= np.subtract(0.5, tol, out=tol)
+    n /= s
+    n += 0.0  # -0.0 -> 0.0: a negative value that rounds to zero prints unsigned
+    text = list(map(f"%.{digits}f".__mod__, n.tolist()))
+    den = 1 << bits
+    for i in np.flatnonzero(near).tolist():
+        text[i] = decimal_pair(int(p[i]), int(q[i]), den, digits)
+    return text
 
 
 def decimal_ratio(x: tuple[int, int, int], y: tuple[int, int, int], digits: int) -> str:

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from takagiqv.cli import SERIES_FIELDS, _emit, _pair_rows, _reduced, build_parser, main
+from takagiqv import cli
+from takagiqv.cli import SERIES_FIELDS, WITNESS_LEVEL_CAP, _emit, _pair_rows, _reduced, build_parser, main
 from takagiqv.follmer import RationalPolynomial, follmer_sum, ito_residual
 from takagiqv.qfield import QuadValue
 from takagiqv.schemes import parse_scheme
@@ -196,6 +197,7 @@ class TestSeriesCommands:
 NUMERATORS = [0, 1, 3, -5, 6, -12, 40, 1 << 40, (1 << 53) + 1, 3 << 53, -(1 << 60), (1 << 62) - 1]
 
 
+@pytest.mark.filterwarnings("error")
 class TestRowWriter:
     @pytest.mark.parametrize("bits", [0, 1, 5, 30, 52, 62])
     def test_reduced_columns(self, bits):
@@ -335,6 +337,7 @@ MALFORMED = [
     ("modulus --grid 4 --h 1/4 --scheme file:{dup}", 2),
     ("witness --levels 3 --out {missing}", 2),
     ("witness --levels -1", 2),
+    ("witness --levels 100000", 2),
     ("ito --poly 1/0 --level 3", 2),
     ("ito --poly= --level 3", 2),
     ("ito --poly 1,x --level 3", 2),
@@ -359,6 +362,7 @@ SUBPROCESS = [
     "counterexample --levels 40",
     "modulus --grid 4 --h 1/0",
     "witness --levels 3 --out {missing}",
+    "witness --levels 100000",
     "ito --poly 1/0 --level 3",
 ]
 
@@ -410,6 +414,14 @@ class TestMalformedInput:
         assert code == 2 and "exponent" in err
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("levels", [WITNESS_LEVEL_CAP + 1, 100000])
+    def test_witness_levels_refused_quickly(self, capsys, levels):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "witness", "--levels", str(levels))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: --levels must be in [1, {WITNESS_LEVEL_CAP}], got {levels}\n"
+
     def test_every_subcommand_covered(self):
         commands = set(build_parser()._subparsers._group_actions[0].choices)
         assert {argv.split()[0] for argv, _ in MALFORMED} == commands
@@ -424,3 +436,59 @@ class TestMalformedInput:
         )
         assert proc.returncode == expected
         _assert_one_error_line(proc.stderr)
+
+
+def _outcome(capsys, argv, path):
+    """(exit code, stdout, stderr, bytes written to path) of one main call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the command line itself
+        code = exc.code
+    out = capsys.readouterr()
+    written = path.read_bytes() if path.exists() else None
+    path.unlink(missing_ok=True)
+    return code, out.out, out.err, written
+
+
+class TestParseOnce:
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["eval", "--t", "1/3"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert built == [1]
+
+    def test_replaced_command_runs(self, capsys, monkeypatch):
+        assert main(["witness", "--levels", "2"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_witness", seen.append)
+        assert main(["witness", "--levels", "2"]) == 0
+        assert [args.levels for args in seen] == [2]
+        capsys.readouterr()
+
+    def test_shared_parser_leaks_no_state(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        calls = [
+            ["qv", "--level", "4", "--stride", "2", "--format", "json"],
+            ["qv", "--level", "4", "--stride", "2"],
+            ["sample", "--grid", "3", "--scheme", "alt_m", "--out", str(path)],
+            ["sample", "--grid", "-1"],
+            ["sample", "--scheme", "alt_m"],
+            ["modulus", "--grid", "3"],
+            ["qv", "--level", "4", "--stride", "2"],
+        ]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(_outcome(capsys, argv, path))
+        shared = [_outcome(capsys, argv, path) for argv in calls]
+        assert shared == fresh
+        codes = [code for code, *_ in fresh]
+        assert codes == [0, 0, 0, 2, 2, 0, 0]
+        assert fresh[2][1] == "" and fresh[2][3].startswith(b"t,value_decimal")
+        assert json.loads(fresh[0][1])[-1]["t_num"] == 1

@@ -1,10 +1,16 @@
 from decimal import Decimal
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from takagiqv.qfield import SQRT2, Dyadic, QuadValue, decimal_pair, decimal_ratio, pow2_half, sign_pair
+from takagiqv import qfield
+from takagiqv.qfield import (
+    SQRT2, Dyadic, QuadValue, decimal_column, decimal_pair, decimal_ratio, pow2_half, sign_pair,
+)
+from takagiqv.schemes import parse_scheme
+from takagiqv.takagi import TakagiFunction
 
 from conftest import oracle_decimal
 
@@ -167,6 +173,89 @@ class TestDecimal:
         assert QuadValue(0, -1).floor() == -2
         assert QuadValue(F(7, 2), 0).floor() == 3
         assert QuadValue(-3, 2).floor() == -1  # 2*sqrt2 - 3 = -0.17...
+
+
+# int64 entries of every bit length, so that rows of every magnitude come up
+int64s = st.integers(0, 63).flatmap(lambda k: st.integers(-(1 << k), (1 << k) - 1))
+# exact ties of 12-digit decimals: q = 0 and p an odd multiple of 2**(bits - 13)
+tie_pairs = st.integers(13, 62).flatmap(
+    lambda bits: st.tuples(st.integers(-(1 << (74 - bits)), (1 << (74 - bits)) - 1).map(
+        lambda m: (2 * m + 1) << (bits - 13)), st.just(bits)))
+
+
+def _column(pairs, bits, digits=12):
+    p, q = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+    return decimal_column(p, q, bits, digits)
+
+
+@pytest.mark.filterwarnings("error")
+class TestDecimalColumn:
+    @given(st.lists(st.tuples(int64s, int64s), min_size=1, max_size=40), st.integers(0, 62))
+    def test_matches_decimal_pair(self, pairs, bits):
+        assert _column(pairs, bits) == [decimal_pair(p, q, 1 << bits, 12) for p, q in pairs]
+
+    @given(st.lists(st.tuples(int64s, int64s), min_size=1, max_size=10), st.integers(0, 62),
+           st.integers(1, 22))
+    def test_matches_decimal_pair_at_any_digits(self, pairs, bits, digits):
+        want = [decimal_pair(p, q, 1 << bits, digits) for p, q in pairs]
+        assert _column(pairs, bits, digits) == want
+
+    @given(st.lists(tie_pairs, min_size=1, max_size=20))
+    def test_exact_ties(self, ties):
+        for p, bits in ties:
+            assert _column([(p, 0), (p, 1), (p, -1)], bits) == [
+                decimal_pair(p, q, 1 << bits, 12) for q in (0, 1, -1)]
+
+    def test_ties_round_half_even(self):
+        # 1/2**13 = 0.0001220703125 and 3/2**13 = 0.0003662109375
+        assert _column([(1, 0), (3, 0), (-1, 0), (-3, 0)], 13) == [
+            "0.000122070312", "0.000366210938", "-0.000122070312", "-0.000366210938"]
+
+    @pytest.mark.parametrize("bits", [13, 30, 50])
+    def test_near_ties(self, bits):
+        # a*a - 2*b*b = +-1, so b*sqrt(2) - a is within 1/(2b) of zero and
+        # (t - a) + b*sqrt(2) lies just off the tie t: closer than float64 resolves
+        pell = [(1, 1)]
+        while pell[-1][0] < 1 << 60:
+            a, b = pell[-1]
+            pell.append((a + 2 * b, a + b))
+        rows = [(s * ((t << (bits - 13)) - a), s * b)
+                for a, b in pell for t in (1, 3, -5) for s in (1, -1)]
+        assert _column(rows, bits) == [decimal_pair(p, q, 1 << bits, 12) for p, q in rows]
+
+    @pytest.mark.parametrize("bits", [44, 52, 62])
+    def test_negative_values_round_to_unsigned_zero(self, bits):
+        pairs = [(-1, 0), (0, -1), (-(1 << (bits - 44)), 0), (1, -1), (0, 0)]
+        got = _column(pairs, bits)
+        assert got == ["0.000000000000"] * len(pairs)
+        assert got == [decimal_pair(p, q, 1 << bits, 12) for p, q in pairs]
+
+    def test_large_values_fall_back(self, monkeypatch):
+        calls = []
+
+        def counted(p, q, den, digits):
+            calls.append((p, q))
+            return decimal_pair(p, q, den, digits)
+
+        monkeypatch.setattr(qfield, "decimal_pair", counted)
+        extremes = [((1 << 63) - 1, 0), (-(1 << 63), (1 << 63) - 1), (1 << 50, 0), (3, 5)]
+        got = _column(extremes, 0)
+        # x = value * 10**12 is at least 2**49 on the first three rows, well inside on the last
+        assert calls == extremes[:3]
+        assert got == [decimal_pair(p, q, 1, 12) for p, q in extremes]
+
+    def test_grid_rows_mostly_screened(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qfield, "decimal_pair", lambda *args: calls.append(args) or decimal_pair(*args))
+        p, q = TakagiFunction(parse_scheme("bernoulli:1/2:7")).grid_pairs(12)
+        got = decimal_column(p, q, 12, 12)
+        assert len(calls) < len(p) // 100
+        assert got == [decimal_pair(a, b, 1 << 12, 12) for a, b in zip(p.tolist(), q.tolist())]
+
+    @pytest.mark.parametrize("digits", [0, 23])
+    def test_digits_range(self, digits):
+        with pytest.raises(ValueError):
+            _column([(1, 1)], 3, digits)
 
 
 class TestPow2Half:
