@@ -45,6 +45,9 @@ ROW_CHUNK = 1 << 14
 #: grows fast with the level (about 1.5 s at 1000, 15 s at 2400).
 WITNESS_LEVEL_CAP = 1000
 
+#: ``eval --digits`` above this is refused: CPython converts at most 4300 int digits to str.
+DIGITS_CAP = 1000
+
 #: Base CSV schema for series rows; some commands append extra columns.
 SERIES_FIELDS = (
     "level",
@@ -155,8 +158,8 @@ def _is_dyadic(t: Fraction) -> bool:
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
-    if args.digits < 1:
-        raise ValueError(f"--digits must be >= 1, got {args.digits}")
+    if not 1 <= args.digits <= DIGITS_CAP:
+        raise ValueError(f"--digits must be in [1, {DIGITS_CAP}], got {args.digits}")
     fn = _scheme(args)
     t = parse_exact_fraction(args.t)
     tol = parse_exact_fraction(args.tol)
@@ -212,14 +215,12 @@ def cmd_extrema(args: argparse.Namespace) -> None:
 def cmd_qv(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     n = _level(args, "level")
-    count = None
-    if args.t is not None:
-        limit = parse_exact_fraction(args.t)
-        if not 0 <= limit <= 1:
-            raise ValueError(f"--t must be in [0, 1], got {limit}")
-        # the rows at t = i * stride / 2**n <= limit
-        count = math.floor(limit * (1 << n)) // args.stride + 1
-    sums = qv_profile(fn, n, args.stride).sums
+    limit = None if args.t is None else parse_exact_fraction(args.t)
+    if limit is not None and not 0 <= limit <= 1:
+        raise ValueError(f"--t must be in [0, 1], got {limit}")
+    sums = qv_profile(fn, n, args.stride).sums  # validates the stride
+    # the rows at t = i * stride / 2**n <= limit
+    count = None if limit is None else math.floor(limit * (1 << n)) // sums.stride + 1
     a, b = sums.a[:count], sums.b[:count]
     t_num = np.arange(len(a)) * sums.stride
     _emit(_pair_rows(n, t_num, n, a, b, 2 * n), list(SERIES_FIELDS), args)
@@ -296,7 +297,6 @@ def cmd_ito(args: argparse.Namespace) -> None:
     if args.levels is None:
         levels = [_level(args, "level")]
     else:
-        # each level builds its own grid, so no two are held at once
         levels = range(max(1, t.exp), _level(args, "levels") + 1)
     rows = []
     for n in levels:

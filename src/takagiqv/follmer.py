@@ -22,17 +22,19 @@ and the grid point x_j = u_j/2**n, u_j = p_j + q_j sqrt2, the level-n sum is
     with S_i = sum_j u_j**i w_j,
 
 where w_j is the increment u_{j+1} - u_j for the Riemann sum and 1 for the
-dt-sum.  S_0 telescopes; the kernel computes S_1 .. S_deg as exact integer
-pairs, so the coefficients, however large, never enter it.  The size
-|a| + 2|b| of a + b sqrt2 bounds both parts and is submultiplicative, so
-with X = max|p| + 2 max|q| over the grid and W the same size of the largest
-increment (or 1), every part of a block sum over C points is at most
-C * X**deg * W.  The kernel takes just enough primes below 2**30 for their
-product to exceed twice that bound, raises u to its powers and weights them
-in numpy int64 modulo each prime (a product of two residues stays below
-2**60), rebuilds each block sum by the Chinese remainder theorem as the
-symmetric residue (Knuth, TAOCP vol. 2, 4.3.2), and adds the blocks and the
-coefficients up in Python ints.
+dt-sum.  S_0 telescopes or counts the intervals; the kernel computes the
+other S_i as exact integer pairs (the coefficients never enter it) in one
+pass over the grid's block stream up to t, in chunks of at most _CHUNK
+intervals that carry their right endpoint, one chain of powers for both
+sums.  The size |a| + 2|b| of a + b sqrt2 bounds both parts and is
+submultiplicative, so with X = max|p| + 2 max|q| and W = (max p - min p)
++ 2 (max q - min q) over a chunk of C intervals, a part of its sums is at
+most C * X**deg * W, or C * X**deg for the dt-sum.  Each chunk takes the
+fewest primes below 2**30 whose product exceeds twice its bound, raises u
+to its powers and weights them in int64 modulo each prime (a product of
+two residues stays below 2**60), rebuilds each chunk sum by the Chinese
+remainder theorem as the symmetric residue (Knuth, TAOCP vol. 2, 4.3.2),
+and adds the chunks and the coefficients up in Python ints.
 """
 
 from __future__ import annotations
@@ -40,14 +42,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, islice
 from math import isqrt, lcm, prod
+from typing import Iterator
 
 import numpy as np
 
 from .qfield import QuadValue, Rational, _as_fraction, Dyadic
-from .quadvar import GridLike, _grid_index, _pairs
-from .takagi import pair_value
+from .quadvar import GridLike, PairGrid, _grid_index, _pairs
+from .takagi import TakagiFunction, block_bits, pair_blocks, pair_value
 
 
 #: Largest exponent size taken in a coefficient such as 1e3000.
@@ -122,135 +125,134 @@ _PRIMES = (
     1073741561, 1073741527, 1073741503, 1073741477,
 )
 
-#: Grid points per block of the kernel.  numpy takes its fast floor division
-#: by a fixed divisor only along rows of 2**13 or more (measured, numpy 2.4);
-#: blocks this size keep the (primes x points) temporaries in cache and out
-#: of peak RSS.
+#: Grid intervals per chunk of the kernel, the inner slice of each block of
+#: the grid stream.  numpy takes its fast floor division by a fixed divisor
+#: only along rows of 2**13 or more (measured, numpy 2.4); chunks this size
+#: keep the (primes x points) temporaries in cache and out of peak RSS.
 _CHUNK = 1 << 14
 
 
 def _moduli(bound: int) -> list[int]:
     """The fewest primes, _PRIMES first and then the next ones down, whose
     product exceeds 2 * bound."""
-    further = (c for c in count(_PRIMES[-1] - 2, -2) if _is_prime(c))
-    primes, product = [], 1
-    for pr in chain(_PRIMES, further):
-        if product > 2 * bound:
-            break
+    primes: list[int] = []
+    for pr in chain(_PRIMES, (c for c in count(_PRIMES[-1] - 2, -2) if _is_prime(c))):
+        if prod(primes) > 2 * bound:
+            return primes
         primes.append(pr)
-        product *= pr
-    return primes
 
 
-def _mod(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """x % r, through the floor division that numpy runs fast for a divisor
-    fixed along each row (np.remainder divides in hardware, ~4x slower)."""
-    t = x // r
-    t *= r
-    return np.subtract(x, t, out=t)
+def _times(a: np.ndarray, b: np.ndarray, r: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """a * b modulo r in out, for stacked (p, q) parts with one line per prime
+    or one line of unreduced values (two such lines are multiplied once); out
+    and the scratch tmp share no memory with a or b.  x % r is x - x // r * r:
+    numpy divides fast by a divisor fixed along a row (np.remainder ~4x slower)."""
+    t = tmp[:, : max(a.shape[1], b.shape[1])]
+    for part, c in enumerate((b, b[::-1])):
+        np.multiply(a, c, out=t)  # (ap*bp, aq*bq), then (ap*bq, aq*bp)
+        if part == 0:
+            t[1] <<= 1
+        x = np.add(t[0], t[1], out=t[0])
+        np.floor_divide(x, r, out=out[part])
+        out[part] *= r
+        np.subtract(x, out[part], out=out[part])
+    return out
+
+
+def _chunks(x: GridLike, level: int, n: int) -> Iterator[PairGrid]:
+    """Points 0 .. n of the level grid of x in chunks of at most _CHUNK
+    intervals that share endpoints; blocks past n are never built."""
+    blocks = x._blocks(level) if isinstance(x, TakagiFunction) else pair_blocks(*_pairs(x, level))
+    for off, p, q in islice(blocks, max(1, -(-n >> block_bits(level)))):
+        p, q = p[: n - off + 1], q[: n - off + 1]
+        for lo in range(0, max(len(p) - 1, 1), _CHUNK):
+            yield p[lo : lo + _CHUNK + 1], q[lo : lo + _CHUNK + 1]
 
 
 def _power_sums(
-    p: np.ndarray, q: np.ndarray, n: int, deg: int, increments: bool
-) -> list[list[int]]:
-    """[S_1, ..., S_deg] as exact integer pairs: S_i = sum over j < n of
-    u_j**i * w_j, u_j = p_j + q_j*sqrt2, w_j = u_{j+1} - u_j when
-    ``increments``, else 1.  See the module docstring."""
-    sums = [[0, 0] for _ in range(deg)]
-    if n == 0 or deg == 0:
-        return sums
-    extra = 1 if increments else 0  # the right end of the last increment
-    lo_p, hi_p = int(p[:n + extra].min()), int(p[:n + extra].max())
-    lo_q, hi_q = int(q[:n + extra].min()), int(q[:n + extra].max())
-    x = max(-lo_p, hi_p) + 2 * max(-lo_q, hi_q)
-    w = (hi_p - lo_p) + 2 * (hi_q - lo_q) if increments else 1
-    primes = _moduli(min(n, _CHUNK) * x**deg * w)
-    r = np.array(primes, dtype=np.int64)[:, None]
-    m = prod(primes)
-    basis = [m // pr * pow(m // pr, -1, pr) for pr in primes]
+    x: GridLike, level: int, t: Dyadic | Rational, deg_dx: int, deg_dt: int
+) -> tuple[tuple[int, int], tuple[int, int], list[list[int]], list[list[int]]]:
+    """The pairs of x(0) and x(t), [S_0 .. S_deg_dx] weighted by the increments
+    (S_0 telescopes) and [S_0 .. S_deg_dt] by 1 (S_0 = n), from one pass over [0, t]."""
+    n = _grid_index(level, t).numerator_at(level)
+    dx, dt = ([[0, 0] for _ in range(deg)] for deg in (deg_dx, deg_dt))
+    x0 = None
+    # one scratch for every chunk: fresh arrays of chunk size take new pages
+    buf = np.empty((5, 2, 0, 0), dtype=np.int64)
+    for vp, vq in _chunks(x, level, n):
+        x0 = x0 or (int(vp[0]), int(vq[0]))
+        xt = int(vp[-1]), int(vq[-1])
+        lo_p, hi_p, lo_q, hi_q = int(vp.min()), int(vp.max()), int(vq.min()), int(vq.max())
+        big = max(-lo_p, hi_p) + 2 * max(-lo_q, hi_q)
+        w = (hi_p - lo_p) + 2 * (hi_q - lo_q) if deg_dx else 0
+        size = len(vp) - 1
+        # at least one prime, also for a chunk of one point or of zeros
+        primes = _moduli(max(1, size * max(big**deg_dx * w, big**deg_dt)))
+        r = np.array(primes, dtype=np.int64)[:, None]
+        m = prod(primes)
+        basis = [m // pr * pow(m // pr, -1, pr) for pr in primes]
 
-    def exact(t: np.ndarray) -> int:
-        """The block sum of t, residues per prime or exact, as an integer."""
-        s = np.broadcast_to(t.sum(axis=-1), (len(primes),)).tolist()
-        v = sum(si * e for si, e in zip(s, basis)) % m
-        return v - m if 2 * v > m else v
+        def add(s: list[int], v: np.ndarray) -> None:
+            """Add the chunk sums of v's parts, residues per prime or exact, to s."""
+            for part, res in enumerate(np.broadcast_to(v.sum(axis=-1), (2, len(primes))).tolist()):
+                c = sum(si * e for si, e in zip(res, basis)) % m
+                s[part] += c - m if 2 * c > m else c
 
-    # entries below 2**30 in size keep every product in int64 unreduced
-    reduce = max(-lo_p, hi_p, -lo_q, hi_q) >= 1 << 30
-    for lo in range(0, n, _CHUNK):
-        size = min(_CHUNK, n - lo)
-        vp, vq = p[lo:lo + size + extra], q[lo:lo + size + extra]
-        if reduce:
-            vp, vq = _mod(vp, r), _mod(vq, r)
-        up, uq = hp, hq = vp[..., :size], vq[..., :size]
-        if increments:
-            dp, dq = vp[..., 1:] - up, vq[..., 1:] - uq
-        for i in range(deg):
+        if buf.shape[2] < len(primes):
+            buf = np.empty((5, 2, len(primes), min(n, _CHUNK) + 1), dtype=np.int64)
+        v, d, *pairs, tmp = (row[:, : len(primes), : size + 1] for row in buf)
+        v = v[:, :1]
+        v[0, 0], v[1, 0] = vp, vq
+        # entries below 2**30 in size keep every product in int64 unreduced
+        if max(-lo_p, hi_p, -lo_q, hi_q) >= 1 << 30:
+            v = v % r
+        h = u = v[..., :-1]
+        d = np.subtract(v[..., 1:], u, out=d[:, : v.shape[1], :size])
+        # the powers alternate between two pairs; a weighted sum uses the other
+        pairs, tmp = [pair[..., :size] for pair in pairs], tmp[..., :size]
+        for i in range(max(deg_dx, deg_dt)):
             if i:
-                hp, hq = _mod(hp * up + 2 * hq * uq, r), _mod(hp * uq + hq * up, r)
-            if increments:
-                tp, tq = _mod(hp * dp + 2 * hq * dq, r), _mod(hp * dq + hq * dp, r)
-            else:
-                tp, tq = hp, hq
-            sums[i][0] += exact(tp)
-            sums[i][1] += exact(tq)
-    return sums
+                h = _times(h, u, r, pairs[i % 2], tmp)
+            if i < deg_dx:
+                add(dx[i], _times(h, d, r, pairs[1 - i % 2], tmp))
+            if i < deg_dt:
+                add(dt[i], h)
+    return x0, xt, [[xt[0] - x0[0], xt[1] - x0[1]], *dx], [[n, 0], *dt]
 
 
-def _riemann_sum(
-    g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational, increments: bool
-) -> QuadValue:
-    """sum of g(x(s)) * w over [s, s'] in [0, t], with w = x(s') - x(s) when
-    ``increments``, else s' - s: the kernel of the module docstring."""
-    t = _grid_index(level, t)
-    n = t.numerator_at(level)
-    p, q = _pairs(x, level)
+def _riemann_value(g: RationalPolynomial, sums: list[list[int]], level: int) -> QuadValue:
+    """The level sum of g(x(s)) * w over [s, s'] in [0, t] from [S_0, ..., S_deg]."""
     a, den = _scaled_coeffs(g)
-    deg = len(a) - 1
-    # S_0 telescopes
-    s0 = [int(p[n]) - int(p[0]), int(q[n]) - int(q[0])] if increments else [n, 0]
-    sums = [s0, *_power_sums(p, q, n, deg, increments)]
-    sp, sq = (
-        sum(ai * s[part] << (level * (deg - i)) for i, (ai, s) in enumerate(zip(a, sums)))
-        for part in (0, 1)
-    )
+    sp = sq = 0
+    for ai, (s_p, s_q) in zip(a, sums):  # Horner in 2**level
+        sp, sq = (sp << level) + ai * s_p, (sq << level) + ai * s_q
     scale = den << (level * len(a))
     return QuadValue(Fraction(sp, scale), Fraction(sq, scale))
 
 
-def follmer_sum(
-    g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational
-) -> QuadValue:
+def follmer_sum(g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """Exact left-endpoint Riemann sum of g(x) dx over [0, t] at level n."""
-    return _riemann_sum(g, x, level, t, increments=True)
+    return _riemann_value(g, _power_sums(x, level, t, g.degree, 0)[2], level)
 
 
-def time_sum(
-    g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational
-) -> QuadValue:
+def time_sum(g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """sum of g(x(s)) * (s' - s) over [s, s'] in [0, t]: the dt-discretization."""
-    return _riemann_sum(g, x, level, t, increments=False)
+    return _riemann_value(g, _power_sums(x, level, t, 0, g.degree)[3], level)
 
 
 def _residual_and_sum(
     f: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational
 ) -> tuple[QuadValue, QuadValue]:
-    """The level-n residual and the Riemann sum of f'(x) dx inside it, from one grid."""
-    t = _grid_index(level, t)
-    j_end = t.numerator_at(level)
-    p, q = _pairs(x, level)
-    v_t = pair_value(int(p[j_end]), int(q[j_end]), level)
-    v_0 = pair_value(int(p[0]), int(q[0]), level)
-    f1 = f.derivative()
-    grid = (p, q)
-    rsum = follmer_sum(f1, grid, level, t)
-    residual = f(v_t) - f(v_0) - rsum - time_sum(f1.derivative(), grid, level, t) * Fraction(1, 2)
+    """The level-n residual and the Riemann sum of f'(x) dx inside it, from one pass."""
+    f1, f2 = f.derivative(), f.derivative().derivative()
+    x0, xt, dx, dt = _power_sums(x, level, t, f1.degree, f2.degree)
+    rsum = _riemann_value(f1, dx, level)
+    residual = (f(pair_value(*xt, level)) - f(pair_value(*x0, level)) - rsum
+                - _riemann_value(f2, dt, level) * Fraction(1, 2))
     return residual, rsum
 
 
-def ito_residual(
-    f: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational
-) -> QuadValue:
+def ito_residual(f: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """Second-order expansion residual at level n; tends to zero in n."""
     return _residual_and_sum(f, x, level, t)[0]
 

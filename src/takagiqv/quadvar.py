@@ -105,10 +105,9 @@ def _grid_index(level: int, t: Dyadic | Rational) -> Dyadic:
     return t
 
 
-def _pairs(x: GridLike, level: int) -> PairGrid:
-    if isinstance(x, TakagiFunction):
-        return x.grid_pairs(level)
-    p, q = x
+def _pairs(x: PairGrid, level: int) -> PairGrid:
+    """A caller's pair grid as arrays, refused unless it has the length of a level grid."""
+    p, q = (np.asarray(a) for a in x)
     if len(p) != (1 << level) + 1:
         raise ValueError("pair grid has wrong length for this level")
     return p, q
@@ -126,8 +125,7 @@ def _blocks(x: GridLike, level: int) -> Iterator[Block]:
     """The level grid of x as blocks; a caller's pair grid is checked for int64 room."""
     if isinstance(x, TakagiFunction):
         return x._blocks(level)  # GRID_LEVEL_CAP bounds every sum formed below
-    p, q = (np.asarray(a) for a in _pairs(x, level))
-    return _checked_blocks(p, q)
+    return _checked_blocks(*_pairs(x, level))
 
 
 def _checked_blocks(p: np.ndarray, q: np.ndarray) -> Iterator[Block]:

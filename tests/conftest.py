@@ -284,7 +284,7 @@ def _oracle_horner(a: list[int], p: int, q: int, level: int) -> tuple[int, int]:
 def _oracle_riemann(g, x, level: int, t, increments: bool) -> QuadValue:
     """Python-int Horner per grid point, weighted by the increment or by 1."""
     t = _grid_index(level, t)
-    p, q = _pairs(x, level)
+    p, q = _oracle_pairs(x, level)
     a, den = _scaled_coeffs(g)
     pl, ql = p.tolist(), q.tolist()
     sp = sq = 0

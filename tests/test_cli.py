@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from takagiqv import cli
-from takagiqv.cli import SERIES_FIELDS, WITNESS_LEVEL_CAP, _emit, _pair_rows, _reduced, build_parser, main
+from takagiqv.cli import DIGITS_CAP, SERIES_FIELDS, WITNESS_LEVEL_CAP, _emit, _pair_rows, _reduced, build_parser, main
 from takagiqv.follmer import RationalPolynomial, follmer_sum, ito_residual
 from takagiqv.qfield import QuadValue
 from takagiqv.schemes import parse_scheme
@@ -319,6 +319,7 @@ MALFORMED = [
     ("qv --level 27", 2),
     ("qv --level -1", 2),
     ("qv --level 4 --stride 3", 2),
+    ("qv --level 3 --stride 0 --t 1/2", 2),
     ("qv --level 3 --scheme file:{wide}", 2),
     ("qv --level 3 --t -1", 2),
     ("qv --level 3 --t 5", 2),
@@ -421,6 +422,19 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert err == f"error: --levels must be in [1, {WITNESS_LEVEL_CAP}], got {levels}\n"
+
+    @pytest.mark.parametrize("digits", [DIGITS_CAP + 1, 300000])
+    def test_eval_digits_refused_quickly(self, capsys, digits):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--t", "1/3", "--digits", str(digits))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: --digits must be in [1, {DIGITS_CAP}], got {digits}\n"
+
+    def test_eval_digits_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "eval", "--t", "1/3", "--digits", str(DIGITS_CAP))
+        assert code == 0
+        assert len(out.split("decimal: ")[1].split("\n")[0].split(".")[1]) == DIGITS_CAP
 
     def test_every_subcommand_covered(self):
         commands = set(build_parser()._subparsers._group_actions[0].choices)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from takagiqv import follmer
+from takagiqv import follmer, takagi
 from takagiqv.follmer import (
     RationalPolynomial,
     follmer_sum,
@@ -17,9 +17,9 @@ from takagiqv.follmer import (
 from takagiqv.qfield import Dyadic, QuadValue
 from takagiqv.quadvar import qv_approx
 from takagiqv.schemes import BUILTIN_NAMES, parse_scheme
-from takagiqv.takagi import TakagiFunction
+from takagiqv.takagi import TakagiFunction, pair_value
 
-from conftest import oracle_follmer_sum, oracle_grid, oracle_time_sum
+from conftest import oracle_follmer_sum, oracle_grid, oracle_grid_pairs, oracle_time_sum
 
 P = RationalPolynomial.parse
 
@@ -112,6 +112,25 @@ def _grid(spec, level):
     return fn(spec).grid_pairs(level)
 
 
+def oracle_residual_and_sum(f, grid, level, t):
+    """f(x(t)) - f(x(0)) - sum f'(x) dx - (1/2) sum f''(x) dt and the dx sum, from the oracles."""
+    p, q = grid
+    j = Dyadic.from_fraction(F(t)).numerator_at(level)
+    f1 = f.derivative()
+    rsum = oracle_follmer_sum(f1, grid, level, t)
+    residual = (f(pair_value(int(p[j]), int(q[j]), level)) - f(pair_value(int(p[0]), int(q[0]), level))
+                - rsum - oracle_time_sum(f1.derivative(), grid, level, t) * F(1, 2))
+    return residual, rsum
+
+
+def assert_stream_matches_oracles(g, x, grid, level, t):
+    """follmer_sum, time_sum and the residual of g over x (a function or the
+    pair grid grid) at t, against the per-point oracles on grid."""
+    assert follmer_sum(g, x, level, t) == oracle_follmer_sum(g, grid, level, t)
+    assert time_sum(g, x, level, t) == oracle_time_sum(g, grid, level, t)
+    assert follmer._residual_and_sum(g, x, level, t) == oracle_residual_and_sum(g, grid, level, t)
+
+
 class TestKernel:
     """The multi-modular kernel against the per-point Python-int oracles."""
 
@@ -136,11 +155,41 @@ class TestKernel:
     @pytest.mark.parametrize("spec", ["all_plus", "half_split", "bernoulli:1/3:11"])
     def test_chunk_boundaries(self, monkeypatch, chunk, spec):
         monkeypatch.setattr(follmer, "_CHUNK", chunk)
-        level, grid = 9, _grid(spec, 9)
+        level, f = 9, fn(spec)
+        grid = oracle_grid_pairs(f, level)
         g = P("1/3,-2,0,5/7")
-        for t in (F(1), F(301, 512), F(7, 512)):
-            assert follmer_sum(g, grid, level, t) == oracle_follmer_sum(g, grid, level, t)
-            assert time_sum(g, grid, level, t) == oracle_time_sum(g, grid, level, t)
+        for t in (0, F(1), F(301, 512), F(7, 512), F(chunk, 512), F(3 * chunk, 512)):
+            for x in (f, grid):
+                assert_stream_matches_oracles(g, x, grid, level, t)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("width", [2, 8, 64])
+    @pytest.mark.parametrize("pairs", [False, True], ids=["function", "pair_grid"])
+    def test_block_and_chunk_boundaries(self, monkeypatch, pairs, width, chunk):
+        monkeypatch.setattr(takagi, "BLOCK", width)
+        monkeypatch.setattr(follmer, "_CHUNK", chunk)
+        level, f = 8, fn("bernoulli:1/3:11")
+        grid = oracle_grid_pairs(f, level)
+        x = grid if pairs else f
+        g = P("2,-1/3,0,5/7")
+        # t = 0, inside the second block, on the edge of the second and third
+        # block, on a chunk edge, just before 1, and 1
+        for j in (0, width + 1, 2 * width, 3 * chunk, (1 << level) - 1, 1 << level):
+            assert_stream_matches_oracles(g, x, grid, level, F(j, 1 << level))
+
+    def test_function_grid_is_never_built_whole(self, monkeypatch):
+        f, level = fn("alt_mk"), 18
+        grid = oracle_grid_pairs(f, level)
+
+        def refuse(self, level):
+            raise AssertionError("a whole grid was built")
+
+        monkeypatch.setattr(TakagiFunction, "grid_pairs", refuse)
+        g = P("1/2,0,-3,1")
+        residual, rsum = oracle_residual_and_sum(g, grid, level, 1)
+        assert ito_residual(g, f, level, 1) == residual
+        assert follmer_sum(g.derivative(), f, level, 1) == rsum
+        assert time_sum(g, f, level, 1) == oracle_time_sum(g, grid, level, 1)
 
     def test_several_default_chunks(self):
         level, grid = 16, _grid("alt_mk", 16)
@@ -190,8 +239,7 @@ class TestKernel:
         for coeffs in ("1", "0,1", "2,-1/3,1", "0,0,0,1/5"):
             g = P(coeffs)
             for t in (F(1, 4), F(3, 4), F(1)):
-                assert follmer_sum(g, (p, q), 2, t) == oracle_follmer_sum(g, (p, q), 2, t)
-                assert time_sum(g, (p, q), 2, t) == oracle_time_sum(g, (p, q), 2, t)
+                assert_stream_matches_oracles(g, (p, q), (p, q), 2, t)
 
 
 class TestResidual:
