@@ -94,19 +94,3 @@ def exact_argmax(p: np.ndarray, q: np.ndarray) -> Extremum:
 
 def exact_argmin(p: np.ndarray, q: np.ndarray) -> Extremum:
     return exact_extrema(p, q)[1]
-
-
-def abs_extremum(hi: Extremum, lo: Extremum) -> Extremum:
-    """The maximum of |value| given the maximum hi and the minimum lo, ties across both signs."""
-    (hi_p, hi_q, hi_ties), (lo_p, lo_q, lo_ties) = hi, lo
-    c = sign_pair(hi_p + lo_p, hi_q + lo_q)  # |max| vs |min|
-    if c > 0:
-        return hi
-    if c < 0:
-        return -lo_p, -lo_q, lo_ties
-    return hi_p, hi_q, sorted(set(hi_ties) | set(lo_ties))
-
-
-def exact_absmax(p: np.ndarray, q: np.ndarray) -> Extremum:
-    """Exact maximum of |p[i] + q[i]*sqrt(2)|, ties across both signs."""
-    return abs_extremum(*exact_extrema(p, q))

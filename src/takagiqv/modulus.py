@@ -14,24 +14,39 @@ nu is decided by exact integer comparison, so h at an exact power of two
 gets nu(2**-n) = n even though omega jumps there.
 
 For h = a/d, omega(h) is one integer pair over 3d * 2**(nu//2), doubled
-for even nu, read off from a, d and the parity of nu.  A scan report keeps
-its largest increment as the integer pair (p, q) over 2**level, and the
-ratio x / omega is rendered from integers as x * conj(omega) / norm(omega)
-(``qfield.decimal_ratio``), as are the witness ratios.
+for even nu, read off from a, d and the parity of nu.  On the grid,
+h = j/2**N has nu = N - (j - 1).bit_length(), so scan reports get nu and
+omega from integers, with no ``nu`` or ``omega`` call per step.  A scan
+report keeps its largest increment as the integer pair (p, q) over
+2**level, and the ratio x / omega is rendered from integers as
+x * conj(omega) / norm(omega) (``qfield.decimal_ratio``), as are the
+witness ratios.
+
+One kernel serves a single step and a sweep of every step: the increments
+x(t + h) - x(t) are screened in lag tiles of at most ``takagi.BLOCK``
+cells, many steps per tile when the grid is small, then merged exactly
+(``_lag_scan``).  A sweep of grid N screens about 2**(2N - 1) increments,
+so it is refused above SWEEP_LEVEL_CAP before any grid is built; single
+steps run at every grid level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .gridscan import abs_extremum, block_extrema
-from .qfield import SQRT2, Dyadic, QuadValue, Rational, _as_fraction, decimal_ratio
+from . import takagi
+from .qfield import _SQRT2_F, SQRT2, Dyadic, QuadValue, Rational, _as_fraction, decimal_ratio, sign_pair
 from .schemes import AllPlus, NegHalfSplit
-from .takagi import TakagiFunction, pair_blocks, pair_value, thirds_value
+from .takagi import TakagiFunction, pair_value, thirds_value
+
+#: Sweeps of every step are refused above this grid level.  The work grows
+#: fourfold a level: grid 14 sweeps in about 1.6 s in process (2.3 s from a
+#: fresh CLI) on a 2-vCPU x86-64 machine, so grid 15 would take 6 s or more.
+SWEEP_LEVEL_CAP = 14
 
 
 def nu(h: Rational) -> int:
@@ -58,20 +73,27 @@ def omega(h: Rational) -> QuadValue:
         (s + 2d + (s + d) sqrt2) / (3d * 2**(nu//2))          for odd nu.
     """
     h = _as_fraction(h)
-    n = nu(h)
-    a, d = h.numerator, h.denominator
+    p, q, den = _omega_pair(h.numerator, h.denominator, nu(h))
+    return QuadValue(Fraction(p, den), Fraction(q, den))
+
+
+def _step_nu(j: int, level: int) -> int:
+    """nu(j / 2**level) for 1 <= j <= 2**level: 2**(m-1) < j <= 2**m for m = (j - 1).bit_length()."""
+    return level - (j - 1).bit_length()
+
+
+def _omega_pair(a: int, d: int, n: int) -> tuple[int, int, int]:
+    """omega(a/d) as (p, q, den), for n = nu(a/d); a and d need not be coprime."""
     k = n // 2
     s = 3 * a << 2 * k
     if n % 2:
-        p, q, den = s + 2 * d, s + d, 3 * d << k
-    else:
-        p, q, den = 2 * s + 4 * d, s + 4 * d, 3 * d << (k + 1)
-    return QuadValue(Fraction(p, den), Fraction(q, den))
+        return s + 2 * d, s + d, 3 * d << k
+    return 2 * s + 4 * d, s + 4 * d, 3 * d << (k + 1)
 
 
 @dataclass(frozen=True)
 class ModulusReport:
-    """Largest grid increment at step h versus the envelope omega(h).
+    """Largest grid increment at the grid step h = j/2**level versus the envelope omega(h).
 
     The increment is kept as the integer pair (p, q) of
     (p + q*sqrt(2)) / 2**level, first reached from t = tie / 2**level;
@@ -87,7 +109,7 @@ class ModulusReport:
 
     @property
     def nu(self) -> int:
-        return nu(self.h)
+        return _step_nu(self.h.numerator, self.h.denominator.bit_length() - 1)
 
     @property
     def scan_max(self) -> QuadValue:
@@ -103,27 +125,88 @@ class ModulusReport:
         return decimal_ratio((*self.pair, 1 << self.level), self.omega.pair(), 8)
 
 
-def _lag_blocks(p: np.ndarray, q: np.ndarray, j: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The increments p[i+j] - p[i], q[i+j] - q[i] in the block layout of ``pair_blocks``.
+def _windows(seg: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The (w, r) view seg[k + c] of a contiguous 1-D array of length w + r - 1:
+    ``sliding_window_view(seg, r)`` without its per-call argument checks,
+    which cost about as much as the subtraction of a small tile."""
+    return np.ndarray(shape, seg.dtype, seg, 0, (seg.itemsize, seg.itemsize))
 
-    Every block is written into the same scratch rows, so no full-size
-    increment array is formed.
+
+def _lag_scan(p: np.ndarray, q: np.ndarray, first: int, last: int) -> list[tuple[int, int, int]]:
+    """(p*, q*, i*) for every lag first <= j <= last: the largest |x(i + j) - x(i)|
+    over the grid pairs p, q, as the pair of its absolute value, and the
+    smallest i that reaches it.
+
+    The increments are screened in lag tiles: lags [a, a + w) by rows
+    [r0, r0 + r), w * r <= BLOCK cells, laid out lag-major.  Row k of a tile
+    is p[r0 + a + k + c] - p[r0 + c] for c < r, a window of p minus one row
+    of it, written into reused int64 scratch, and the same for q.  Once
+    every lag of a range has at most BLOCK rows, a tile takes as many lags
+    as fit, so a small grid sweeps all its steps in one tile; a single lag
+    is one row, block by block.  The last row tile of a multi-lag range
+    reads past the grid end, from zero-padded scratch, and its cells with
+    i + j past the end are set to -inf, so they never survive.
+
+    |dp + dq*sqrt2| goes into one float64 buffer.  A cell survives when it
+    is within a rigorous error bound of its lag's float maximum; the
+    survivors are merged exactly in index order, keeping the first index
+    of the largest value.
     """
-    n = len(p) - j
-    buf = None
-    for off, bp, bq in pair_blocks(p[:n], q[:n]):
-        w = len(bp)
-        if buf is None:
-            buf = np.empty((2, w), dtype=np.int64)
-        np.subtract(p[off + j : off + j + w], bp, out=buf[0, :w])
-        np.subtract(q[off + j : off + j + w], bq, out=buf[1, :w])
-        yield off, buf[0, :w], buf[1, :w]
+    n = len(p)
+    budget = min(takagi.BLOCK, n * (last + 1 - first))
+    dp_buf, dq_buf, pad_p, pad_q = np.empty((4, budget), dtype=np.int64)
+    f_buf = np.empty(budget)
+    out: list[tuple[int, int, int]] = []
+    a = first
+    while a <= last:
+        rows = n - a
+        w = min(last + 1 - a, max(1, budget // rows))
+        best: list = [None] * w
+        for r0 in range(0, rows, budget // w):
+            r = min(budget // w, rows - r0)
+            lo, hi = r0 + a, r0 + a + r + w - 1
+            if hi <= n:
+                sp, sq = p[lo:hi], q[lo:hi]
+            else:  # one row tile, r = n - lo: lags a + k >= a + 1 lose their last k rows
+                sp, sq = pad_p[: r + w - 1], pad_q[: r + w - 1]
+                sp[:r], sp[r:] = p[lo:], 0
+                sq[:r], sq[r:] = q[lo:], 0
+            shape = (w, r)
+            dp = np.subtract(_windows(sp, shape), p[r0 : r0 + r], out=dp_buf[: w * r].reshape(shape))
+            dq = np.subtract(_windows(sq, shape), q[r0 : r0 + r], out=dq_buf[: w * r].reshape(shape))
+            f = np.multiply(dq, _SQRT2_F, out=f_buf[: w * r].reshape(shape))
+            f += dp
+            np.abs(f, out=f)
+            if hi > n:
+                for k in range(1, w):
+                    f[k, r - k :] = -np.inf
+            # |f - |x|| <= (|x| + 6|dq|) * 2**-53 in every cell; the cut is ten times wider than
+            # the two such errors by which a tie for the maximum can trail the float maximum
+            cut = f.max(axis=1)
+            cut *= 1.0 - 2.0 ** -48
+            cut -= (4.0 * max(-int(dq.min()), int(dq.max())) + 1.0) * 2.0 ** -48
+            cells = np.flatnonzero(f >= cut[:, None])
+            lags, cols = np.divmod(cells, r)
+            for k, c, xp, xq in zip(lags.tolist(), cols.tolist(), dp_buf[cells].tolist(), dq_buf[cells].tolist()):
+                if sign_pair(xp, xq) < 0:
+                    xp, xq = -xp, -xq
+                top = best[k]
+                if top is None or sign_pair(xp - top[0], xq - top[1]) > 0:
+                    best[k] = (xp, xq, r0 + c)
+        out += best
+        a += w
+    return out
 
 
-def _scan_report(p: np.ndarray, q: np.ndarray, grid_level: int, j: int) -> ModulusReport:
-    h = Fraction(j, 1 << grid_level)
-    mp, mq, ties = abs_extremum(*block_extrema(_lag_blocks(p, q, j)))
-    return ModulusReport(h, omega(h), grid_level, (mp, mq), ties[0])
+def _reports(p: np.ndarray, q: np.ndarray, level: int, first: int, last: int) -> list[ModulusReport]:
+    """Reports for the steps j/2**level, first <= j <= last, with nu and omega from integers."""
+    d = 1 << level
+    reports = []
+    for j, (mp, mq, tie) in enumerate(_lag_scan(p, q, first, last), first):
+        op, oq, oden = _omega_pair(j, d, _step_nu(j, level))
+        om = QuadValue(Fraction(op, oden), Fraction(oq, oden))
+        reports.append(ModulusReport(Fraction(j, d), om, level, (mp, mq), tie))
+    return reports
 
 
 def modulus_scan(fn: TakagiFunction, grid_level: int, h: Dyadic | Rational) -> ModulusReport:
@@ -133,13 +216,20 @@ def modulus_scan(fn: TakagiFunction, grid_level: int, h: Dyadic | Rational) -> M
     if h.exp > grid_level or not 0 < h.as_fraction() <= 1:
         raise ValueError(f"h={h} is not a positive step on the level-{grid_level} grid")
     p, q = fn.grid_pairs(grid_level)
-    return _scan_report(p, q, grid_level, h.numerator_at(grid_level))
+    j = h.numerator_at(grid_level)
+    return _reports(p, q, grid_level, j, j)[0]
 
 
 def sweep_all_steps(fn: TakagiFunction, grid_level: int) -> list[ModulusReport]:
-    """Reports for every step h = j/2**grid_level, j = 1..2**grid_level."""
+    """Reports for every step h = j/2**grid_level, j = 1..2**grid_level.
+
+    Refused above SWEEP_LEVEL_CAP, before any grid is built.
+    """
+    if grid_level > SWEEP_LEVEL_CAP:
+        raise ValueError(f"a sweep of every step is refused above grid {SWEEP_LEVEL_CAP}, got {grid_level}: "
+                         f"scan single steps (--h)")
     p, q = fn.grid_pairs(grid_level)
-    return [_scan_report(p, q, grid_level, j) for j in range(1, (1 << grid_level) + 1)]
+    return _reports(p, q, grid_level, 1, 1 << grid_level)
 
 
 class WitnessRow(NamedTuple):

@@ -21,6 +21,7 @@ import pytest
 
 from takagiqv.extrema import ExtremaReport
 from takagiqv.follmer import _scaled_coeffs
+from takagiqv.gridscan import exact_extrema
 from takagiqv.modulus import ModulusReport, nu
 from takagiqv.qfield import Dyadic, QuadValue, pow2_half, sign_pair
 from takagiqv.quadvar import (
@@ -149,6 +150,18 @@ def _oracle_argmax(p: np.ndarray, q: np.ndarray) -> tuple[int, int, list[int]]:
         elif c == 0:
             ties.append(i)
     return int(p[best]), int(q[best]), sorted(ties)
+
+
+def oracle_absmax(p: np.ndarray, q: np.ndarray) -> tuple[int, int, list[int]]:
+    """Exact maximum of |p[i] + q[i]*sqrt(2)|, ties across both signs: the
+    maximum and the minimum of one ``exact_extrema`` screen, compared exactly."""
+    (hi_p, hi_q, hi_ties), (lo_p, lo_q, lo_ties) = exact_extrema(p, q)
+    c = sign_pair(hi_p + lo_p, hi_q + lo_q)  # |max| vs |min|
+    if c > 0:
+        return hi_p, hi_q, hi_ties
+    if c < 0:
+        return -lo_p, -lo_q, lo_ties
+    return hi_p, hi_q, sorted(set(hi_ties) | set(lo_ties))
 
 
 def oracle_grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:

@@ -3,8 +3,9 @@
 The block width is forced down to 2, 8 and 64 intervals so that grids of
 level <= 12 run through many blocks: strides wider than a block, times
 inside a block, coarse profile levels read from their own grids,
-modulus lags inside, equal to and wider than a block, and ties on the
-endpoint two blocks share.
+modulus lags inside, equal to and wider than a block, modulus sweeps
+whose lag tiles (at most one block of increments) split around the block
+width, and ties on the endpoint two blocks share.
 """
 
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ import pytest
 
 from takagiqv import takagi
 from takagiqv.extrema import grid_extrema
-from takagiqv.gridscan import block_extrema, exact_absmax, exact_argmax, exact_argmin
+from takagiqv.gridscan import block_extrema, exact_argmax, exact_argmin
 from takagiqv.modulus import modulus_scan, sweep_all_steps
 from takagiqv.qfield import Dyadic
 from takagiqv.quadvar import (
@@ -31,6 +32,7 @@ from takagiqv.takagi import TakagiFunction, pair_blocks, pair_value
 
 from conftest import (
     _oracle_argmax,
+    oracle_absmax,
     oracle_counterexample_series,
     oracle_cov_approx,
     oracle_grid_extrema,
@@ -150,7 +152,7 @@ class TestExtrema:
             for v in sizes:
                 if v.compare(top) > 0:
                     top = v
-            mp, mq, ties = exact_absmax(dp, dq)
+            mp, mq, ties = oracle_absmax(dp, dq)
             assert pair_value(mp, mq, 8) == top
             assert ties == [i for i, v in enumerate(sizes) if v == top]
 
@@ -176,7 +178,7 @@ class TestExtrema:
             assert hi[2] == [i for i, v in enumerate(values) if v == top]
             assert pair_value(lo[0], lo[1], 0) == bottom
             assert lo[2] == [i for i, v in enumerate(values) if v == bottom]
-            mp, mq, ties = exact_absmax(p, q)
+            mp, mq, ties = oracle_absmax(p, q)
             assert pair_value(mp, mq, 0) == size
             assert ties == [i for i, v in enumerate(values) if abs(v) == size]
 
@@ -204,6 +206,26 @@ class TestModulus:
         assert len(reports) == 64
         for j, rep in enumerate(reports, 1):
             assert_same_scan(rep, oracle_modulus_scan(f, 6, F(j, 64)), j)
+
+    @pytest.mark.parametrize("spec", SCHEMES)
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 7])
+    def test_sweep_tiles_match_oracle_at_every_step(self, width, spec, level):
+        # with BLOCK = w, lag j has 2**level + 1 - j rows: row tiles split at
+        # w + 1, w and w - 1 rows and leave one row over; below w/2 rows a tile
+        # holds several lags, its last row tile padded past j = 2**level
+        f = fn(spec)
+        reports = sweep_all_steps(f, level)
+        assert len(reports) == 1 << level
+        for j, rep in enumerate(reports, 1):
+            assert_same_scan(rep, oracle_modulus_scan(f, level, F(j, 1 << level)), j)
+
+    @pytest.mark.parametrize("spec", SCHEMES)
+    @pytest.mark.parametrize("level", [8, 9])
+    def test_default_width_sweeps_match_oracle(self, spec, level):
+        # grid 8 sweeps in one 256 x 256 tile; grid 9 in tiles of 128 lags and more
+        f = fn(spec)
+        for j, rep in enumerate(sweep_all_steps(f, level), 1):
+            assert_same_scan(rep, oracle_modulus_scan(f, level, F(j, 1 << level)), j)
 
     def test_default_width_lags_across_blocks(self):
         f = fn("alt_mk")

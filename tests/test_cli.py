@@ -13,6 +13,7 @@ import pytest
 from takagiqv import cli
 from takagiqv.cli import DIGITS_CAP, SERIES_FIELDS, WITNESS_LEVEL_CAP, _emit, _pair_rows, _reduced, build_parser, main
 from takagiqv.follmer import RationalPolynomial, follmer_sum, ito_residual
+from takagiqv.modulus import SWEEP_LEVEL_CAP
 from takagiqv.qfield import QuadValue
 from takagiqv.schemes import parse_scheme
 from takagiqv.takagi import TakagiFunction
@@ -334,6 +335,8 @@ MALFORMED = [
     ("modulus --grid 4 --h 2", 2),
     ("modulus --grid 27 --h 1/2", 2),
     ("modulus --grid 27", 2),
+    ("modulus --grid 15", 2),
+    ("modulus --grid 26", 2),
     ("modulus --grid -1 --h 1/2", 2),
     ("modulus --grid 4 --h 1/4 --scheme file:{dup}", 2),
     ("witness --levels 3 --out {missing}", 2),
@@ -422,6 +425,18 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert err == f"error: --levels must be in [1, {WITNESS_LEVEL_CAP}], got {levels}\n"
+
+    @pytest.mark.parametrize("grid", [SWEEP_LEVEL_CAP + 1, 26])
+    def test_modulus_sweep_refused_quickly(self, capsys, monkeypatch, grid):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(TakagiFunction, "grid_pairs", no_grid)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "modulus", "--grid", str(grid))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--h" in err and str(SWEEP_LEVEL_CAP) in err
 
     @pytest.mark.parametrize("digits", [DIGITS_CAP + 1, 300000])
     def test_eval_digits_refused_quickly(self, capsys, digits):

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from takagiqv.modulus import (
+    SWEEP_LEVEL_CAP,
     ModulusReport,
+    _omega_pair,
+    _step_nu,
     modulus_scan,
     nu,
     omega,
@@ -67,6 +70,28 @@ class TestNu:
         for h in (F(0), F(-1, 2), F(3, 2)):
             with pytest.raises(ValueError):
                 nu(h)
+
+
+class TestGridSteps:
+    """nu and omega of the grid steps j/2**N, from integers."""
+
+    def test_nu_from_bit_length(self):
+        for level in range(11):
+            for j in range(1, (1 << level) + 1):
+                assert _step_nu(j, level) == nu(F(j, 1 << level)), (j, level)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << n))))
+    def test_omega_pair_matches_oracle(self, step):
+        level, j = step
+        p, q, den = _omega_pair(j, 1 << level, _step_nu(j, level))
+        assert QuadValue(F(p, den), F(q, den)) == oracle_omega(F(j, 1 << level))
+
+    @pytest.mark.parametrize("level", [0, 1, 4, 7])
+    def test_sweep_reports_carry_nu_and_omega(self, level):
+        for rep in sweep_all_steps(fn("alt_mk"), level):
+            assert rep.nu == nu(rep.h)
+            assert rep.omega == oracle_omega(rep.h)
 
 
 class TestOmega:
@@ -136,6 +161,17 @@ class TestScan:
             modulus_scan(fn("all_plus"), 4, F(1, 32))
         with pytest.raises(ValueError):
             modulus_scan(fn("all_plus"), 4, F(0))
+
+    @pytest.mark.parametrize("level", [SWEEP_LEVEL_CAP + 1, 26, 27])
+    def test_sweep_above_cap_refused_before_any_grid(self, monkeypatch, level):
+        f = fn("all_plus")
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(f, "grid_pairs", no_grid)
+        with pytest.raises(ValueError, match=f"above grid {SWEEP_LEVEL_CAP}"):
+            sweep_all_steps(f, level)
 
     def test_all_plus_dominated_by_omega(self):
         for rep in sweep_all_steps(fn("all_plus"), 8):
