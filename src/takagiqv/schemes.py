@@ -6,6 +6,11 @@ named functions of interest (all_plus, the alternating families, the
 half-split oscillation extremizer) plus seeded Bernoulli draws; arbitrary
 finite tables can be loaded from text files.
 
+A Bernoulli coefficient (m, k) is decided by word i = 2**m - 1 + k of the
+SplitMix64 stream seeded with ``seed mod 2**64`` (see ``splitmix64``): a
+counter hash, so every coefficient is O(1) to reach and a whole generation
+is one vectorized pass.
+
 Scheme spec strings use a small grammar, ``name[:param[:param]]``:
 
     all_plus | alt_m | alt_mk | block:P | half_split | neg_half_split
@@ -14,7 +19,6 @@ Scheme spec strings use a small grammar, ``name[:param[:param]]``:
 
 from __future__ import annotations
 
-import hashlib
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +49,35 @@ def parse_exact_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
+#: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio
+#: increment and the two multipliers of its finalizer.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
+
+
+def _mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+def splitmix64(state: int, i: int) -> int:
+    """Word i >= 0 of the SplitMix64 stream seeded with state in [0, 2**64).
+
+    For i < 2**64 this is the generator's own i-th output,
+    mix(state + (i+1)*gamma mod 2**64).  A larger i chains the finalizer
+    over its 64-bit limbs, low limb first, so indices that agree mod 2**64
+    do not repeat a word.
+    """
+    while True:
+        state = _mix((state + ((i & _MASK) + 1) * _GAMMA) & _MASK)
+        i >>= 64
+        if not i:
+            return state
+
+
 def _constant_row(m: int, value: int) -> np.ndarray:
     """A generation of equal coefficients as a read-only zero-stride view.
 
@@ -63,7 +96,11 @@ class CoefficientScheme:
         raise NotImplementedError
 
     def row(self, m: int) -> np.ndarray:
-        """All coefficients of one generation as an int64 array of +/-1."""
+        """All coefficients of one generation as an int64 array of +/-1.
+
+        The array is either fresh, owned by the caller, or a read-only
+        zero-stride view of one value (``_constant_row``).
+        """
         if m < 0:
             raise ValueError(f"generation m must be >= 0, got {m}")
         return np.array([self.theta(m, k) for k in range(1 << m)], dtype=np.int64)
@@ -84,7 +121,10 @@ class _Negated(CoefficientScheme):
         return -self.inner.theta(m, k)
 
     def row(self, m: int) -> np.ndarray:
-        return -self.inner.row(m)
+        row = self.inner.row(m)
+        if row.strides == (0,):
+            return _constant_row(m, -int(row[0]))
+        return np.negative(row, out=row)
 
     def negated(self) -> CoefficientScheme:
         return self.inner
@@ -182,9 +222,11 @@ class NegHalfSplit(_Negated):
 class Bernoulli(CoefficientScheme):
     """Deterministic i.i.d.-style draws: +1 with probability p_plus.
 
-    Coefficients come from a keyed blake2b hash of (m, k), so any (m, k)
-    is O(1) to query and the whole scheme is reproducible from the seed
-    alone, independent of query order and platform.
+    Coefficient (m, k) is +1 iff u / 2**64 < p_plus, decided exactly in
+    integers, where u = splitmix64(seed mod 2**64, 2**m - 1 + k) is the
+    word of its breadth-first index.  Any (m, k) is O(1) to query, and the
+    scheme is reproducible from the seed alone, independent of query order
+    and platform.
     """
 
     def __init__(self, p_plus: Fraction, seed: int) -> None:
@@ -195,33 +237,33 @@ class Bernoulli(CoefficientScheme):
         self.p_plus = Fraction(p_plus)
         self.seed = seed
         self.spec = f"bernoulli:{p_plus}:{seed}"
-        self._key = seed.to_bytes(8, "little", signed=True)
+        self._state = seed & _MASK
+        # u * den < num * 2**64, the test for +1, as u < ceil(num * 2**64 / den)
+        self._bound = -(-(self.p_plus.numerator << 64) // self.p_plus.denominator)
 
     def theta(self, m: int, k: int) -> int:
         _check_index(m, k)
-        digest = hashlib.blake2b(
-            f"{m}:{k}".encode(), digest_size=8, key=self._key
-        ).digest()
-        u = int.from_bytes(digest, "little")
-        # +1 iff u/2**64 < p_plus, decided by exact integer comparison
-        if u * self.p_plus.denominator < self.p_plus.numerator << 64:
-            return 1
-        return -1
+        return 1 if splitmix64(self._state, (1 << m) - 1 + k) < self._bound else -1
 
     def row(self, m: int) -> np.ndarray:
-        # copies of a hasher already fed the key and "m:" give theta's digests
-        base = hashlib.blake2b(b"%d:" % m, digest_size=8, key=self._key)
-        digests = []
-        for k in range(1 << m):
-            h = base.copy()
-            h.update(b"%d" % k)
-            digests.append(h.digest())
-        u = np.frombuffer(b"".join(digests), "<u8")
-        # theta's test u * den < num * 2**64, as u < ceil(num * 2**64 / den)
-        bound = -(-(self.p_plus.numerator << 64) // self.p_plus.denominator)
-        if bound >= 1 << 64:
+        if m < 0:
+            raise ValueError(f"generation m must be >= 0, got {m}")
+        if self._bound > _MASK:
             return np.ones(1 << m, dtype=np.int64)
-        return np.where(u < np.uint64(bound), 1, -1)
+        # splitmix64 at i = 2**m - 1 + k for every k: state + (i+1)*gamma,
+        # then the finalizer, all mod 2**64
+        z = np.arange(1 << m, 2 << m, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mult)
+        z ^= z >> np.uint64(31)
+        out = z.view(np.int64)  # the +/-1 row reuses the buffer of the words
+        np.copyto(out, z < np.uint64(self._bound))
+        out *= 2
+        out -= 1
+        return out
 
 
 class Explicit(CoefficientScheme):

@@ -5,6 +5,8 @@ import pytest
 
 from takagiqv.schemes import (
     BUILTIN_NAMES,
+    AllPlus,
+    AlternatingM,
     Bernoulli,
     Explicit,
     HalfSplit,
@@ -12,6 +14,7 @@ from takagiqv.schemes import (
     SchemeDepthError,
     parse_exact_fraction,
     parse_scheme,
+    splitmix64,
 )
 
 
@@ -70,6 +73,25 @@ class TestNamedSchemes:
         with pytest.raises(ValueError):
             s.theta(-1, 0)
 
+    @pytest.mark.parametrize("inner", [AllPlus(), AlternatingM()])
+    def test_negated_constant_row_stays_a_view(self, inner):
+        neg = inner.negated()
+        for m in range(12):
+            row = neg.row(m)
+            assert row.strides == (0,)
+            assert row.tolist() == [-inner.theta(m, 0)] * (1 << m)
+            assert row.tolist() == [neg.theta(m, k) for k in range(1 << m)]
+
+    @pytest.mark.parametrize("spec", ["half_split", "alt_mk", "bernoulli:1/3:7"])
+    def test_negated_fresh_row(self, spec):
+        inner = parse_scheme(spec)
+        neg = inner.negated()
+        for m in range(12):
+            row = neg.row(m)
+            assert row.dtype == np.int64 and row.flags.writeable
+            assert np.array_equal(row, -inner.row(m))
+            assert row.tolist() == [neg.theta(m, k) for k in range(1 << m)]
+
     def test_negated_involution(self):
         s = parse_scheme("alt_mk")
         assert s.negated().negated() is s
@@ -106,14 +128,41 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             Bernoulli(F(3, 2), seed=0)
 
-    @pytest.mark.parametrize("seed", [0, 42, -3, 2**63 - 1, -(2**63 - 1)])
+    @pytest.mark.parametrize("seed", [0, 42, -1, -3, 2**63 - 1, -(2**63 - 1), -(2**63)])
     @pytest.mark.parametrize("p_plus", [F(0), F(1, 3), F(1, 2), F(2, 5), F(1)])
     def test_rows_match_theta(self, p_plus, seed):
         s = Bernoulli(p_plus, seed)
-        for m in range(11):
+        for m in range(13):
             row = s.row(m)
             assert row.dtype == np.int64
             assert row.tolist() == [s.theta(m, k) for k in range(1 << m)]
+
+    def test_splitmix64_published_vector(self):
+        assert [splitmix64(1234567, i) for i in range(3)] == [
+            6457827717110365317,
+            3203168211198807973,
+            9817491932198370423,
+        ]
+
+    def test_coefficients_read_the_seeded_stream(self):
+        # coefficient (m, k) is word 2**m - 1 + k of the stream at seed mod 2**64
+        s = Bernoulli(F(1, 2), -5)
+        for m, k in [(0, 0), (3, 5), (10, 1000), (64, 3)]:
+            u = splitmix64(2**64 - 5, (1 << m) - 1 + k)
+            assert s.theta(m, k) == (1 if u < 1 << 63 else -1)
+
+    def test_deep_generations_do_not_alias(self):
+        # taken mod 2**64, index 2**64 - 1 + k of generation 64 would be k - 1
+        shallow = {splitmix64(7, i) for i in range((1 << 9) - 1)}
+        deep = [splitmix64(7, (1 << m) - 1 + k) for m in (64, 65) for k in range(256)]
+        assert len(set(deep)) == len(deep)
+        assert shallow.isdisjoint(deep)
+
+    def test_frequency_within_binomial_bound(self):
+        n, p = 1 << 16, F(1, 3)
+        plus = int(np.count_nonzero(Bernoulli(p, seed=11).row(16) == 1))
+        # five standard deviations of Binomial(n, 1/3)
+        assert abs(plus - n * p) < 5 * (n * p * (1 - p)) ** 0.5
 
     def test_seed_range(self):
         for seed in (-(2**63), 2**63 - 1):
