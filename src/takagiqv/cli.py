@@ -30,9 +30,9 @@ import numpy as np
 
 from .extrema import grid_extrema
 from .follmer import RationalPolynomial, _residual_and_sum
-from .modulus import modulus_scan, sweep_all_steps, witness_ratios, witness_steps
-from .qfield import Dyadic, QuadValue, decimal_column
-from .quadvar import QVSeries, counterexample_series, cov_profile, qv_profile
+from .modulus import _omega_pair, modulus_scan, sweep_all_steps, witness_ratios, witness_steps
+from .qfield import Dyadic, QuadValue, decimal_column, decimal_pair, decimal_ratio
+from .quadvar import QVSeries, _first_level, counterexample_series, cov_profile, qv_profile
 from .schemes import SchemeDepthError, parse_exact_fraction, parse_scheme
 from .takagi import GRID_LEVEL_CAP, TakagiFunction, thirds_value
 
@@ -264,13 +264,12 @@ def cmd_modulus(args: argparse.Namespace) -> None:
         reports = [modulus_scan(fn, grid, parse_exact_fraction(args.h))]
     else:
         reports = sweep_all_steps(fn, grid)
-    ties, mp, mq = zip(*[(rep.tie, *rep.pair) for rep in reports])
-    extra = zip(*[("modulus", rep.h.numerator, rep.h.denominator, rep.nu,
-                   rep.omega.decimal(DECIMAL_DIGITS), rep.ratio_decimal) for rep in reports])
-    rows = _pair_rows(grid, ties, grid, mp, mq, grid, *extra)
-    fields = list(SERIES_FIELDS) + [
-        "kind", "h_num", "h_den", "nu", "omega_decimal", "ratio_decimal",
-    ]
+    ties, mp, mq, js, nus = zip(*[(rep.tie, *rep.pair, rep.j, rep.nu) for rep in reports])
+    omegas = [_omega_pair(j, 1 << grid) for j in js]
+    rows = _pair_rows(grid, ties, grid, mp, mq, grid, ["modulus"] * len(reports), *_reduced(js, grid), nus,
+                      [decimal_pair(*om, DECIMAL_DIGITS) for om in omegas],
+                      [decimal_ratio((p, q, 1 << grid), om, 8) for p, q, om in zip(mp, mq, omegas)])
+    fields = list(SERIES_FIELDS) + ["kind", "h_num", "h_den", "nu", "omega_decimal", "ratio_decimal"]
     _emit(rows, fields, args)
 
 
@@ -297,7 +296,9 @@ def cmd_ito(args: argparse.Namespace) -> None:
     if args.levels is None:
         levels = [_level(args, "level")]
     else:
-        levels = range(max(1, t.exp), _level(args, "levels") + 1)
+        levels = range(_first_level(t), _level(args, "levels") + 1)
+        if not levels:
+            raise ValueError(f"--levels {args.levels} below the first level {levels.start} carrying t={t}")
     rows = []
     for n in levels:
         res, rsum = _residual_and_sum(poly, fn, n, t)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, count
 from math import isqrt, lcm, prod
 from typing import Iterator
 
@@ -50,7 +50,7 @@ import numpy as np
 
 from .qfield import QuadValue, Rational, _as_fraction, Dyadic
 from .quadvar import GridLike, PairGrid, _grid_index, _pairs
-from .takagi import TakagiFunction, block_bits, pair_blocks, pair_value
+from .takagi import TakagiFunction, pair_blocks, pair_value, prefix_blocks
 
 
 #: Largest exponent size taken in a coefficient such as 1e3000.
@@ -163,8 +163,7 @@ def _chunks(x: GridLike, level: int, n: int) -> Iterator[PairGrid]:
     """Points 0 .. n of the level grid of x in chunks of at most _CHUNK
     intervals that share endpoints; blocks past n are never built."""
     blocks = x._blocks(level) if isinstance(x, TakagiFunction) else pair_blocks(*_pairs(x, level))
-    for off, p, q in islice(blocks, max(1, -(-n >> block_bits(level)))):
-        p, q = p[: n - off + 1], q[: n - off + 1]
+    for p, q in prefix_blocks(blocks, level, n):
         for lo in range(0, max(len(p) - 1, 1), _CHUNK):
             yield p[lo : lo + _CHUNK + 1], q[lo : lo + _CHUNK + 1]
 

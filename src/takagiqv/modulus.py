@@ -10,17 +10,17 @@ the class never exceed sqrt2 * omega(h).  Both bounds are sharp along the
 witness steps h_n = (2/3) * 2**-n: from t = 0 for the all-plus function,
 and across t_n = 1/2 - (1/3) * 2**-n for the negated half-split function.
 
-nu is decided by exact integer comparison, so h at an exact power of two
-gets nu(2**-n) = n even though omega jumps there.
+For h = a/d, in lowest terms or not, nu is one integer formula,
+(d // a).bit_length() - 1, so h at an exact power of two gets
+nu(2**-n) = n even though omega jumps there.  omega(h) is one integer pair
+over 3d * 2**(nu//2), doubled for even nu, read off from a, d and the
+parity of nu.
 
-For h = a/d, omega(h) is one integer pair over 3d * 2**(nu//2), doubled
-for even nu, read off from a, d and the parity of nu.  On the grid,
-h = j/2**N has nu = N - (j - 1).bit_length(), so scan reports get nu and
-omega from integers, with no ``nu`` or ``omega`` call per step.  A scan
-report keeps its largest increment as the integer pair (p, q) over
-2**level, and the ratio x / omega is rendered from integers as
-x * conj(omega) / norm(omega) (``qfield.decimal_ratio``), as are the
-witness ratios.
+A scan report is four integers: the step h = j/2**level, its largest
+increment as the integer pair (p, q) over 2**level, and the first t that
+reaches it.  nu, omega and the ratio x / omega are computed from them
+when read, the ratio as x * conj(omega) / norm(omega)
+(``qfield.decimal_ratio``), as are the witness ratios.
 
 One kernel serves a single step and a sweep of every step: the increments
 x(t + h) - x(t) are screened in lag tiles of at most ``takagi.BLOCK``
@@ -49,18 +49,18 @@ from .takagi import TakagiFunction, pair_value, thirds_value
 SWEEP_LEVEL_CAP = 14
 
 
+def _nu(a: int, d: int) -> int:
+    """nu(a/d) for integers 0 < a <= d, else ValueError: 2**n <= d/a < 2**(n+1)
+    exactly when 2**n <= d // a < 2**(n+1)."""
+    if not 0 < a <= d:
+        raise ValueError(f"h={Fraction(a, d)} outside (0, 1]")
+    return (d // a).bit_length() - 1
+
+
 def nu(h: Rational) -> int:
-    """The unique n >= 0 with 2**-(n+1) < h <= 2**-n, by integer comparison."""
+    """The unique n >= 0 with 2**-(n+1) < h <= 2**-n, by integer arithmetic."""
     h = _as_fraction(h)
-    p, q = h.numerator, h.denominator
-    if not 0 < p <= q:
-        raise ValueError(f"h={h} outside (0, 1]")
-    n = max(q.bit_length() - p.bit_length(), 0)
-    while (p << n) > q:
-        n -= 1
-    while (p << (n + 1)) <= q:
-        n += 1
-    return n
+    return _nu(h.numerator, h.denominator)
 
 
 def omega(h: Rational) -> QuadValue:
@@ -73,17 +73,13 @@ def omega(h: Rational) -> QuadValue:
         (s + 2d + (s + d) sqrt2) / (3d * 2**(nu//2))          for odd nu.
     """
     h = _as_fraction(h)
-    p, q, den = _omega_pair(h.numerator, h.denominator, nu(h))
+    p, q, den = _omega_pair(h.numerator, h.denominator)
     return QuadValue(Fraction(p, den), Fraction(q, den))
 
 
-def _step_nu(j: int, level: int) -> int:
-    """nu(j / 2**level) for 1 <= j <= 2**level: 2**(m-1) < j <= 2**m for m = (j - 1).bit_length()."""
-    return level - (j - 1).bit_length()
-
-
-def _omega_pair(a: int, d: int, n: int) -> tuple[int, int, int]:
-    """omega(a/d) as (p, q, den), for n = nu(a/d); a and d need not be coprime."""
+def _omega_pair(a: int, d: int) -> tuple[int, int, int]:
+    """omega(a/d) as (p, q, den); a and d need not be coprime."""
+    n = _nu(a, d)
     k = n // 2
     s = 3 * a << 2 * k
     if n % 2:
@@ -95,21 +91,29 @@ def _omega_pair(a: int, d: int, n: int) -> tuple[int, int, int]:
 class ModulusReport:
     """Largest grid increment at the grid step h = j/2**level versus the envelope omega(h).
 
-    The increment is kept as the integer pair (p, q) of
-    (p + q*sqrt(2)) / 2**level, first reached from t = tie / 2**level;
-    ``scan_max``, ``witness_t`` and ``ratio_decimal`` are built from these
-    integers when asked for.
+    Four integers: the grid level, the step numerator j, the pair (p, q) of
+    the largest |increment| (p + q*sqrt(2)) / 2**level, and tie, the first
+    t = tie / 2**level that reaches it.  The other fields are computed from
+    these integers when read.
     """
 
-    h: Fraction
-    omega: QuadValue
     level: int
+    j: int
     pair: tuple[int, int]
     tie: int
 
     @property
+    def h(self) -> Fraction:
+        return Fraction(self.j, 1 << self.level)
+
+    @property
     def nu(self) -> int:
-        return _step_nu(self.h.numerator, self.h.denominator.bit_length() - 1)
+        return _nu(self.j, 1 << self.level)
+
+    @property
+    def omega(self) -> QuadValue:
+        p, q, den = _omega_pair(self.j, 1 << self.level)
+        return QuadValue(Fraction(p, den), Fraction(q, den))
 
     @property
     def scan_max(self) -> QuadValue:
@@ -122,7 +126,7 @@ class ModulusReport:
     @property
     def ratio_decimal(self) -> str:
         """scan_max / omega to 8 places."""
-        return decimal_ratio((*self.pair, 1 << self.level), self.omega.pair(), 8)
+        return decimal_ratio((*self.pair, 1 << self.level), _omega_pair(self.j, 1 << self.level), 8)
 
 
 def _windows(seg: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -198,26 +202,16 @@ def _lag_scan(p: np.ndarray, q: np.ndarray, first: int, last: int) -> list[tuple
     return out
 
 
-def _reports(p: np.ndarray, q: np.ndarray, level: int, first: int, last: int) -> list[ModulusReport]:
-    """Reports for the steps j/2**level, first <= j <= last, with nu and omega from integers."""
-    d = 1 << level
-    reports = []
-    for j, (mp, mq, tie) in enumerate(_lag_scan(p, q, first, last), first):
-        op, oq, oden = _omega_pair(j, d, _step_nu(j, level))
-        om = QuadValue(Fraction(op, oden), Fraction(oq, oden))
-        reports.append(ModulusReport(Fraction(j, d), om, level, (mp, mq), tie))
-    return reports
-
-
 def modulus_scan(fn: TakagiFunction, grid_level: int, h: Dyadic | Rational) -> ModulusReport:
     """Exact max of |x(t + h) - x(t)| over grid t with t + h <= 1."""
     if not isinstance(h, Dyadic):
         h = Dyadic.from_fraction(_as_fraction(h))
-    if h.exp > grid_level or not 0 < h.as_fraction() <= 1:
+    j = h.numerator_at(grid_level) if h.exp <= grid_level else 0
+    if not 0 < j <= 1 << grid_level:
         raise ValueError(f"h={h} is not a positive step on the level-{grid_level} grid")
     p, q = fn.grid_pairs(grid_level)
-    j = h.numerator_at(grid_level)
-    return _reports(p, q, grid_level, j, j)[0]
+    (mp, mq, tie), = _lag_scan(p, q, j, j)
+    return ModulusReport(grid_level, j, (mp, mq), tie)
 
 
 def sweep_all_steps(fn: TakagiFunction, grid_level: int) -> list[ModulusReport]:
@@ -229,7 +223,8 @@ def sweep_all_steps(fn: TakagiFunction, grid_level: int) -> list[ModulusReport]:
         raise ValueError(f"a sweep of every step is refused above grid {SWEEP_LEVEL_CAP}, got {grid_level}: "
                          f"scan single steps (--h)")
     p, q = fn.grid_pairs(grid_level)
-    return _reports(p, q, grid_level, 1, 1 << grid_level)
+    return [ModulusReport(grid_level, j, (mp, mq), tie)
+            for j, (mp, mq, tie) in enumerate(_lag_scan(p, q, 1, 1 << grid_level), 1)]
 
 
 class WitnessRow(NamedTuple):

@@ -31,14 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
 from .qfield import Dyadic, QuadValue, Rational, _as_fraction
 from .schemes import AllPlus, AlternatingM
-from .takagi import TakagiFunction, _check_level, block_bits, pair_blocks, pair_value
+from .takagi import Block, TakagiFunction, _check_level, block_bits, pair_blocks, pair_value, prefix_blocks
 
 PairGrid = tuple[np.ndarray, np.ndarray]
 GridLike = Union[TakagiFunction, PairGrid]
@@ -113,7 +113,6 @@ def _pairs(x: PairGrid, level: int) -> PairGrid:
     return p, q
 
 
-Block = tuple[int, np.ndarray, np.ndarray]
 Increments = tuple[np.ndarray, np.ndarray]
 
 #: Entries of a caller's pair grid stay below this size, so the increments
@@ -255,11 +254,7 @@ def _level_sums(
         got = kernel(*[_diffs(p, q, stride, b) for (p, q), b in zip(parts, bufs)])
         sums[n] = [u + v for u, v in zip(got, sums[n])] if n in sums else list(got)
 
-    # the blocks up to j, and the first one even when j = 0
-    for blocks in islice(zip(*[_blocks(g, top) for g in grids]), max(1, -(-j >> bits))):
-        off = blocks[0][0]
-        end = min(len(blocks[0][1]) - 1, j - off) + 1
-        parts = [(p[:end], q[:end]) for _, p, q in blocks]
+    for parts in zip(*[prefix_blocks(_blocks(g, top), top, j) for g in grids]):
         for n in range(max(lo, top - bits), top + 1):
             add(n, 1 << (top - n), parts, bufs)
     for n in range(lo, top - bits):

@@ -30,6 +30,7 @@ Evaluation surfaces:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -53,6 +54,7 @@ GRID_LEVEL_CAP = 26
 #: streams: two int64 arrays of BLOCK + 1 points, about 1 MB, stay in cache.
 BLOCK = 1 << 16
 
+Block = tuple[int, np.ndarray, np.ndarray]
 Evaluable = Union["TakagiFunction", Callable[[Fraction], "QuadValue | Rational"]]
 
 
@@ -186,7 +188,7 @@ class TakagiFunction:
             q[off : off + len(bq)] = bq
         return p, q
 
-    def _blocks(self, level: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    def _blocks(self, level: int) -> Iterator[Block]:
         """The level grid as (offset, p, q) blocks, left to right: the one grid builder.
 
         With w = min(BLOCK, 2**level), block i holds the points i*w .. (i+1)*w,
@@ -222,11 +224,18 @@ def block_bits(level: int) -> int:
     return min(BLOCK, 1 << level).bit_length() - 1
 
 
-def pair_blocks(p: np.ndarray, q: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def pair_blocks(p: np.ndarray, q: np.ndarray) -> Iterator[Block]:
     """Views of two equal-length arrays as (offset, p, q) blocks of at most
     BLOCK + 1 points that share endpoints: on a level grid, the layout of ``_blocks``."""
     for off in range(0, max(len(p) - 1, 1), BLOCK):
         yield off, p[off : off + BLOCK + 1], q[off : off + BLOCK + 1]
+
+
+def prefix_blocks(blocks: Iterator[Block], level: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (p, q) of the blocks of a level grid that hold its points 0 .. n (at
+    least one block), the last one trimmed to end at point n; later blocks are never built."""
+    for off, p, q in islice(blocks, max(1, -(-n >> block_bits(level)))):
+        yield p[: n - off + 1], q[: n - off + 1]
 
 
 def pair_value(p: int, q: int, level: int) -> QuadValue:

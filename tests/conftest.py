@@ -195,7 +195,7 @@ def oracle_modulus_scan(fn: TakagiFunction, level: int, h) -> ModulusReport:
         mp, mq, ties = lo_p, lo_q, lo_ties
     else:
         mp, mq, ties = hi_p, hi_q, sorted(set(hi_ties) | set(lo_ties))
-    return ModulusReport(h, oracle_omega(h), level, (mp, mq), ties[0])
+    return ModulusReport(level, j, (mp, mq), ties[0])
 
 
 def _oracle_sum_value(a: int, b: int, level: int) -> QuadValue:

@@ -17,7 +17,7 @@ import pytest
 from takagiqv import takagi
 from takagiqv.extrema import grid_extrema
 from takagiqv.gridscan import block_extrema, exact_argmax, exact_argmin
-from takagiqv.modulus import modulus_scan, sweep_all_steps
+from takagiqv.modulus import modulus_scan, nu, sweep_all_steps
 from takagiqv.qfield import Dyadic
 from takagiqv.quadvar import (
     counterexample_series,
@@ -38,6 +38,7 @@ from conftest import (
     oracle_grid_extrema,
     oracle_grid_pairs,
     oracle_modulus_scan,
+    oracle_omega,
     oracle_qv_approx,
     oracle_qv_of_sum,
     oracle_qv_profile,
@@ -184,9 +185,12 @@ class TestExtrema:
 
 
 def assert_same_scan(rep, oracle, note=None):
-    """Equal reports, and a ratio column equal to the oracle's own quotient."""
+    """Equal reports, nu and omega equal to their definitions at the step, and
+    a ratio column equal to the quotient by the oracle's omega."""
     assert rep == oracle, note
-    assert rep.ratio_decimal == (oracle.scan_max / oracle.omega).decimal(8), note
+    assert rep.nu == nu(rep.h), note
+    assert rep.omega == oracle_omega(rep.h), note
+    assert rep.ratio_decimal == (oracle.scan_max / oracle_omega(oracle.h)).decimal(8), note
 
 
 class TestModulus:

@@ -18,6 +18,8 @@ from takagiqv.qfield import QuadValue
 from takagiqv.schemes import parse_scheme
 from takagiqv.takagi import TakagiFunction
 
+from conftest import oracle_omega
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -147,6 +149,27 @@ class TestSeriesCommands:
         rec = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert rec["h_den"] == "256"
         assert float(rec["ratio_decimal"]) <= 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ("--grid", "5"),
+        ("--scheme", "neg_half_split", "--grid", "6"),
+        ("--scheme", "bernoulli:1/3:9", "--grid", "4", "--format", "json"),
+        ("--scheme", "alt_mk", "--grid", "16", "--h", "37/65536"),
+        ("--grid", "12", "--h", "1"),
+    ])
+    def test_modulus_columns_match_definitions(self, capsys, argv):
+        code, out, _ = run(capsys, "modulus", *argv)
+        assert code == 0
+        recs = json.loads(out) if "json" in argv else list(csv.DictReader(io.StringIO(out)))
+        for rec in recs:
+            num, den = int(rec["h_num"]), int(rec["h_den"])
+            assert math.gcd(num, den) == 1
+            h, n = F(num, den), int(rec["nu"])
+            x = QuadValue(F(int(rec["value_a_num"]), int(rec["value_a_den"])),
+                          F(int(rec["value_b_num"]), int(rec["value_b_den"])))
+            assert F(1, 2 << n) < h <= F(1, 1 << n)
+            assert rec["omega_decimal"] == oracle_omega(h).decimal(12)
+            assert rec["ratio_decimal"] == (x / oracle_omega(h)).decimal(8)
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_modulus_ignores_takagi_threads(self, capsys, monkeypatch, value):
@@ -354,6 +377,8 @@ MALFORMED = [
     ("ito --poly 0,0,1 --level 4 --scheme bernoulli:1/0:3", 2),
     ("ito --poly 0,1", 2),
     ("ito --poly 0,1 --level 3 --levels 4", 2),
+    ("ito --poly 0,0,1 --levels 2 --t 1/8", 2),
+    ("ito --poly 0,0,1 --levels 0", 2),
 ]
 
 #: One case per subcommand, run in a fresh interpreter.

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from takagiqv.modulus import (
     SWEEP_LEVEL_CAP,
     ModulusReport,
+    _nu,
     _omega_pair,
-    _step_nu,
     modulus_scan,
     nu,
     omega,
@@ -66,6 +66,20 @@ class TestNu:
             n = nu(h)
             assert F(1, 1 << (n + 1)) < h <= F(1, 1 << n)
 
+    @pytest.mark.parametrize("bits", [64, 128, 200])
+    def test_characterization_large_and_unreduced(self, bits):
+        # _nu takes a/d as it comes: a common factor k, up to 2**40, changes nothing
+        rng = random.Random(bits)
+        for _ in range(300):
+            d = rng.randint(2, 1 << bits)
+            e = rng.randint(0, d.bit_length() - 1)
+            # a near d / 2**e puts h at or beside a power of two, where nu steps
+            a = min(d, max(1, (d >> e) + rng.randint(-1, 1))) if rng.random() < 0.5 else rng.randint(1, d)
+            h, k = F(a, d), rng.randint(1, 1 << 40)
+            n = nu(h)
+            assert F(1, 1 << (n + 1)) < h <= F(1, 1 << n), (a, d)
+            assert _nu(a * k, d * k) == _nu(a, d) == n, (a, d, k)
+
     def test_domain(self):
         for h in (F(0), F(-1, 2), F(3, 2)):
             with pytest.raises(ValueError):
@@ -76,15 +90,18 @@ class TestGridSteps:
     """nu and omega of the grid steps j/2**N, from integers."""
 
     def test_nu_from_bit_length(self):
-        for level in range(11):
+        # 2**(m-1) < j <= 2**m for m = (j - 1).bit_length()
+        for level in range(12):
             for j in range(1, (1 << level) + 1):
-                assert _step_nu(j, level) == nu(F(j, 1 << level)), (j, level)
+                h, n = F(j, 1 << level), level - (j - 1).bit_length()
+                assert nu(h) == _nu(j, 1 << level) == n, (j, level)
+                assert F(1, 1 << (n + 1)) < h <= F(1, 1 << n), (j, level)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << n))))
     def test_omega_pair_matches_oracle(self, step):
         level, j = step
-        p, q, den = _omega_pair(j, 1 << level, _step_nu(j, level))
+        p, q, den = _omega_pair(j, 1 << level)
         assert QuadValue(F(p, den), F(q, den)) == oracle_omega(F(j, 1 << level))
 
     @pytest.mark.parametrize("level", [0, 1, 4, 7])
