@@ -241,8 +241,9 @@ def cmd_cov(args: argparse.Namespace) -> None:
     fx = _scheme(args)
     fy = _scheme(args, "scheme_y")
     t = Dyadic.from_fraction(parse_exact_fraction(args.t))
-    if t.exp > _level(args, "level"):
-        raise ValueError(f"t={t} needs level >= {t.exp}")
+    first = _first_level(t)
+    if _level(args, "level") < first:
+        raise ValueError(f"--level {args.level} below the first level {first} carrying t={t}")
     series = cov_profile(fx, fy, args.level, t)
     _emit(_series_rows(series), list(SERIES_FIELDS), args)
 

@@ -4,11 +4,13 @@ Scans run in two stages.  A float pass in one float64 buffer per block
 narrows the values to a small candidate set for the maximum and the
 minimum together, using a rigorous error bound; then exact integer
 comparisons over the candidates decide both winners and collect every
-tie.  Every scan is ``block_extrema`` over blocks that share endpoints:
-the blocks a grid streams in, or views of a full array in the same
-layout (``takagi.pair_blocks``).  Only the candidates' pairs are kept, the
-exact merge makes the result independent of the blocking, and scans run
-on the calling thread.
+tie.  A scan of arrays is ``block_extrema`` over blocks that share
+endpoints: the blocks a grid streams in, or views of a full array in the
+same layout (``takagi.pair_blocks``).  Only the candidates' pairs are
+kept, the exact merge makes the result independent of the blocking, and
+scans run on the calling thread.  The extrema of a function's own grid
+need no scan: ``extrema.grid_extrema`` searches it by branch and bound
+and hands its candidates to the same exact merge, ``_merge``.
 """
 
 from __future__ import annotations

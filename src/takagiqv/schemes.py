@@ -105,6 +105,14 @@ class CoefficientScheme:
             raise ValueError(f"generation m must be >= 0, got {m}")
         return np.array([self.theta(m, k) for k in range(1 << m)], dtype=np.int64)
 
+    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
+        """theta(m, k[i]) for an int64 array k of indices in [0, 2**m), as a fresh int64 array.
+
+        Lets a caller that needs a few coefficients of a deep generation skip
+        building (or caching) the whole row.
+        """
+        return self.row(m)[k]
+
     def negated(self) -> CoefficientScheme:
         return _Negated(self)
 
@@ -126,6 +134,10 @@ class _Negated(CoefficientScheme):
             return _constant_row(m, -int(row[0]))
         return np.negative(row, out=row)
 
+    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
+        t = self.inner.thetas(m, k)
+        return np.negative(t, out=t)
+
     def negated(self) -> CoefficientScheme:
         return self.inner
 
@@ -142,6 +154,9 @@ class AllPlus(CoefficientScheme):
     def row(self, m: int) -> np.ndarray:
         return _constant_row(m, 1)
 
+    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
+        return np.ones(len(k), dtype=np.int64)
+
 
 class AlternatingM(CoefficientScheme):
     """theta(m,k) = (-1)**m: sign flips with each generation."""
@@ -154,6 +169,9 @@ class AlternatingM(CoefficientScheme):
 
     def row(self, m: int) -> np.ndarray:
         return _constant_row(m, -1 if m % 2 else 1)
+
+    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
+        return np.full(len(k), -1 if m % 2 else 1, dtype=np.int64)
 
 
 class AlternatingMK(CoefficientScheme):
@@ -172,6 +190,10 @@ class AlternatingMK(CoefficientScheme):
         out[1::2] = -s
         return out
 
+    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
+        s = -1 if m % 2 else 1
+        return np.where(k & 1, -s, s)
+
 
 class Block(CoefficientScheme):
     """theta(m,k) = (-1)**floor(m/p): sign flips every p generations."""
@@ -188,6 +210,9 @@ class Block(CoefficientScheme):
 
     def row(self, m: int) -> np.ndarray:
         return _constant_row(m, self.theta(m, 0))
+
+    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
+        return np.full(len(k), self.theta(m, 0), dtype=np.int64)
 
 
 class HalfSplit(CoefficientScheme):
@@ -210,6 +235,11 @@ class HalfSplit(CoefficientScheme):
         if m >= 1:
             out[1 << (m - 1):] = -1
         return out
+
+    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
+        if m == 0:
+            return np.ones(len(k), dtype=np.int64)
+        return np.where(k < (1 << (m - 1)), 1, -1)
 
 
 class NegHalfSplit(_Negated):
@@ -248,18 +278,31 @@ class Bernoulli(CoefficientScheme):
     def row(self, m: int) -> np.ndarray:
         if m < 0:
             raise ValueError(f"generation m must be >= 0, got {m}")
+        return self._signs(np.arange(1 << m, 2 << m, dtype=np.uint64))
+
+    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
+        if m >= 64:  # counters past 2**64 chain the finalizer (see splitmix64)
+            return np.array([self.theta(m, int(j)) for j in k], dtype=np.int64)
+        z = k.astype(np.uint64)
+        z += np.uint64(1 << m)
+        return self._signs(z)
+
+    def _signs(self, z: np.ndarray) -> np.ndarray:
+        """The +/-1 coefficients of the uint64 counters z = i + 1 < 2**64 (i the
+        breadth-first index), computed in z's own buffer.
+
+        splitmix64 at i: state + (i+1)*gamma, then the finalizer, all mod 2**64.
+        """
+        out = z.view(np.int64)  # the +/-1 values reuse the buffer of the words
         if self._bound > _MASK:
-            return np.ones(1 << m, dtype=np.int64)
-        # splitmix64 at i = 2**m - 1 + k for every k: state + (i+1)*gamma,
-        # then the finalizer, all mod 2**64
-        z = np.arange(1 << m, 2 << m, dtype=np.uint64)
+            out[:] = 1
+            return out
         z *= np.uint64(_GAMMA)
         z += np.uint64(self._state)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             z ^= z >> np.uint64(shift)
             z *= np.uint64(mult)
         z ^= z >> np.uint64(31)
-        out = z.view(np.int64)  # the +/-1 row reuses the buffer of the words
         np.copyto(out, z < np.uint64(self._bound))
         out *= 2
         out -= 1

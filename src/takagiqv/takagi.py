@@ -18,7 +18,8 @@ Evaluation surfaces:
   and built by the midpoint recursion (one numpy pass per generation):
   the series is local, so each cell of a coarse grid refines on its own,
   and a reduction over the grid never holds more than one block.  It is
-  the only grid builder;
+  the only grid builder (``extrema.grid_extrema`` refines single cells of
+  a coarse grid by the same recursion, never a whole grid);
 * ``grid_pairs`` -- the same grid at once, its blocks copied into one
   array;
 * ``approx`` -- truncated series with a certified geometric tail bound;

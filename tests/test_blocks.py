@@ -27,7 +27,7 @@ from takagiqv.quadvar import (
     qv_of_sum,
     qv_profile,
 )
-from takagiqv.schemes import BUILTIN_NAMES, parse_scheme
+from takagiqv.schemes import BUILTIN_NAMES, Explicit, parse_scheme
 from takagiqv.takagi import TakagiFunction, pair_blocks, pair_value
 
 from conftest import (
@@ -117,10 +117,31 @@ class TestBlocks:
 
 class TestExtrema:
     @pytest.mark.parametrize("spec", SCHEMES)
-    @pytest.mark.parametrize("level", [1, 2, 5, 10])
+    @pytest.mark.parametrize("level", [1, 2, 5, 9, 10, 11, 12, 18])
     def test_matches_oracle(self, width, spec, level):
         f = fn(spec)
         assert grid_extrema(f, level) == oracle_grid_extrema(f, level)
+
+    @pytest.mark.parametrize("p_plus", ["0", "1", "1/100", "99/100", "1/3"])
+    def test_bernoulli_draws_match_oracle(self, p_plus):
+        for seed in (0, 1, 7, 12345, -(1 << 63), (1 << 63) - 1):
+            f = fn(f"bernoulli:{p_plus}:{seed}")
+            for level in range(1, 17):
+                assert grid_extrema(f, level) == oracle_grid_extrema(f, level), (seed, level)
+
+    def test_file_scheme_with_four_tied_maxima(self, tmp_path):
+        # generations 0-4 put the maximum at four level-5 points; every later
+        # coefficient is -1, so each finer point lies below its cell's chord
+        # and the search refines the cells around the ties down to level 12
+        neg = {(1, 0), (1, 1), (3, 0), (3, 1), (3, 3), (3, 4), (3, 6), (3, 7), (4, 1), (4, 3), (4, 11), (4, 12)}
+        table = {(m, k): -1 if m >= 5 or (m, k) in neg else 1 for m in range(12) for k in range(1 << m)}
+        path = tmp_path / "ties.txt"
+        Explicit(table, 12).save(path)
+        f = fn(f"file:{path}")
+        rep = grid_extrema(f, 12)
+        assert [str(t) for t in rep.argmax] == ["11/32", "15/32", "17/32", "21/32"]
+        assert [str(t) for t in rep.argmin] == ["853/4096", "3243/4096"]
+        assert rep == oracle_grid_extrema(f, 12)
 
     @pytest.mark.parametrize("spec", ["all_plus", "half_split", "bernoulli:1/3:5"])
     def test_default_width_matches_oracle(self, spec):

@@ -351,6 +351,7 @@ MALFORMED = [
     ("cov --level 30", 2),
     ("cov --level -1", 2),
     ("cov --level 4 --scheme-y nonsense", 2),
+    ("cov --level 0", 2),
     ("counterexample --levels 4 --t 1/0", 2),
     ("counterexample --levels 40", 2),
     ("counterexample --levels -1", 2),

@@ -2,9 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from takagiqv.extrema import grid_extrema, grid_oscillation, jacobsthal, max_value, maximizers
+from takagiqv.extrema import SEED_LEVEL, grid_extrema, grid_oscillation, jacobsthal, max_value, maximizers
 from takagiqv.qfield import Dyadic, QuadValue
-from takagiqv.schemes import parse_scheme
+from takagiqv.schemes import Explicit, SchemeDepthError, parse_scheme
 from takagiqv.takagi import TakagiFunction
 
 from conftest import oracle_partial
@@ -105,3 +105,18 @@ class TestGridScan:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             grid_extrema(fn("all_plus"), 0)
+        with pytest.raises(ValueError, match=r"\[0, 26\]"):
+            grid_extrema(fn("all_plus"), 27)
+
+    @pytest.mark.parametrize("spec", ["half_split", "neg_half_split", "alt_mk", "bernoulli:1/3:7"])
+    def test_deep_grid_caches_no_whole_row(self, spec):
+        f = fn(spec)
+        rep = grid_extrema(f, 22)
+        assert max(f._rows) < SEED_LEVEL
+        assert rep.max.compare(max_value(22)) <= 0
+
+    @pytest.mark.parametrize("depth", [3, 11])
+    def test_explicit_depth_error_names_the_first_missing_generation(self, depth):
+        table = {(m, k): 1 for m in range(depth) for k in range(1 << m)}
+        with pytest.raises(SchemeDepthError, match=f"generation {depth} beyond explicit depth {depth}"):
+            grid_extrema(TakagiFunction(Explicit(table, depth)), 12)

@@ -64,6 +64,23 @@ class TestNamedSchemes:
             assert row.shape == (1 << m,)
             assert all(row[k] == s.theta(m, k) for k in range(1 << m))
 
+    @pytest.mark.parametrize("spec", BUILTIN_NAMES + ("bernoulli:1/3:7", "bernoulli:1:2", "bernoulli:0:2"))
+    @pytest.mark.parametrize("m", [0, 1, 5, 63, 64])
+    def test_thetas_match_rows_and_scalar_queries(self, spec, m):
+        s = parse_scheme(spec)
+        for negate in (False, True):
+            rng = np.random.default_rng(m)
+            k = rng.integers(0, 1 << min(m, 63), 64)
+            if m >= 63:
+                k[:2] = 0, (1 << 63) - 1
+                # rows of 2**63 entries cannot be built: the scalar definition
+                expected = np.array([s.theta(m, int(j)) for j in k])
+            else:
+                expected = s.row(m)[k]
+            got = s.thetas(m, k)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+            s = s.negated()
+
     def test_out_of_range(self):
         s = parse_scheme("all_plus")
         with pytest.raises(ValueError):
@@ -188,6 +205,13 @@ class TestExplicit:
         s = self.make(depth=3)
         with pytest.raises(SchemeDepthError):
             s.theta(3, 0)
+        with pytest.raises(SchemeDepthError):
+            s.thetas(3, np.array([0]))
+
+    def test_thetas(self):
+        s = self.make(depth=4)
+        k = np.array([5, 0, 7, 5])
+        assert s.thetas(3, k).tolist() == [s.theta(3, int(j)) for j in k]
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(ValueError):
