@@ -17,7 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from .gridscan import _merge
+from .gridscan import Extremum, _merge, block_extrema
 from .qfield import _SQRT2_F, Dyadic, QuadValue, pow2_half
 from .takagi import TakagiFunction, _check_level, pair_value
 
@@ -68,13 +68,14 @@ def grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
     """Exact max/min over the grid j/2**level by branch and bound; ties listed in order.
 
     Values are integer pairs at the level-N scale (N = level): x(j/2**N) =
-    (p + q*sqrt2) / 2**N.  The search starts from the full grid of level
-    s = min(N, SEED_LEVEL) and refines one generation at a time.  At level n
-    it keeps the alive cells [k/2**n, (k+1)/2**n] as their endpoint pairs,
-    drops the cells that cannot hold an extremum, and splits the rest at
-    their midpoints, which the midpoint recursion gives as (left + right)/2
-    plus theta(n, k) times the wedge height 2**(N - 1 - n + n//2) on p (n
-    even) or q (n odd).
+    (p + q*sqrt2) / 2**N.  Up to N = SEED_LEVEL the grid is screened whole
+    (``gridscan.block_extrema``).  Above, the search starts from the full
+    grid of level s = SEED_LEVEL and refines one generation at a time.  At
+    level n it keeps the alive cells [k/2**n, (k+1)/2**n] as their endpoint
+    pairs, drops the cells that cannot hold an extremum, and splits the rest
+    at their midpoints, which the midpoint recursion gives as (left +
+    right)/2 plus theta(n, k) times the wedge height 2**(N - 1 - n + n//2)
+    on p (n even) or q (n odd).
 
     Why a dropped cell holds no maximum (the minimum is symmetric).  On a
     level-n cell the generations below n add up to the chord between the
@@ -107,7 +108,24 @@ def grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
     if level < 1:
         raise ValueError("level must be >= 1")
     _check_level(level)
-    seed = min(level, SEED_LEVEL)
+    # at or below the seed level the seed grid is the whole search: one screen of its blocks
+    search = block_extrema(fn._blocks(level)) if level <= SEED_LEVEL else _search(fn, level)
+    (hi_p, hi_q, hi_ties), (lo_p, lo_q, lo_ties) = search
+    hi = pair_value(hi_p, hi_q, level)
+    lo = pair_value(lo_p, lo_q, level)
+    return ExtremaReport(
+        level=level,
+        max=hi,
+        argmax=[Dyadic(j, level) for j in hi_ties],
+        min=lo,
+        argmin=[Dyadic(j, level) for j in lo_ties],
+        oscillation=hi - lo,
+    )
+
+
+def _search(fn: TakagiFunction, level: int) -> tuple[Extremum, Extremum]:
+    """The branch and bound of ``grid_extrema`` from the seed grid, for level > SEED_LEVEL."""
+    seed = SEED_LEVEL
     pts = np.stack(fn.grid_pairs(seed)) << (level - seed)
     f = pts[1] * _SQRT2_F + pts[0]
     found = [(np.arange(0, (1 << level) + 1, 1 << (level - seed)), pts, f)]
@@ -128,19 +146,7 @@ def grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
         fa, fb, k = np.concatenate((fa, fm)), np.concatenate((fm, fb)), np.concatenate((2 * k, 2 * k + 1))
     idx, pts, f = (np.concatenate(part, axis=-1) for part in zip(*found))
     cand = np.flatnonzero((f >= hi - margin) | (f <= lo + margin))
-    (hi_p, hi_q, hi_ties), (lo_p, lo_q, lo_ties) = _merge(
-        idx[cand].tolist(), pts[0, cand].tolist(), pts[1, cand].tolist()
-    )
-    hi = pair_value(hi_p, hi_q, level)
-    lo = pair_value(lo_p, lo_q, level)
-    return ExtremaReport(
-        level=level,
-        max=hi,
-        argmax=[Dyadic(j, level) for j in hi_ties],
-        min=lo,
-        argmin=[Dyadic(j, level) for j in lo_ties],
-        oscillation=hi - lo,
-    )
+    return _merge(idx[cand].tolist(), pts[0, cand].tolist(), pts[1, cand].tolist())
 
 
 def grid_oscillation(fn: TakagiFunction, level: int) -> QuadValue:

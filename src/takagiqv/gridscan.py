@@ -9,8 +9,9 @@ endpoints: the blocks a grid streams in, or views of a full array in the
 same layout (``takagi.pair_blocks``).  Only the candidates' pairs are
 kept, the exact merge makes the result independent of the blocking, and
 scans run on the calling thread.  The extrema of a function's own grid
-need no scan: ``extrema.grid_extrema`` searches it by branch and bound
-and hands its candidates to the same exact merge, ``_merge``.
+above ``extrema.SEED_LEVEL`` need no scan: ``extrema.grid_extrema``
+searches it by branch and bound and hands its candidates to the same
+exact merge, ``_merge``.
 """
 
 from __future__ import annotations

@@ -1,30 +1,39 @@
 """Pathwise quadratic variation and covariation along dyadic partitions.
 
-The n-th dyadic partition is T_n = {k * 2**-n : k = 0..2**n}.  For a grid
-point t, the level-n approximations sum over the partition intervals
-[s, s'] contained in [0, t]:
+For t on the grid T_n = {k/2**n}, the level-n sums run over the intervals
+[s, s'] of T_n inside [0, t]: qv sums (x(s') - x(s))**2 and cov sums
+(x(s') - x(s)) * (y(s') - y(s)).  Each is an exact integer pair (a, b)
+worth (a + b*sqrt2) / 4**n.  For class members, with k = exp(t) and n >= k,
 
-    qv:   sum (x(s') - x(s))**2
-    cov:  sum (x(s') - x(s)) * (y(s') - y(s))
+    a_n = 2**(n-k) a_k + 2**n sum_{m=k}^{n-1} w_m,    b_n = 2**(n-k) b_k,
 
-so the value at t = 0 is 0 and at t = 1 the whole partition contributes.
-All increments are exact integer pairs scaled by 2**n, and every reported
-number is an exact element of Q(sqrt(2)).
+where w_m = S_m = sum_{i < t 2**m} theta_x(m, i) theta_y(m, i) for cov,
+t 2**m for qv (so q_n(t) = t + 2**(k-n) (q_k(t) - t), the paper's linear
+qv) and 2 (t 2**m + S_m) for the qv of x + y, which is q_x + q_y + 2c.
+Proof: e(m, j) has slope +-2**(m/2) on the left/right half of its cell, so
+2**n times a level-n increment is a sum over m < n of +-theta 2**(m/2).
+For m < m' the generation-m term is constant on a level-m' cell, and the
+generation-m' term takes opposite values on the equally many intervals of
+its two halves: their products cancel over the cell.  The generations
+below k are constant on a level-k cell, adding up to 2**k times the
+level-k increment L there, and each finer one sums to 0 over it.  So over
+a level-k cell the products of 2**n times the increments of x and y sum to
+2**(n-k) L_x L_y plus same-generation terms only, 2**m theta_x theta_y on
+each of the 2**(n-m) intervals of a generation-m cell.  Row i of qv_profile(x, N, 2**(N-k)),
+at t = i/2**k, is thus row i of the level-k profile mapped to a'_i =
+2**(N-k) a_i + i (2**(2N-k) - 2**N), b'_i = 2**(N-k) b_i.
 
-The sums run block by block over the grid (``TakagiFunction._blocks``, or
-views of a caller's pair grid): each block gives int64 dot products of its
-increments, and the blocks add up in Python ints, so no full-size array is
-formed.  A caller's pair grid is refused with ValueError when its entries
-or increments are too large for the int64 sums to be exact.  Profiles over
-levels (:func:`cov_profile`, :func:`counterexample_series`) stream one
-top-level grid per function and read from it every level whose stride
-fits in a block: the level-n grid is every 2**(N-n)-th point of the
-level-N grid, its pairs shifted right by N - n.  The coarser levels, of
-fewer points than a block, build their own grids.
-
-The covariation of the all-plus function with the generation-alternating
-one oscillates between two limits along even and odd levels;
-:func:`counterexample_series` tabulates the four subsequences.
+S_m is closed-form when x is y (t 2**m) or both schemes are constant in
+generation m ((-1)**m t 2**m for all_plus and alt_m).  Otherwise it adds
+int64 dot products of ``scheme.thetas(m, range)`` over chunks of at most
+``takagi.BLOCK`` indices, each exact as every product is +-1, in Python
+ints, and caches no row.  The level-k sums, a caller's pair grid (in
+general no class member) and stride-1 profiles are int64 dot products of
+each block's increments (``TakagiFunction._blocks``, or views of the pair
+grid) added in Python ints; a pair grid too large for them to be exact is
+refused with ValueError.  :func:`counterexample_series` tabulates the even
+and odd subsequences of the qv of the sum and the covariation of all_plus
+and alt_m, which tend to different limits.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 import numpy as np
 
 from .qfield import Dyadic, QuadValue, Rational, _as_fraction
-from .schemes import AllPlus, AlternatingM
+from .schemes import AllPlus, AlternatingM, Block as BlockScheme
 from .takagi import Block, TakagiFunction, _check_level, block_bits, pair_blocks, pair_value, prefix_blocks
 
 PairGrid = tuple[np.ndarray, np.ndarray]
@@ -119,6 +128,9 @@ Increments = tuple[np.ndarray, np.ndarray]
 #: of one grid, and of the sum of two, fit int64.
 _ENTRY_LIMIT = 1 << 61
 
+#: Schemes whose coefficients are all equal within each generation.
+_CONSTANT = (AllPlus, AlternatingM, BlockScheme)
+
 
 def _blocks(x: GridLike, level: int) -> Iterator[Block]:
     """The level grid of x as blocks; a caller's pair grid is checked for int64 room."""
@@ -133,7 +145,7 @@ def _checked_blocks(p: np.ndarray, q: np.ndarray) -> Iterator[Block]:
     With d the largest increment size in a block of w intervals, each
     increment of the grid, or of its sum with another such grid, is at most
     2d in size, and every int64 sum below (a dot product, or p.p + 2 q.q
-    per profile row) is at most 3 * w * (2d)**2.
+    per interval) is at most 3 * w * (2d)**2.
     """
     for a in (p, q):
         if max(-int(a.min()), int(a.max())) >= _ENTRY_LIMIT:
@@ -145,18 +157,12 @@ def _checked_blocks(p: np.ndarray, q: np.ndarray) -> Iterator[Block]:
         yield off, bp, bq
 
 
-def _diffs(p: np.ndarray, q: np.ndarray, stride: int, buf: np.ndarray | None = None) -> Increments:
-    """Increments of p and q between every stride-th point, in the rows of buf if given.
-
-    Blocks are summed one after another in the same scratch rows: fresh
-    arrays of block size would take new pages every time.
-    """
-    m = (len(p) - 1) // stride
-    if buf is None:
-        buf = np.empty((2, m), dtype=np.int64)
-    dp, dq = buf[0, :m], buf[1, :m]
-    np.subtract(p[stride::stride], p[:-stride:stride], out=dp)
-    np.subtract(q[stride::stride], q[:-stride:stride], out=dq)
+def _diffs(p: np.ndarray, q: np.ndarray, buf: np.ndarray) -> Increments:
+    """Increments of p and q in the rows of buf: blocks are summed one after
+    another in the same scratch rows, as fresh arrays would take new pages."""
+    dp, dq = buf[0, : len(p) - 1], buf[1, : len(p) - 1]
+    np.subtract(p[1:], p[:-1], out=dp)
+    np.subtract(q[1:], q[:-1], out=dq)
     return dp, dq
 
 
@@ -170,8 +176,7 @@ def _cross(dx: Increments, dy: Increments) -> tuple[int, int]:
 
 
 def _square(d: Increments) -> tuple[int, int]:
-    dp, dq = d
-    return int(np.dot(dp, dp)) + 2 * int(np.dot(dq, dq)), 2 * int(np.dot(dp, dq))
+    return _cross(d, d)
 
 
 def _sum_sq(dx: Increments, dy: Increments) -> tuple[int, int]:
@@ -181,88 +186,99 @@ def _sum_sq(dx: Increments, dy: Increments) -> tuple[int, int]:
     return _square(dx)
 
 
-def _reduce(kernel: Callable[..., tuple[int, int]], level: int, t: Dyadic | Rational,
-            *grids: GridLike) -> QuadValue:
-    """kernel's sum over [0, t] at one level."""
-    (a, b), = _level_sums(kernel, grids, level, t, level)
-    return pair_value(a, b, 2 * level)
+def _agreement(x: TakagiFunction, y: TakagiFunction, m: int, j: int) -> int:
+    """S_m = sum_{i<j} theta_x(m, i) * theta_y(m, i), closed-form or in chunks of
+    at most one block (module docstring); no row is built or cached."""
+    sx, sy = x.scheme, y.scheme
+    # reads generation m, so a scheme that stops before it raises as its grid would
+    sign = sx.theta(m, 0) * sy.theta(m, 0)
+    if sx is sy:
+        return j
+    if isinstance(sx, _CONSTANT) and isinstance(sy, _CONSTANT):
+        return sign * j
+    width = 1 << block_bits(m)
+    total = 0
+    for lo in range(0, j, width):
+        k = np.arange(lo, min(lo + width, j), dtype=np.int64)
+        total += int(np.dot(sx.thetas(m, k), sy.thetas(m, k)))
+    return total
+
+
+def _levels(kernel: Callable[..., tuple[int, int]], grids: tuple[GridLike, ...], top: int,
+            t: Dyadic | Rational, lo: int) -> list[QuadValue]:
+    """kernel's sums over [0, t] at every level lo..top.
+
+    Class members are summed on their level-k grids, k = exp(t), and carried
+    up by the identity of the module docstring, whose w_m is S_m of the
+    first and the last grid (t*2**m for one grid) or, for the qv of a sum,
+    2*(t*2**m + S_m).  A caller's pair grid, with lo = top, is summed on its
+    own grid.  Blocks past t are never built.
+    """
+    _check_level(top)
+    t = _grid_index(top, t)
+    k = t.exp if all(isinstance(g, TakagiFunction) for g in grids) else top
+    bufs = [np.empty((2, 1 << block_bits(k)), dtype=np.int64) for _ in grids]
+    blocks = zip(*[prefix_blocks(_blocks(g, k), k, t.numerator_at(k)) for g in grids])
+    sums = [kernel(*[_diffs(p, q, buf) for (p, q), buf in zip(parts, bufs)]) for parts in blocks]
+    a, b = map(sum, zip(*sums))
+    out, w = [], 0
+    for n in range(k, top + 1):
+        if n >= lo:
+            out.append(pair_value((a << n - k) + (w << n), b << n - k, 2 * n))
+        if n < top:
+            j = t.numerator_at(n)
+            s = _agreement(grids[0], grids[-1], n, j)
+            w += 2 * (j + s) if kernel is _sum_sq else s
+    return out
 
 
 def qv_approx(x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """Level-n squared-increment sum of x over [0, t], exact."""
-    return _reduce(_square, level, t, x)
+    return _levels(_square, (x,), level, t, level)[0]
 
 
 def cov_approx(x: GridLike, y: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """Level-n cross-increment sum of x and y over [0, t], exact."""
-    return _reduce(_cross, level, t, x, y)
+    return _levels(_cross, (x, y), level, t, level)[0]
 
 
 def qv_of_sum(x: GridLike, y: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """Level-n squared-increment sum of x + y; polarization partner of cov."""
-    return _reduce(_sum_sq, level, t, x, y)
+    return _levels(_sum_sq, (x, y), level, t, level)[0]
+
+
+def _running_sums(x: GridLike, level: int) -> tuple[list[int], list[int]]:
+    """The running qv sums (a, b) at every point of the level grid, block by block."""
+    part_a: list[int] = []
+    part_b: list[int] = []
+    buf = np.empty((2, 1 << block_bits(level)), dtype=np.int64)
+    for _, p, q in _blocks(x, level):
+        dp, dq = _diffs(p, q, buf)
+        part_a += (dp * dp + 2 * dq * dq).tolist()
+        part_b += (2 * dp * dq).tolist()
+    return list(accumulate(part_a, initial=0)), list(accumulate(part_b, initial=0))
 
 
 def qv_profile(x: GridLike, level: int, stride: int = 1) -> QVSeries:
-    """The running qv along the level-n grid, one row per stride-th point."""
+    """The running qv along the level-n grid, one row per stride-th point.
+
+    For a class member with stride 2**(level-k) > 1 the rows are the
+    stride-1 profile of its level-k grid, mapped as in the module docstring.
+    """
     _check_level(level)
     if stride < 1 or (1 << level) % stride:
         raise ValueError(f"stride {stride} must divide 2**{level}")
-    part_a: list[int] = []
-    part_b: list[int] = []
-    buf = None
-    for _, p, q in _blocks(x, level):
-        if buf is None:
-            buf = np.empty((2, len(p) - 1), dtype=np.int64)
-        # one sum per stride, or per block when a stride spans several
-        w = min(stride, len(p) - 1)
-        dp, dq = (d.reshape(-1, w) for d in _diffs(p, q, 1, buf))
-        part_a += (np.einsum("ij,ij->i", dp, dp) + 2 * np.einsum("ij,ij->i", dq, dq)).tolist()
-        part_b += (2 * np.einsum("ij,ij->i", dp, dq)).tolist()
-    per_row = len(part_a) * stride >> level
-    if per_row > 1:
-        part_a = [sum(part_a[i : i + per_row]) for i in range(0, len(part_a), per_row)]
-        part_b = [sum(part_b[i : i + per_row]) for i in range(0, len(part_b), per_row)]
-    sums = ProfileSums(level, stride, list(accumulate(part_a, initial=0)),
-                       list(accumulate(part_b, initial=0)))
-    return QVSeries("qv", sums=sums)
-
-
-def _level_sums(
-    kernel: Callable[..., tuple[int, ...]], grids: tuple[GridLike, ...], top: int,
-    t: Dyadic | Rational, lo: int,
-) -> list[tuple[int, ...]]:
-    """kernel's sums over [0, t] at every level lo..top, from one streamed top grid each.
-
-    Every sum is formed at top scale: the level-n grid is every s-th point
-    of the level-top grid, s = 2**(top-n), its pairs shifted right by
-    top - n, so a sum of products of two increments is the same sum at top
-    scale shifted right by 2*(top - n).  Levels whose stride fits in a
-    block are summed from strided views of each block; each block gives
-    int64 sums, added up in Python ints, and blocks past t are never
-    built.  A coarser level n reads its own small grid (``grid_pairs(n)``)
-    shifted left by top - n.  A caller's pair grid is checked for its own
-    increments only, so it takes lo = top.
-    """
-    _check_level(top)
-    j = _grid_index(top, t).numerator_at(top)
-    bits = block_bits(top)
-    bufs = [np.empty((2, 1 << bits), dtype=np.int64) for _ in grids]
-    sums: dict[int, list[int]] = {}
-
-    def add(n: int, stride: int, parts: list[PairGrid], bufs: list) -> None:
-        got = kernel(*[_diffs(p, q, stride, b) for (p, q), b in zip(parts, bufs)])
-        sums[n] = [u + v for u, v in zip(got, sums[n])] if n in sums else list(got)
-
-    for parts in zip(*[prefix_blocks(_blocks(g, top), top, j) for g in grids]):
-        for n in range(max(lo, top - bits), top + 1):
-            add(n, 1 << (top - n), parts, bufs)
-    for n in range(lo, top - bits):
-        # t is on the level-lo grid, so j is a whole number of level-n intervals
-        shift = top - n
-        parts = [tuple(a[: (j >> shift) + 1] << shift for a in g.grid_pairs(n)) for g in grids]
-        add(n, 1, parts, [None] * len(grids))
-    return [tuple(v >> 2 * (top - n) for v in sums[n]) for n in range(lo, top + 1)]
+    k = level - stride.bit_length() + 1
+    if stride == 1 or not isinstance(x, TakagiFunction):
+        a, b = _running_sums(x, level)
+        a, b = a[::stride], b[::stride]
+    else:
+        a, b = _running_sums(x, k)
+        # sum_{m=k}^{level-1} S_m(x, x) at t = 2**-k is 2**(level-k) - 1
+        step = sum(_agreement(x, x, m, 1 << m - k) for m in range(k, level)) << level
+        a = [(v << level - k) + i * step for i, v in enumerate(a)]
+        b = [v << level - k for v in b]
+    return QVSeries("qv", sums=ProfileSums(level, stride, a, b))
 
 
 def _first_level(t: Dyadic) -> int:
@@ -277,9 +293,8 @@ def cov_profile(x: TakagiFunction, y: TakagiFunction, n_max: int, t: Dyadic | Ra
     lo = _first_level(t)
     if n_max < lo:
         return QVSeries("covariation", [])
-    sums = _level_sums(_cross, (x, y), n_max, t, lo)
-    rows = [QVRow(n, t, pair_value(a, b, 2 * n)) for n, (a, b) in enumerate(sums, lo)]
-    return QVSeries("covariation", rows)
+    sums = _levels(_cross, (x, y), n_max, t, lo)
+    return QVSeries("covariation", [QVRow(n, t, v) for n, v in enumerate(sums, lo)])
 
 
 class CounterexampleStudy(NamedTuple):
@@ -298,10 +313,6 @@ COV_LIMIT_EVEN = Fraction(-1, 3)
 COV_LIMIT_ODD = Fraction(1, 3)
 
 
-def _cov_and_sum_sq(dx: Increments, dy: Increments) -> tuple[int, int, int, int]:
-    return (*_cross(dx, dy), *_sum_sq(dx, dy))
-
-
 def counterexample_series(n_max: int, t: Dyadic | Rational) -> CounterexampleStudy:
     """Tabulate qv-of-sum and covariation subsequences for (all_plus, alt_m).
 
@@ -314,25 +325,12 @@ def counterexample_series(n_max: int, t: Dyadic | Rational) -> CounterexampleStu
     n0 = _first_level(t)
     if n_max < n0:
         raise ValueError(f"n_max={n_max} below the first level {n0} carrying t={t}")
-    x = TakagiFunction(AllPlus())
-    y = TakagiFunction(AlternatingM())
-    tf = t.as_fraction()
-    buckets: dict[str, list[QVRow]] = {k: [] for k in ("even_qv", "odd_qv", "even_cov", "odd_cov")}
-    sums = _level_sums(_cov_and_sum_sq, (x, y), n_max, t, n0)
-    for n, (ca, cb, sa, sb) in enumerate(sums, n0):
-        cov, qsum = pair_value(ca, cb, 2 * n), pair_value(sa, sb, 2 * n)
-        even = n % 2 == 0
-        cov_lim = (COV_LIMIT_EVEN if even else COV_LIMIT_ODD) * tf
-        sum_lim = (SUM_LIMIT_EVEN if even else SUM_LIMIT_ODD) * tf
-        buckets["even_cov" if even else "odd_cov"].append(
-            QVRow(n, t, cov, abs(cov - cov_lim))
-        )
-        buckets["even_qv" if even else "odd_qv"].append(
-            QVRow(n, t, qsum, abs(qsum - sum_lim))
-        )
-    return CounterexampleStudy(
-        even_qv=QVSeries("qv_of_sum", buckets["even_qv"]),
-        odd_qv=QVSeries("qv_of_sum", buckets["odd_qv"]),
-        even_cov=QVSeries("covariation", buckets["even_cov"]),
-        odd_cov=QVSeries("covariation", buckets["odd_cov"]),
-    )
+    x, y = TakagiFunction(AllPlus()), TakagiFunction(AlternatingM())
+    rows: dict[str, list[QVRow]] = {k: [] for k in CounterexampleStudy._fields}
+    for name, kernel, limits in (("qv", _sum_sq, (SUM_LIMIT_EVEN, SUM_LIMIT_ODD)),
+                                 ("cov", _cross, (COV_LIMIT_EVEN, COV_LIMIT_ODD))):
+        for n, v in enumerate(_levels(kernel, (x, y), n_max, t, n0), n0):
+            distance = abs(v - limits[n % 2] * t.as_fraction())
+            rows[("odd_" if n % 2 else "even_") + name].append(QVRow(n, t, v, distance))
+    return CounterexampleStudy(*(QVSeries("covariation" if k.endswith("cov") else "qv_of_sum", r)
+                                 for k, r in rows.items()))

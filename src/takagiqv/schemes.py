@@ -333,6 +333,10 @@ class Explicit(CoefficientScheme):
             )
         return self.table[(m, k)]
 
+    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
+        # one table lookup per index, not a whole row per call
+        return np.array([self.theta(m, int(j)) for j in k], dtype=np.int64)
+
     @classmethod
     def load(cls, path: str | Path) -> Explicit:
         """Read the text format: header ``depth D``, then lines ``m k s``.

@@ -32,12 +32,13 @@ from takagiqv.quadvar import (
     CounterexampleStudy,
     QVRow,
     QVSeries,
+    _blocks,
     _grid_index,
     _pairs,
 )
 from takagiqv.schauder import eval_e
 from takagiqv.schemes import AllPlus, AlternatingM
-from takagiqv.takagi import TakagiFunction, pair_value
+from takagiqv.takagi import TakagiFunction, _check_level, block_bits, pair_value, prefix_blocks
 
 
 def oracle_partial(fn: TakagiFunction, n: int, t: Fraction) -> QuadValue:
@@ -264,6 +265,40 @@ def oracle_counterexample_series(n_max: int, t) -> CounterexampleStudy:
         even_cov=QVSeries("covariation", buckets["even_cov"]),
         odd_cov=QVSeries("covariation", buckets["odd_cov"]),
     )
+
+
+def _oracle_strided_diffs(p: np.ndarray, q: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    return p[stride::stride] - p[:-stride:stride], q[stride::stride] - q[:-stride:stride]
+
+
+def oracle_level_sums(kernel, grids, top: int, t, lo: int) -> list[tuple[int, ...]]:
+    """kernel's integer sums over [0, t] at every level lo..top, from one streamed top grid each.
+
+    The level sums as they were before the closed form across levels: the
+    level-n grid is every s-th point of the level-top grid, s = 2**(top-n),
+    its pairs shifted right by top - n, so a sum of products of two
+    increments is the same sum at top scale shifted right by 2*(top - n).
+    Levels whose stride fits in a block are summed from strided views of
+    each block; a coarser level n reads its own grid (``grid_pairs(n)``)
+    shifted left by top - n.
+    """
+    _check_level(top)
+    j = _grid_index(top, t).numerator_at(top)
+    bits = block_bits(top)
+    sums: dict[int, list[int]] = {}
+
+    def add(n: int, stride: int, parts) -> None:
+        got = kernel(*[_oracle_strided_diffs(p, q, stride) for p, q in parts])
+        sums[n] = [u + v for u, v in zip(got, sums[n])] if n in sums else list(got)
+
+    for parts in zip(*[prefix_blocks(_blocks(g, top), top, j) for g in grids]):
+        for n in range(max(lo, top - bits), top + 1):
+            add(n, 1 << (top - n), parts)
+    for n in range(lo, top - bits):
+        # t is on the level-lo grid, so j is a whole number of level-n intervals
+        shift = top - n
+        add(n, 1, [tuple(a[: (j >> shift) + 1] << shift for a in g.grid_pairs(n)) for g in grids])
+    return [tuple(v >> 2 * (top - n) for v in sums[n]) for n in range(lo, top + 1)]
 
 
 def oracle_decimal(v: QuadValue, digits: int) -> str:

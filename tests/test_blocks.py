@@ -2,7 +2,7 @@
 
 The block width is forced down to 2, 8 and 64 intervals so that grids of
 level <= 12 run through many blocks: strides wider than a block, times
-inside a block, coarse profile levels read from their own grids,
+inside a block, coefficient sums over several block-wide chunks,
 modulus lags inside, equal to and wider than a block, modulus sweeps
 whose lag tiles (at most one block of increments) split around the block
 width, and ties on the endpoint two blocks share.

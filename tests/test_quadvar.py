@@ -1,13 +1,19 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from takagiqv import takagi
 from takagiqv.qfield import Dyadic, QuadValue
 from takagiqv.quadvar import (
+    _cross,
+    _square,
+    _sum_sq,
     counterexample_series,
     cov_approx,
+    cov_profile,
     qv_approx,
     qv_of_sum,
     qv_profile,
@@ -15,7 +21,7 @@ from takagiqv.quadvar import (
 from takagiqv.schemes import BUILTIN_NAMES, parse_scheme
 from takagiqv.takagi import TakagiFunction
 
-from conftest import oracle_cov, oracle_qv
+from conftest import oracle_cov, oracle_level_sums, oracle_qv
 
 ALL_SCHEMES = BUILTIN_NAMES + ("bernoulli:1/2:1",)
 
@@ -233,3 +239,71 @@ def test_int64_bounds_behind_grid_level_cap(spec):
         for v in [total] + blocks:
             assert v.a.denominator == v.b.denominator == 1
             assert abs(v.a) < bound and abs(v.b) < bound
+
+
+def ints(v: QuadValue, level: int) -> tuple[int, int]:
+    """A level sum (a + b*sqrt2) / 4**level as its integer pair (a, b)."""
+    a, b = v.a * 4**level, v.b * 4**level
+    assert a.denominator == b.denominator == 1
+    return int(a), int(b)
+
+
+class TestLevelIdentity:
+    """The closed form across levels against the strided-view sums it replaced."""
+
+    SPECS = BUILTIN_NAMES + ("bernoulli:1/3:5", "bernoulli:2/5:3", "bernoulli:0:1", "bernoulli:1/2:-9")
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_matches_the_strided_oracle(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        # narrow blocks send coarse levels through the oracle's own small grids
+        monkeypatch.setattr(takagi, "BLOCK", rng.choice([2, 8, 64, 1 << 16]))
+        x = fn(rng.choice(self.SPECS))
+        y = x if rng.random() < 0.2 else fn(rng.choice(self.SPECS))
+        k = rng.randint(0, 8)
+        n = rng.randint(max(k, 1), 14)
+        j = (0, 1 << k)[seed % 2] if seed < 8 else rng.randrange((1 << k) + 1)
+        t = Dyadic(j, k)
+        assert ints(qv_approx(x, n, t), n) == oracle_level_sums(_square, (x,), n, t, n)[0]
+        assert ints(cov_approx(x, y, n, t), n) == oracle_level_sums(_cross, (x, y), n, t, n)[0]
+        assert ints(qv_of_sum(x, y, n, t), n) == oracle_level_sums(_sum_sq, (x, y), n, t, n)[0]
+        lo = max(1, t.exp)
+        rows = cov_profile(x, y, n, t).rows
+        assert [r.level for r in rows] == list(range(lo, n + 1))
+        assert [ints(r.value, r.level) for r in rows] == oracle_level_sums(_cross, (x, y), n, t, lo)
+        study = counterexample_series(n, t)
+        ap, am = fn("all_plus"), fn("alt_m")
+        for name, kernel in (("cov", _cross), ("qv", _sum_sq)):
+            both = [r for par in ("even", "odd") for r in getattr(study, f"{par}_{name}").rows]
+            got = sorted(both, key=lambda r: r.level)
+            want = oracle_level_sums(kernel, (ap, am), n, t, lo)
+            assert [ints(r.value, r.level) for r in got] == want
+        sums = qv_profile(x, n, 1 << (n - k)).sums
+        assert len(sums.a) == (1 << k) + 1
+        for i in {0, 1 << k, *(rng.randrange((1 << k) + 1) for _ in range(6))}:
+            want = oracle_level_sums(_square, (x,), n, Dyadic(i, k), n)[0]
+            assert (sums.a[i], sums.b[i]) == want
+
+
+class TestReadsOnlyTheCoarseGrid:
+    def test_cov_profile_caches_no_row(self):
+        x, y = fn("bernoulli:1/3:7"), fn("bernoulli:2/3:8")
+        cov_profile(x, y, 18, 1)
+        assert x._rows == {} and y._rows == {}
+        # t = 5/8 reads the level-3 grid, and so rows 0..2 alone
+        cov_profile(x, y, 18, F(5, 8))
+        assert set(x._rows) == set(y._rows) == {0, 1, 2}
+
+    @pytest.mark.parametrize("spec", ["alt_mk", "bernoulli:1/3:7"])
+    def test_strided_profile_never_streams_the_fine_grid(self, spec, monkeypatch):
+        f = fn(spec)
+        levels, streamed = [], f._blocks
+
+        def recording(level):
+            levels.append(level)
+            return streamed(level)
+
+        monkeypatch.setattr(f, "_blocks", recording)
+        qv_profile(f, 20, 1 << 12)
+        assert levels == [8]
+        assert max(f._rows, default=-1) < 8
