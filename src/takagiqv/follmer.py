@@ -49,8 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from .qfield import QuadValue, Rational, _as_fraction, Dyadic
-from .quadvar import GridLike, PairGrid, _grid_index, _pairs
-from .takagi import TakagiFunction, pair_blocks, pair_value, prefix_blocks
+from .takagi import GridLike, PairGrid, _grid_index, grid_blocks, pair_value, prefix_blocks
 
 
 #: Largest exponent size taken in a coefficient such as 1e3000.
@@ -162,8 +161,7 @@ def _times(a: np.ndarray, b: np.ndarray, r: np.ndarray, out: np.ndarray, tmp: np
 def _chunks(x: GridLike, level: int, n: int) -> Iterator[PairGrid]:
     """Points 0 .. n of the level grid of x in chunks of at most _CHUNK
     intervals that share endpoints; blocks past n are never built."""
-    blocks = x._blocks(level) if isinstance(x, TakagiFunction) else pair_blocks(*_pairs(x, level))
-    for p, q in prefix_blocks(blocks, level, n):
+    for p, q in prefix_blocks(grid_blocks(x, level), level, n):
         for lo in range(0, max(len(p) - 1, 1), _CHUNK):
             yield p[lo : lo + _CHUNK + 1], q[lo : lo + _CHUNK + 1]
 
@@ -225,8 +223,7 @@ def _riemann_value(g: RationalPolynomial, sums: list[list[int]], level: int) -> 
     sp = sq = 0
     for ai, (s_p, s_q) in zip(a, sums):  # Horner in 2**level
         sp, sq = (sp << level) + ai * s_p, (sq << level) + ai * s_q
-    scale = den << (level * len(a))
-    return QuadValue(Fraction(sp, scale), Fraction(sq, scale))
+    return QuadValue.from_pair(sp, sq, den << (level * len(a)))
 
 
 def follmer_sum(g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:

@@ -4,14 +4,13 @@ Scans run in two stages.  A float pass in one float64 buffer per block
 narrows the values to a small candidate set for the maximum and the
 minimum together, using a rigorous error bound; then exact integer
 comparisons over the candidates decide both winners and collect every
-tie.  A scan of arrays is ``block_extrema`` over blocks that share
-endpoints: the blocks a grid streams in, or views of a full array in the
-same layout (``takagi.pair_blocks``).  Only the candidates' pairs are
-kept, the exact merge makes the result independent of the blocking, and
-scans run on the calling thread.  The extrema of a function's own grid
-above ``extrema.SEED_LEVEL`` need no scan: ``extrema.grid_extrema``
-searches it by branch and bound and hands its candidates to the same
-exact merge, ``_merge``.
+tie.  ``block_extrema`` scans the blocks a grid streams in, which share
+endpoints; arrays of any length are screened as one block.  Only the
+candidates' pairs are kept, the exact merge makes the result independent
+of the blocking, and scans run on the calling thread.  The extrema of a
+function's own grid above ``extrema.SEED_LEVEL`` need no scan:
+``extrema.grid_extrema`` searches it by branch and bound and hands its
+candidates to the same exact merge, ``_merge``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from typing import Iterable
 import numpy as np
 
 from .qfield import _SQRT2_F, sign_pair
-from .takagi import pair_blocks
 
 
 #: (p*, q*, sorted tie indices) of one exact extremum.
@@ -87,7 +85,7 @@ def block_extrema(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> tuple
 
 def exact_extrema(p: np.ndarray, q: np.ndarray) -> tuple[Extremum, Extremum]:
     """Exact maximum and minimum of p[i] + q[i]*sqrt(2), from one screen."""
-    return block_extrema(pair_blocks(p, q))
+    return block_extrema([(0, p, q)])
 
 
 def exact_argmax(p: np.ndarray, q: np.ndarray) -> Extremum:

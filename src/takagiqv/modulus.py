@@ -73,8 +73,7 @@ def omega(h: Rational) -> QuadValue:
         (s + 2d + (s + d) sqrt2) / (3d * 2**(nu//2))          for odd nu.
     """
     h = _as_fraction(h)
-    p, q, den = _omega_pair(h.numerator, h.denominator)
-    return QuadValue(Fraction(p, den), Fraction(q, den))
+    return QuadValue.from_pair(*_omega_pair(h.numerator, h.denominator))
 
 
 def _omega_pair(a: int, d: int) -> tuple[int, int, int]:
@@ -112,8 +111,7 @@ class ModulusReport:
 
     @property
     def omega(self) -> QuadValue:
-        p, q, den = _omega_pair(self.j, 1 << self.level)
-        return QuadValue(Fraction(p, den), Fraction(q, den))
+        return QuadValue.from_pair(*_omega_pair(self.j, 1 << self.level))
 
     @property
     def scan_max(self) -> QuadValue:
@@ -204,8 +202,7 @@ def _lag_scan(p: np.ndarray, q: np.ndarray, first: int, last: int) -> list[tuple
 
 def modulus_scan(fn: TakagiFunction, grid_level: int, h: Dyadic | Rational) -> ModulusReport:
     """Exact max of |x(t + h) - x(t)| over grid t with t + h <= 1."""
-    if not isinstance(h, Dyadic):
-        h = Dyadic.from_fraction(_as_fraction(h))
+    h = Dyadic.coerce(h)
     j = h.numerator_at(grid_level) if h.exp <= grid_level else 0
     if not 0 < j <= 1 << grid_level:
         raise ValueError(f"h={h} is not a positive step on the level-{grid_level} grid")

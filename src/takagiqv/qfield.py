@@ -143,6 +143,11 @@ class QuadValue:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadValue is immutable")
 
+    @classmethod
+    def from_pair(cls, p: int, q: int, d: int) -> QuadValue:
+        """(p + q*sqrt(2)) / d for integers p, q, d; the inverse of :meth:`pair`."""
+        return cls(Fraction(p, d), Fraction(q, d))
+
     def conjugate(self) -> QuadValue:
         return QuadValue(self.a, -self.b)
 
@@ -318,6 +323,10 @@ class Dyadic:
         if den & (den - 1):
             raise ValueError(f"{x} is not a dyadic rational")
         return cls(x.numerator, den.bit_length() - 1)
+
+    @classmethod
+    def coerce(cls, t: Dyadic | Rational) -> Dyadic:
+        return t if isinstance(t, Dyadic) else cls.from_fraction(t)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)

@@ -1,15 +1,16 @@
 """Pathwise quadratic variation and covariation along dyadic partitions.
 
 For t on the grid T_n = {k/2**n}, the level-n sums run over the intervals
-[s, s'] of T_n inside [0, t]: qv sums (x(s') - x(s))**2 and cov sums
-(x(s') - x(s)) * (y(s') - y(s)).  Each is an exact integer pair (a, b)
-worth (a + b*sqrt2) / 4**n.  For class members, with k = exp(t) and n >= k,
+[s, s'] of T_n inside [0, t]: the covariation of x and y sums (x(s') -
+x(s)) * (y(s') - y(s)) as an exact integer pair (a, b) worth (a + b*sqrt2)
+/ 4**n.  The qv of x is that of x with itself, and the qv of x + y is
+qv(x) + qv(y) + 2 cov(x, y) (polarization).  For class members, with
+k = exp(t) and n >= k,
 
-    a_n = 2**(n-k) a_k + 2**n sum_{m=k}^{n-1} w_m,    b_n = 2**(n-k) b_k,
+    a_n = 2**(n-k) a_k + 2**n sum_{m=k}^{n-1} S_m,    b_n = 2**(n-k) b_k,
 
-where w_m = S_m = sum_{i < t 2**m} theta_x(m, i) theta_y(m, i) for cov,
-t 2**m for qv (so q_n(t) = t + 2**(k-n) (q_k(t) - t), the paper's linear
-qv) and 2 (t 2**m + S_m) for the qv of x + y, which is q_x + q_y + 2c.
+where S_m = sum_{i < t 2**m} theta_x(m, i) theta_y(m, i), which is t 2**m
+for the qv (so q_n(t) = t + 2**(k-n) (q_k(t) - t), the paper's linear qv).
 Proof: e(m, j) has slope +-2**(m/2) on the left/right half of its cell, so
 2**n times a level-n increment is a sum over m < n of +-theta 2**(m/2).
 For m < m' the generation-m term is constant on a level-m' cell, and the
@@ -23,17 +24,17 @@ each of the 2**(n-m) intervals of a generation-m cell.  Row i of qv_profile(x, N
 at t = i/2**k, is thus row i of the level-k profile mapped to a'_i =
 2**(N-k) a_i + i (2**(2N-k) - 2**N), b'_i = 2**(N-k) b_i.
 
-S_m is closed-form when x is y (t 2**m) or both schemes are constant in
-generation m ((-1)**m t 2**m for all_plus and alt_m).  Otherwise it adds
-int64 dot products of ``scheme.thetas(m, range)`` over chunks of at most
-``takagi.BLOCK`` indices, each exact as every product is +-1, in Python
-ints, and caches no row.  The level-k sums, a caller's pair grid (in
-general no class member) and stride-1 profiles are int64 dot products of
-each block's increments (``TakagiFunction._blocks``, or views of the pair
-grid) added in Python ints; a pair grid too large for them to be exact is
-refused with ValueError.  :func:`counterexample_series` tabulates the even
-and odd subsequences of the qv of the sum and the covariation of all_plus
-and alt_m, which tend to different limits.
+S_m is closed-form when the schemes have the same coefficients (t 2**m)
+or are both constant in generation m ((-1)**m t 2**m for all_plus and
+alt_m).  Otherwise it adds int64 dot products of ``scheme.thetas(m,
+range)`` over chunks of at most ``takagi.BLOCK`` indices, each exact as
+every product is +-1, in Python ints, and caches no row.  The level-k
+sums, a caller's pair grid (in general no class member) and stride-1
+profiles are int64 dot products of each block's increments
+(``takagi.grid_blocks``) added in Python ints; a pair grid too large for
+them to be exact is refused with ValueError.  :func:`counterexample_series`
+tabulates the even and odd subsequences of the qv of the sum and the
+covariation of all_plus and alt_m, which tend to different limits.
 """
 
 from __future__ import annotations
@@ -41,16 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .qfield import Dyadic, QuadValue, Rational, _as_fraction
+from .qfield import Dyadic, QuadValue, Rational
 from .schemes import AllPlus, AlternatingM, Block as BlockScheme
-from .takagi import Block, TakagiFunction, _check_level, block_bits, pair_blocks, pair_value, prefix_blocks
-
-PairGrid = tuple[np.ndarray, np.ndarray]
-GridLike = Union[TakagiFunction, PairGrid]
+from .takagi import (Block, GridLike, PairGrid, TakagiFunction, _check_level, _grid_index, block_bits,
+                     grid_blocks, pair_value, prefix_blocks)
 
 
 @dataclass(frozen=True)
@@ -104,24 +103,6 @@ class QVSeries:
         return f"QVSeries({self.tag!r}, {self.rows!r})"
 
 
-def _grid_index(level: int, t: Dyadic | Rational) -> Dyadic:
-    if not isinstance(t, Dyadic):
-        t = Dyadic.from_fraction(_as_fraction(t))
-    if not 0 <= t.as_fraction() <= 1:
-        raise ValueError(f"t={t} outside [0, 1]")
-    if t.exp > level:
-        raise ValueError(f"t={t} not on the level-{level} dyadic grid")
-    return t
-
-
-def _pairs(x: PairGrid, level: int) -> PairGrid:
-    """A caller's pair grid as arrays, refused unless it has the length of a level grid."""
-    p, q = (np.asarray(a) for a in x)
-    if len(p) != (1 << level) + 1:
-        raise ValueError("pair grid has wrong length for this level")
-    return p, q
-
-
 Increments = tuple[np.ndarray, np.ndarray]
 
 #: Entries of a caller's pair grid stay below this size, so the increments
@@ -133,24 +114,23 @@ _CONSTANT = (AllPlus, AlternatingM, BlockScheme)
 
 
 def _blocks(x: GridLike, level: int) -> Iterator[Block]:
-    """The level grid of x as blocks; a caller's pair grid is checked for int64 room."""
-    if isinstance(x, TakagiFunction):
-        return x._blocks(level)  # GRID_LEVEL_CAP bounds every sum formed below
-    return _checked_blocks(*_pairs(x, level))
+    """The level grid of x as blocks; a pair grid is checked for int64 room (GRID_LEVEL_CAP bounds the rest)."""
+    blocks = grid_blocks(x, level)
+    return blocks if isinstance(x, TakagiFunction) else _checked_blocks(x, blocks)
 
 
-def _checked_blocks(p: np.ndarray, q: np.ndarray) -> Iterator[Block]:
-    """Views of a pair grid; ValueError before an int64 sum over a block could overflow.
+def _checked_blocks(x: PairGrid, blocks: Iterator[Block]) -> Iterator[Block]:
+    """The blocks of the pair grid x; ValueError before an int64 sum over a block could overflow.
 
-    With d the largest increment size in a block of w intervals, each
-    increment of the grid, or of its sum with another such grid, is at most
-    2d in size, and every int64 sum below (a dot product, or p.p + 2 q.q
-    per interval) is at most 3 * w * (2d)**2.
+    With d the largest increment size in a block of w intervals, every
+    int64 sum below (a dot product, or p.p + 2 q.q per interval) is at most
+    3 * w * d**2.  The check keeps a factor 4 over that: room for increments
+    of 2d, those of the sum of two such grids.
     """
-    for a in (p, q):
-        if max(-int(a.min()), int(a.max())) >= _ENTRY_LIMIT:
+    for a in x:
+        if max(-int(np.min(a)), int(np.max(a))) >= _ENTRY_LIMIT:
             raise ValueError("pair grid entries must be below 2**61 in size")
-    for off, bp, bq in pair_blocks(p, q):
+    for off, bp, bq in blocks:
         d = max(int(np.abs(np.diff(bp)).max()), int(np.abs(np.diff(bq)).max()))
         if 12 * (len(bp) - 1) * d * d >= 1 << 63:
             raise ValueError(f"pair grid increments up to {d} would overflow int64 sums")
@@ -167,23 +147,12 @@ def _diffs(p: np.ndarray, q: np.ndarray, buf: np.ndarray) -> Increments:
 
 
 def _cross(dx: Increments, dy: Increments) -> tuple[int, int]:
-    """sum (dpx + dqx sqrt2)(dpy + dqy sqrt2) as the integer pair (a, b)."""
+    """sum (dpx + dqx sqrt2)(dpy + dqy sqrt2) as the integer pair (a, b): the one block kernel."""
     (dpx, dqx), (dpy, dqy) = dx, dy
     return (
         int(np.dot(dpx, dpy)) + 2 * int(np.dot(dqx, dqy)),
         int(np.dot(dpx, dqy)) + int(np.dot(dqx, dpy)),
     )
-
-
-def _square(d: Increments) -> tuple[int, int]:
-    return _cross(d, d)
-
-
-def _sum_sq(dx: Increments, dy: Increments) -> tuple[int, int]:
-    """_square of the increments of x + y, formed in dx's scratch rows."""
-    for a, b in zip(dx, dy):
-        a += b
-    return _square(dx)
 
 
 def _agreement(x: TakagiFunction, y: TakagiFunction, m: int, j: int) -> int:
@@ -192,7 +161,7 @@ def _agreement(x: TakagiFunction, y: TakagiFunction, m: int, j: int) -> int:
     sx, sy = x.scheme, y.scheme
     # reads generation m, so a scheme that stops before it raises as its grid would
     sign = sx.theta(m, 0) * sy.theta(m, 0)
-    if sx is sy:
+    if sx.same_coefficients(sy):
         return j
     if isinstance(sx, _CONSTANT) and isinstance(sy, _CONSTANT):
         return sign * j
@@ -204,47 +173,55 @@ def _agreement(x: TakagiFunction, y: TakagiFunction, m: int, j: int) -> int:
     return total
 
 
-def _levels(kernel: Callable[..., tuple[int, int]], grids: tuple[GridLike, ...], top: int,
-            t: Dyadic | Rational, lo: int) -> list[QuadValue]:
-    """kernel's sums over [0, t] at every level lo..top.
+def _levels(x: GridLike, y: GridLike, top: int, t: Dyadic | Rational, lo: int) -> list[tuple[int, int]]:
+    """The covariation of x and y over [0, t] at every level lo..top, as pairs over 4**n.
 
     Class members are summed on their level-k grids, k = exp(t), and carried
-    up by the identity of the module docstring, whose w_m is S_m of the
-    first and the last grid (t*2**m for one grid) or, for the qv of a sum,
-    2*(t*2**m + S_m).  A caller's pair grid, with lo = top, is summed on its
-    own grid.  Blocks past t are never built.
+    up by the identity of the module docstring.  A caller's pair grid, with
+    lo = top, is summed on its own grid.  When x is y its one grid gives
+    both sides.  Blocks past t are never built.
     """
     _check_level(top)
     t = _grid_index(top, t)
-    k = t.exp if all(isinstance(g, TakagiFunction) for g in grids) else top
-    bufs = [np.empty((2, 1 << block_bits(k)), dtype=np.int64) for _ in grids]
-    blocks = zip(*[prefix_blocks(_blocks(g, k), k, t.numerator_at(k)) for g in grids])
-    sums = [kernel(*[_diffs(p, q, buf) for (p, q), buf in zip(parts, bufs)]) for parts in blocks]
+    k = t.exp if isinstance(x, TakagiFunction) and isinstance(y, TakagiFunction) else top
+    j = t.numerator_at(k)
+    buf = np.empty((2, 2, 1 << block_bits(k)), dtype=np.int64)
+    xs = prefix_blocks(_blocks(x, k), k, j)
+    if x is y:
+        sums = [_cross(d, d) for d in (_diffs(p, q, buf[0]) for p, q in xs)]
+    else:
+        ys = prefix_blocks(_blocks(y, k), k, j)
+        sums = [_cross(_diffs(*bx, buf[0]), _diffs(*by, buf[1])) for bx, by in zip(xs, ys)]
     a, b = map(sum, zip(*sums))
     out, w = [], 0
     for n in range(k, top + 1):
         if n >= lo:
-            out.append(pair_value((a << n - k) + (w << n), b << n - k, 2 * n))
+            out.append(((a << n - k) + (w << n), b << n - k))
         if n < top:
-            j = t.numerator_at(n)
-            s = _agreement(grids[0], grids[-1], n, j)
-            w += 2 * (j + s) if kernel is _sum_sq else s
+            w += _agreement(x, y, n, t.numerator_at(n))
     return out
 
 
+def _polarized(x: GridLike, y: GridLike, top: int, t: Dyadic | Rational, lo: int) -> tuple[list, list]:
+    """The qv of x + y, [x] + [y] + 2[x, y], and the covariation [x, y] as pairs at every level lo..top."""
+    cov = _levels(x, y, top, t, lo)
+    parts = zip(_levels(x, x, top, t, lo), _levels(y, y, top, t, lo), cov)
+    return [(ax + ay + 2 * ac, bx + by + 2 * bc) for (ax, bx), (ay, by), (ac, bc) in parts], cov
+
+
 def qv_approx(x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
-    """Level-n squared-increment sum of x over [0, t], exact."""
-    return _levels(_square, (x,), level, t, level)[0]
+    """Level-n squared-increment sum of x over [0, t], exact: the covariation of x with itself."""
+    return pair_value(*_levels(x, x, level, t, level)[0], 2 * level)
 
 
 def cov_approx(x: GridLike, y: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """Level-n cross-increment sum of x and y over [0, t], exact."""
-    return _levels(_cross, (x, y), level, t, level)[0]
+    return pair_value(*_levels(x, y, level, t, level)[0], 2 * level)
 
 
 def qv_of_sum(x: GridLike, y: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
-    """Level-n squared-increment sum of x + y; polarization partner of cov."""
-    return _levels(_sum_sq, (x, y), level, t, level)[0]
+    """Level-n squared-increment sum of x + y, by polarization."""
+    return pair_value(*_polarized(x, y, level, t, level)[0][0], 2 * level)
 
 
 def _running_sums(x: GridLike, level: int) -> tuple[list[int], list[int]]:
@@ -288,13 +265,12 @@ def _first_level(t: Dyadic) -> int:
 
 def cov_profile(x: TakagiFunction, y: TakagiFunction, n_max: int, t: Dyadic | Rational) -> QVSeries:
     """The covariation of x and y over [0, t] at every level from the first carrying t to n_max."""
-    if not isinstance(t, Dyadic):
-        t = Dyadic.from_fraction(_as_fraction(t))
+    t = Dyadic.coerce(t)
     lo = _first_level(t)
     if n_max < lo:
         return QVSeries("covariation", [])
-    sums = _levels(_cross, (x, y), n_max, t, lo)
-    return QVSeries("covariation", [QVRow(n, t, v) for n, v in enumerate(sums, lo)])
+    sums = _levels(x, y, n_max, t, lo)
+    return QVSeries("covariation", [QVRow(n, t, pair_value(a, b, 2 * n)) for n, (a, b) in enumerate(sums, lo)])
 
 
 class CounterexampleStudy(NamedTuple):
@@ -320,16 +296,17 @@ def counterexample_series(n_max: int, t: Dyadic | Rational) -> CounterexampleStu
     limit: 4/3 t and 8/3 t for the qv of the sum at even/odd levels,
     -t/3 and t/3 for the covariation.
     """
-    if not isinstance(t, Dyadic):
-        t = Dyadic.from_fraction(_as_fraction(t))
+    t = Dyadic.coerce(t)
     n0 = _first_level(t)
     if n_max < n0:
         raise ValueError(f"n_max={n_max} below the first level {n0} carrying t={t}")
     x, y = TakagiFunction(AllPlus()), TakagiFunction(AlternatingM())
     rows: dict[str, list[QVRow]] = {k: [] for k in CounterexampleStudy._fields}
-    for name, kernel, limits in (("qv", _sum_sq, (SUM_LIMIT_EVEN, SUM_LIMIT_ODD)),
-                                 ("cov", _cross, (COV_LIMIT_EVEN, COV_LIMIT_ODD))):
-        for n, v in enumerate(_levels(kernel, (x, y), n_max, t, n0), n0):
+    qv, cov = _polarized(x, y, n_max, t, n0)
+    for name, sums, limits in (("qv", qv, (SUM_LIMIT_EVEN, SUM_LIMIT_ODD)),
+                               ("cov", cov, (COV_LIMIT_EVEN, COV_LIMIT_ODD))):
+        for n, (a, b) in enumerate(sums, n0):
+            v = pair_value(a, b, 2 * n)
             distance = abs(v - limits[n % 2] * t.as_fraction())
             rows[("odd_" if n % 2 else "even_") + name].append(QVRow(n, t, v, distance))
     return CounterexampleStudy(*(QVSeries("covariation" if k.endswith("cov") else "qv_of_sum", r)

@@ -116,6 +116,10 @@ class CoefficientScheme:
     def negated(self) -> CoefficientScheme:
         return _Negated(self)
 
+    def same_coefficients(self, other: CoefficientScheme) -> bool:
+        """Whether other has this scheme's coefficients: the same class and spec."""
+        return type(self) is type(other) and self.spec == other.spec
+
     def __repr__(self) -> str:
         return f"<scheme {self.spec}>"
 
@@ -140,6 +144,9 @@ class _Negated(CoefficientScheme):
 
     def negated(self) -> CoefficientScheme:
         return self.inner
+
+    def same_coefficients(self, other: CoefficientScheme) -> bool:
+        return type(self) is type(other) and self.inner.same_coefficients(other.inner)
 
 
 class AllPlus(CoefficientScheme):
@@ -336,6 +343,10 @@ class Explicit(CoefficientScheme):
     def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
         # one table lookup per index, not a whole row per call
         return np.array([self.theta(m, int(j)) for j in k], dtype=np.int64)
+
+    def same_coefficients(self, other: CoefficientScheme) -> bool:
+        # tables may share a spec (the default "explicit"), so compare the tables
+        return isinstance(other, Explicit) and (self.depth, self.table) == (other.depth, other.table)
 
     @classmethod
     def load(cls, path: str | Path) -> Explicit:

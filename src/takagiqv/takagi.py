@@ -14,12 +14,13 @@ Evaluation surfaces:
   add up as one integer pair over den(t) * 2**ceil(n/2), turned into a
   QuadValue once at the end;
 * ``_blocks`` -- the grid j/2**N as integer pairs (p, q) with value
-  (p + q*sqrt(2)) / 2**N, streamed in blocks of at most BLOCK + 1 points
-  and built by the midpoint recursion (one numpy pass per generation):
-  the series is local, so each cell of a coarse grid refines on its own,
-  and a reduction over the grid never holds more than one block.  It is
-  the only grid builder (``extrema.grid_extrema`` refines single cells of
-  a coarse grid by the same recursion, never a whole grid);
+  (p + q*sqrt(2)) / 2**N in blocks of at most BLOCK + 1 points, built by
+  the midpoint recursion (one numpy pass per generation): the series is
+  local, so each cell of a coarse grid refines on its own, and a
+  reduction never holds more than one block.  It is the only grid builder
+  (``extrema.grid_extrema`` refines single cells of a coarse grid by the
+  same recursion); ``grid_blocks``, the one grid reader of the sums,
+  reads it or a caller's pair grid in its layout;
 * ``grid_pairs`` -- the same grid at once, its blocks copied into one
   array;
 * ``approx`` -- truncated series with a certified geometric tail bound;
@@ -56,6 +57,8 @@ GRID_LEVEL_CAP = 26
 BLOCK = 1 << 16
 
 Block = tuple[int, np.ndarray, np.ndarray]
+PairGrid = tuple[np.ndarray, np.ndarray]
+GridLike = Union["TakagiFunction", PairGrid]
 Evaluable = Union["TakagiFunction", Callable[[Fraction], "QuadValue | Rational"]]
 
 
@@ -87,8 +90,7 @@ class TakagiFunction:
         """Exact value of the n-generation partial sum at rational t."""
         t = _as_fraction(t)
         _check_unit_interval(t)
-        p, q, den = self._partial_pair(n, t)
-        return QuadValue(Fraction(p, den), Fraction(q, den))
+        return QuadValue.from_pair(*self._partial_pair(n, t))
 
     def _partial_pair(self, n: int, t: Fraction) -> tuple[int, int, int]:
         """The n-generation partial sum at t in [0, 1] as (p, q, den): (p + q*sqrt(2)) / den.
@@ -119,9 +121,7 @@ class TakagiFunction:
 
     def at_dyadic(self, t: Dyadic | Rational) -> QuadValue:
         """Exact value at a dyadic point; generations >= exp(t) all vanish there."""
-        if not isinstance(t, Dyadic):
-            t = Dyadic.from_fraction(_as_fraction(t))
-        _check_unit_interval(t.as_fraction())
+        t = Dyadic.coerce(t)
         return self.partial_sum(t.exp, t.as_fraction())
 
     def approx(self, t: Rational, tol: Rational) -> tuple[QuadValue, QuadValue]:
@@ -225,11 +225,23 @@ def block_bits(level: int) -> int:
     return min(BLOCK, 1 << level).bit_length() - 1
 
 
-def pair_blocks(p: np.ndarray, q: np.ndarray) -> Iterator[Block]:
-    """Views of two equal-length arrays as (offset, p, q) blocks of at most
-    BLOCK + 1 points that share endpoints: on a level grid, the layout of ``_blocks``."""
-    for off in range(0, max(len(p) - 1, 1), BLOCK):
-        yield off, p[off : off + BLOCK + 1], q[off : off + BLOCK + 1]
+def grid_blocks(x: GridLike, level: int) -> Iterator[Block]:
+    """The level grid of x as (offset, p, q) blocks: a function's ``_blocks``, or views of
+    a caller's pair grid in the same layout, refused unless it has 2**level + 1 points."""
+    if isinstance(x, TakagiFunction):
+        return x._blocks(level)
+    p, q = (np.asarray(a) for a in x)
+    if len(p) != (1 << level) + 1:
+        raise ValueError("pair grid has wrong length for this level")
+    return ((off, p[off : off + BLOCK + 1], q[off : off + BLOCK + 1]) for off in range(0, 1 << level, BLOCK))
+
+
+def _grid_index(level: int, t: Dyadic | Rational) -> Dyadic:
+    t = Dyadic.coerce(t)
+    _check_unit_interval(t.as_fraction())
+    if t.exp > level:
+        raise ValueError(f"t={t} not on the level-{level} dyadic grid")
+    return t
 
 
 def prefix_blocks(blocks: Iterator[Block], level: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -241,8 +253,7 @@ def prefix_blocks(blocks: Iterator[Block], level: int, n: int) -> Iterator[tuple
 
 def pair_value(p: int, q: int, level: int) -> QuadValue:
     """(p + q*sqrt(2)) / 2**level as a QuadValue."""
-    den = 1 << level
-    return QuadValue(Fraction(p, den), Fraction(q, den))
+    return QuadValue.from_pair(p, q, 1 << level)
 
 
 # -- closed-form values at thirds points --------------------------------------
@@ -301,8 +312,7 @@ def thirds_value(fn: TakagiFunction, t: Rational) -> QuadValue:
     """
     t = _as_fraction(t)
     _check_unit_interval(t)
-    p, q, den = _thirds_pair(fn.scheme, t)
-    return QuadValue(Fraction(p, den), Fraction(q, den))
+    return QuadValue.from_pair(*_thirds_pair(fn.scheme, t))
 
 
 # -- coefficient recovery ------------------------------------------------------

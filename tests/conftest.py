@@ -32,13 +32,10 @@ from takagiqv.quadvar import (
     CounterexampleStudy,
     QVRow,
     QVSeries,
-    _blocks,
-    _grid_index,
-    _pairs,
 )
 from takagiqv.schauder import eval_e
 from takagiqv.schemes import AllPlus, AlternatingM
-from takagiqv.takagi import TakagiFunction, _check_level, block_bits, pair_value, prefix_blocks
+from takagiqv.takagi import TakagiFunction, _check_level, _grid_index, block_bits, grid_blocks, pair_value, prefix_blocks
 
 
 def oracle_partial(fn: TakagiFunction, n: int, t: Fraction) -> QuadValue:
@@ -133,7 +130,11 @@ def oracle_grid_pairs(fn: TakagiFunction, level: int) -> tuple[np.ndarray, np.nd
 
 
 def _oracle_pairs(x, level: int) -> tuple[np.ndarray, np.ndarray]:
-    return oracle_grid_pairs(x, level) if isinstance(x, TakagiFunction) else _pairs(x, level)
+    if isinstance(x, TakagiFunction):
+        return oracle_grid_pairs(x, level)
+    p, q = (np.asarray(a) for a in x)
+    assert len(p) == (1 << level) + 1
+    return p, q
 
 
 def _oracle_argmax(p: np.ndarray, q: np.ndarray) -> tuple[int, int, list[int]]:
@@ -271,6 +272,17 @@ def _oracle_strided_diffs(p: np.ndarray, q: np.ndarray, stride: int) -> tuple[np
     return p[stride::stride] - p[:-stride:stride], q[stride::stride] - q[:-stride:stride]
 
 
+def oracle_square(d) -> tuple[int, int]:
+    """sum (dp + dq sqrt2)**2 as the integer pair (a, b): the qv kernel of ``oracle_level_sums``."""
+    dp, dq = d
+    return int(np.dot(dp, dp)) + 2 * int(np.dot(dq, dq)), 2 * int(np.dot(dp, dq))
+
+
+def oracle_sum_square(dx, dy) -> tuple[int, int]:
+    """oracle_square of the increments of x + y, formed directly: the qv of a sum without polarization."""
+    return oracle_square((dx[0] + dy[0], dx[1] + dy[1]))
+
+
 def oracle_level_sums(kernel, grids, top: int, t, lo: int) -> list[tuple[int, ...]]:
     """kernel's integer sums over [0, t] at every level lo..top, from one streamed top grid each.
 
@@ -291,7 +303,7 @@ def oracle_level_sums(kernel, grids, top: int, t, lo: int) -> list[tuple[int, ..
         got = kernel(*[_oracle_strided_diffs(p, q, stride) for p, q in parts])
         sums[n] = [u + v for u, v in zip(got, sums[n])] if n in sums else list(got)
 
-    for parts in zip(*[prefix_blocks(_blocks(g, top), top, j) for g in grids]):
+    for parts in zip(*[prefix_blocks(grid_blocks(g, top), top, j) for g in grids]):
         for n in range(max(lo, top - bits), top + 1):
             add(n, 1 << (top - n), parts)
     for n in range(lo, top - bits):

@@ -28,7 +28,7 @@ from takagiqv.quadvar import (
     qv_profile,
 )
 from takagiqv.schemes import BUILTIN_NAMES, Explicit, parse_scheme
-from takagiqv.takagi import TakagiFunction, pair_blocks, pair_value
+from takagiqv.takagi import TakagiFunction, grid_blocks, pair_value
 
 from conftest import (
     _oracle_argmax,
@@ -94,21 +94,38 @@ class TestBlocks:
         assert np.array_equal(gp, op) and np.array_equal(gq, oq)
 
     def test_pair_blocks_share_the_layout(self, width):
+        """grid_blocks reads a function and its pair grid, as a tuple or a
+        stacked array, in the layout of ``_blocks``."""
         f = fn("half_split")
-        p, q = f.grid_pairs(7)
-        streamed = [(off, bp.copy(), bq.copy()) for off, bp, bq in f._blocks(7)]
-        for (o1, p1, q1), (o2, p2, q2) in zip(streamed, pair_blocks(p, q), strict=True):
-            assert o1 == o2 and np.array_equal(p1, p2) and np.array_equal(q1, q2)
+        for level in (0, 1, 3, 7):
+            p, q = f.grid_pairs(level)
+            streamed = [(off, bp.copy(), bq.copy()) for off, bp, bq in f._blocks(level)]
+            for x in (f, (p, q), np.stack((p, q))):
+                for (o1, p1, q1), (o2, p2, q2) in zip(streamed, grid_blocks(x, level), strict=True):
+                    assert o1 == o2 and np.array_equal(p1, p2) and np.array_equal(q1, q2)
 
     def test_pair_blocks_of_any_length(self, width):
+        """A pair grid of 2**level + 1 points is read as views that cover it and
+        share endpoints, and any other length is refused; exact_argmax and
+        exact_argmin screen arrays of any length."""
+        rng = np.random.default_rng(width)
         for n in range(1, 3 * width + 3):
             a = np.arange(n)
-            blocks = list(pair_blocks(a, -a))
-            assert [off for off, _, _ in blocks] == list(range(0, max(n - 1, 1), width))
-            for off, bp, bq in blocks:
-                assert 1 <= len(bp) <= width + 1
-                assert np.array_equal(bp, a[off : off + len(bp)]) and np.array_equal(bq, -bp)
-            assert blocks[-1][0] + len(blocks[-1][1]) == n  # the last block ends the array
+            for level in range(n.bit_length() + 1):
+                if n != (1 << level) + 1:
+                    with pytest.raises(ValueError, match="wrong length"):
+                        grid_blocks((a, -a), level)
+                    continue
+                blocks = list(grid_blocks((a, -a), level))
+                assert [off for off, _, _ in blocks] == list(range(0, n - 1, width))
+                for off, bp, bq in blocks:
+                    assert 2 <= len(bp) <= width + 1
+                    assert np.array_equal(bp, a[off : off + len(bp)]) and np.array_equal(bq, -bp)
+                assert blocks[-1][0] + len(blocks[-1][1]) == n  # the last block ends the array
+            p, q = rng.integers(-3, 4, n), rng.integers(-2, 3, n)
+            assert exact_argmax(p, q) == _oracle_argmax(p, q)
+            lo_p, lo_q, lo_ties = _oracle_argmax(-p, -q)
+            assert exact_argmin(p, q) == (-lo_p, -lo_q, lo_ties)
 
     def test_level_above_cap_refused(self):
         with pytest.raises(ValueError, match=r"\[0, 26\]"):
@@ -152,7 +169,7 @@ class TestExtrema:
         # maxima at 2, 4, 5, 7 and minima at 0, 6, 8; 2, 4, 6 end a width-2 block
         p = np.array([0, 1, 3, 1, 3, 3, 0, 3, 0], dtype=np.int64)
         q = np.zeros_like(p)
-        hi, lo = block_extrema(pair_blocks(p, q))
+        hi, lo = block_extrema(grid_blocks((p, q), 3))
         assert hi == (3, 0, [2, 4, 5, 7])
         assert lo == (0, 0, [0, 6, 8])
 

@@ -9,8 +9,6 @@ from takagiqv import takagi
 from takagiqv.qfield import Dyadic, QuadValue
 from takagiqv.quadvar import (
     _cross,
-    _square,
-    _sum_sq,
     counterexample_series,
     cov_approx,
     cov_profile,
@@ -18,10 +16,18 @@ from takagiqv.quadvar import (
     qv_of_sum,
     qv_profile,
 )
-from takagiqv.schemes import BUILTIN_NAMES, parse_scheme
+from takagiqv.follmer import RationalPolynomial, follmer_sum, ito_residual, time_sum
+from takagiqv.schemes import BUILTIN_NAMES, Explicit, SchemeDepthError, parse_scheme
 from takagiqv.takagi import TakagiFunction
 
-from conftest import oracle_cov, oracle_level_sums, oracle_qv
+from conftest import (
+    oracle_cov,
+    oracle_cov_approx,
+    oracle_level_sums,
+    oracle_qv,
+    oracle_square,
+    oracle_sum_square,
+)
 
 ALL_SCHEMES = BUILTIN_NAMES + ("bernoulli:1/2:1",)
 
@@ -264,16 +270,16 @@ class TestLevelIdentity:
         n = rng.randint(max(k, 1), 14)
         j = (0, 1 << k)[seed % 2] if seed < 8 else rng.randrange((1 << k) + 1)
         t = Dyadic(j, k)
-        assert ints(qv_approx(x, n, t), n) == oracle_level_sums(_square, (x,), n, t, n)[0]
+        assert ints(qv_approx(x, n, t), n) == oracle_level_sums(oracle_square, (x,), n, t, n)[0]
         assert ints(cov_approx(x, y, n, t), n) == oracle_level_sums(_cross, (x, y), n, t, n)[0]
-        assert ints(qv_of_sum(x, y, n, t), n) == oracle_level_sums(_sum_sq, (x, y), n, t, n)[0]
+        assert ints(qv_of_sum(x, y, n, t), n) == oracle_level_sums(oracle_sum_square, (x, y), n, t, n)[0]
         lo = max(1, t.exp)
         rows = cov_profile(x, y, n, t).rows
         assert [r.level for r in rows] == list(range(lo, n + 1))
         assert [ints(r.value, r.level) for r in rows] == oracle_level_sums(_cross, (x, y), n, t, lo)
         study = counterexample_series(n, t)
         ap, am = fn("all_plus"), fn("alt_m")
-        for name, kernel in (("cov", _cross), ("qv", _sum_sq)):
+        for name, kernel in (("cov", _cross), ("qv", oracle_sum_square)):
             both = [r for par in ("even", "odd") for r in getattr(study, f"{par}_{name}").rows]
             got = sorted(both, key=lambda r: r.level)
             want = oracle_level_sums(kernel, (ap, am), n, t, lo)
@@ -281,7 +287,7 @@ class TestLevelIdentity:
         sums = qv_profile(x, n, 1 << (n - k)).sums
         assert len(sums.a) == (1 << k) + 1
         for i in {0, 1 << k, *(rng.randrange((1 << k) + 1) for _ in range(6))}:
-            want = oracle_level_sums(_square, (x,), n, Dyadic(i, k), n)[0]
+            want = oracle_level_sums(oracle_square, (x,), n, Dyadic(i, k), n)[0]
             assert (sums.a[i], sums.b[i]) == want
 
 
@@ -307,3 +313,109 @@ class TestReadsOnlyTheCoarseGrid:
         qv_profile(f, 20, 1 << 12)
         assert levels == [8]
         assert max(f._rows, default=-1) < 8
+
+
+class TestPolarization:
+    """The qv of a sum, [x] + [y] + 2[x, y] added as integer pairs, against the
+    direct square of the x + y increments (``oracle_sum_square``)."""
+
+    SPECS = BUILTIN_NAMES + ("bernoulli:1/3:5", "bernoulli:2/5:3")
+    #: t on coarse grids, and on the level-9 grid
+    TIMES = [F(0), F(1), F(3, 4), F(37, 512), F(511, 512)]
+
+    @pytest.fixture(params=[2, 8, 64])
+    def width(self, request, monkeypatch):
+        monkeypatch.setattr(takagi, "BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("i", range(len(SPECS)))
+    def test_class_members(self, width, i):
+        x = fn(self.SPECS[i])
+        # itself, the same spec built again, and two other schemes
+        for y in (x, fn(self.SPECS[i]), fn(self.SPECS[i - 1]), fn(self.SPECS[i - 3])):
+            for t in self.TIMES:
+                want = oracle_level_sums(oracle_sum_square, (x, y), 9, t, 9)[0]
+                assert ints(qv_of_sum(x, y, 9, t), 9) == want
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_counterexample_qv_rows(self, width, t):
+        n = 11
+        lo = max(1, Dyadic.from_fraction(t).exp)
+        study = counterexample_series(n, t)
+        rows = sorted(study.even_qv.rows + study.odd_qv.rows, key=lambda r: r.level)
+        want = oracle_level_sums(oracle_sum_square, (fn("all_plus"), fn("alt_m")), n, t, lo)
+        assert [ints(r.value, r.level) for r in rows] == want
+
+    @pytest.mark.parametrize("level", [9, 10])
+    def test_pair_grids(self, width, level):
+        f, g = fn("all_plus"), fn("bernoulli:1/3:5")
+        saw = TestBoundedVariationPerturbation.sawtooth_pairs(level)
+        fp, gp = f.grid_pairs(level), g.grid_pairs(level)
+        for x, y in ((fp, saw), (saw, saw), (saw, fp), (gp, f), (f, saw), (fp, gp)):
+            for t in self.TIMES:
+                want = oracle_level_sums(oracle_sum_square, (x, y), level, t, level)[0]
+                assert ints(qv_of_sum(x, y, level, t), level) == want
+
+
+def test_pair_grid_of_wrong_length_refused_everywhere():
+    """Every entry point that takes a pair grid refuses one of the wrong length alike."""
+    f, g = fn("all_plus"), RationalPolynomial.parse("1,-2,3")
+    for n in (0, 1, 8, 10, 17):
+        a = np.arange(n, dtype=np.int64)
+        grid = (a, a)
+        calls = [
+            lambda: qv_approx(grid, 3, 1),
+            lambda: cov_approx(f, grid, 3, F(1, 2)),
+            lambda: qv_of_sum(grid, f, 3, 1),
+            lambda: qv_profile(grid, 3, 2),
+            lambda: follmer_sum(g, grid, 3, 1),
+            lambda: time_sum(g, grid, 3, F(3, 8)),
+            lambda: ito_residual(g, grid, 3, 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "pair grid has wrong length for this level"
+
+
+class TestEqualSchemes:
+    """Two schemes with the same coefficients sum their agreement in closed form."""
+
+    @staticmethod
+    def no_thetas(monkeypatch, *schemes):
+        def refuse(m, k):
+            raise AssertionError("coefficients were read")
+
+        for scheme in schemes:
+            monkeypatch.setattr(scheme, "thetas", refuse)
+
+    @pytest.mark.parametrize("spec", ALL_SCHEMES + ("bernoulli:1/3:7",))
+    def test_equal_specs(self, spec, monkeypatch):
+        x, y = fn(spec), fn(spec)
+        want = {t: [oracle_cov_approx(x, y, n, t) for n in range(3, 11)] for t in (F(1), F(3, 8))}
+        self.no_thetas(monkeypatch, x.scheme, y.scheme)
+        for t, values in want.items():
+            assert [r.value for r in cov_profile(x, y, 10, t).rows if r.level >= 3] == values
+            assert cov_approx(x, y, 10, t) == qv_approx(x, 10, t) == values[-1]
+
+    @staticmethod
+    def tables(depth):
+        plus = {(m, k): 1 for m in range(depth) for k in range(1 << m)}
+        return plus, {**plus, (4, 3): -1, (5, 20): -1}
+
+    def test_explicit_tables_with_one_spec(self, monkeypatch):
+        plus, other = self.tables(7)
+        x, y, z = (TakagiFunction(Explicit(tab, 7)) for tab in (plus, other, dict(plus)))
+        assert x.scheme.spec == y.scheme.spec == z.scheme.spec
+        for t in (F(1), F(5, 8)):
+            # different coefficients behind one spec are summed, not taken in closed form
+            assert cov_approx(x, y, 7, t) == oracle_cov_approx(x, y, 7, t) != qv_approx(x, 7, t)
+        self.no_thetas(monkeypatch, x.scheme, z.scheme)
+        assert cov_approx(x, z, 7, F(5, 8)) == oracle_cov_approx(x, z, 7, F(5, 8))
+
+    def test_depth_errors_unchanged(self):
+        plus, _ = self.tables(6)
+        x, y = TakagiFunction(Explicit(plus, 6)), TakagiFunction(Explicit(dict(plus), 6))
+        assert cov_approx(x, y, 6, 1) == qv_approx(x, 6, 1)
+        with pytest.raises(SchemeDepthError):
+            cov_approx(x, y, 7, 1)

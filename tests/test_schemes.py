@@ -271,3 +271,20 @@ def test_parse_exact_fraction():
     for bad in ("0.5", "1e-3", "a/b", "1/2/3", "1/0", "-3/0", "0/0"):
         with pytest.raises(ValueError):
             parse_exact_fraction(bad)
+
+
+def test_same_coefficients():
+    for a, b in [("all_plus", "all_plus"), ("block:5", "block:05"), ("neg_half_split", "neg_half_split"),
+                 ("bernoulli:1/3:7", "bernoulli:2/6:7")]:
+        assert parse_scheme(a).same_coefficients(parse_scheme(b)), (a, b)
+    for a, b in [("all_plus", "alt_m"), ("block:5", "block:6"), ("half_split", "neg_half_split"),
+                 ("bernoulli:1/3:7", "bernoulli:1/3:8"), ("bernoulli:1/3:7", "bernoulli:1/4:7")]:
+        assert not parse_scheme(a).same_coefficients(parse_scheme(b)), (a, b)
+    plus = {(m, k): 1 for m in range(3) for k in range(1 << m)}
+    x, y, z = Explicit(plus, 3), Explicit({**plus, (2, 1): -1}, 3), Explicit(dict(plus), 3)
+    assert x.spec == y.spec and not x.same_coefficients(y) and x.same_coefficients(z)
+    assert not x.same_coefficients(Explicit(plus | {(3, k): 1 for k in range(8)}, 4))
+    # negations compare what they negate, not their specs
+    assert x.negated().spec == y.negated().spec
+    assert not x.negated().same_coefficients(y.negated())
+    assert x.negated().same_coefficients(z.negated())
