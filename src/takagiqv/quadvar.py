@@ -25,8 +25,8 @@ at t = i/2**k, is thus row i of the level-k profile mapped to a'_i =
 2**(N-k) a_i + i (2**(2N-k) - 2**N), b'_i = 2**(N-k) b_i.
 
 S_m is closed-form when the schemes have the same coefficients (t 2**m)
-or are both constant in generation m ((-1)**m t 2**m for all_plus and
-alt_m).  Otherwise it adds int64 dot products of ``scheme.thetas(m,
+or are both constant in generation m (``scheme.constant(m)``, as all_plus
+and alt_m are).  Otherwise it adds int64 dot products of ``scheme.thetas(m,
 range)`` over chunks of at most ``takagi.BLOCK`` indices, each exact as
 every product is +-1, in Python ints, and caches no row.  The level-k
 sums, a caller's pair grid (in general no class member) and stride-1
@@ -41,13 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .qfield import Dyadic, QuadValue, Rational
-from .schemes import AllPlus, AlternatingM, Block as BlockScheme
+from .schemes import AllPlus, AlternatingM
 from .takagi import (Block, GridLike, PairGrid, TakagiFunction, _check_level, _grid_index, block_bits,
                      grid_blocks, pair_value, prefix_blocks)
 
@@ -66,13 +65,13 @@ class ProfileSums(NamedTuple):
 
     level: int
     stride: int
-    a: list[int]
-    b: list[int]
+    a: np.ndarray
+    b: np.ndarray
 
     def rows(self) -> list[QVRow]:
         n = self.level
         return [QVRow(n, Dyadic(i * self.stride, n), pair_value(a, b, 2 * n))
-                for i, (a, b) in enumerate(zip(self.a, self.b))]
+                for i, (a, b) in enumerate(zip(self.a.tolist(), self.b.tolist()))]
 
 
 class QVSeries:
@@ -105,12 +104,8 @@ class QVSeries:
 
 Increments = tuple[np.ndarray, np.ndarray]
 
-#: Entries of a caller's pair grid stay below this size, so the increments
-#: of one grid, and of the sum of two, fit int64.
+#: Entries of a caller's pair grid stay below this size, so their increments fit int64.
 _ENTRY_LIMIT = 1 << 61
-
-#: Schemes whose coefficients are all equal within each generation.
-_CONSTANT = (AllPlus, AlternatingM, BlockScheme)
 
 
 def _blocks(x: GridLike, level: int) -> Iterator[Block]:
@@ -124,15 +119,14 @@ def _checked_blocks(x: PairGrid, blocks: Iterator[Block]) -> Iterator[Block]:
 
     With d the largest increment size in a block of w intervals, every
     int64 sum below (a dot product, or p.p + 2 q.q per interval) is at most
-    3 * w * d**2.  The check keeps a factor 4 over that: room for increments
-    of 2d, those of the sum of two such grids.
+    3 * w * d**2, which the check keeps below 2**63.
     """
     for a in x:
         if max(-int(np.min(a)), int(np.max(a))) >= _ENTRY_LIMIT:
             raise ValueError("pair grid entries must be below 2**61 in size")
     for off, bp, bq in blocks:
         d = max(int(np.abs(np.diff(bp)).max()), int(np.abs(np.diff(bq)).max()))
-        if 12 * (len(bp) - 1) * d * d >= 1 << 63:
+        if 3 * (len(bp) - 1) * d * d >= 1 << 63:
             raise ValueError(f"pair grid increments up to {d} would overflow int64 sums")
         yield off, bp, bq
 
@@ -163,7 +157,7 @@ def _agreement(x: TakagiFunction, y: TakagiFunction, m: int, j: int) -> int:
     sign = sx.theta(m, 0) * sy.theta(m, 0)
     if sx.same_coefficients(sy):
         return j
-    if isinstance(sx, _CONSTANT) and isinstance(sy, _CONSTANT):
+    if sx.constant(m) is not None and sy.constant(m) is not None:
         return sign * j
     width = 1 << block_bits(m)
     total = 0
@@ -224,16 +218,19 @@ def qv_of_sum(x: GridLike, y: GridLike, level: int, t: Dyadic | Rational) -> Qua
     return pair_value(*_polarized(x, y, level, t, level)[0][0], 2 * level)
 
 
-def _running_sums(x: GridLike, level: int) -> tuple[list[int], list[int]]:
-    """The running qv sums (a, b) at every point of the level grid, block by block."""
-    part_a: list[int] = []
-    part_b: list[int] = []
+def _running_sums(x: GridLike, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The running qv sums (a, b) at every point of the level grid, filled block by block: int64
+    for a class member (its level-n increments have parts below 2**(n/2 + 1), so |a|, |b| <
+    2**(2n + 4)), Python ints for a pair grid, whose totals may pass 2**63 under the block guard."""
+    a = np.zeros((1 << level) + 1, dtype=np.int64 if isinstance(x, TakagiFunction) else object)
+    b = np.zeros_like(a)
     buf = np.empty((2, 1 << block_bits(level)), dtype=np.int64)
-    for _, p, q in _blocks(x, level):
+    for off, p, q in _blocks(x, level):
         dp, dq = _diffs(p, q, buf)
-        part_a += (dp * dp + 2 * dq * dq).tolist()
-        part_b += (2 * dp * dq).tolist()
-    return list(accumulate(part_a, initial=0)), list(accumulate(part_b, initial=0))
+        cells = slice(off + 1, off + len(p))
+        a[cells] = dp * dp + 2 * dq * dq
+        b[cells] = 2 * dp * dq
+    return np.cumsum(a, out=a), np.cumsum(b, out=b)
 
 
 def qv_profile(x: GridLike, level: int, stride: int = 1) -> QVSeries:
@@ -251,10 +248,10 @@ def qv_profile(x: GridLike, level: int, stride: int = 1) -> QVSeries:
         a, b = a[::stride], b[::stride]
     else:
         a, b = _running_sums(x, k)
-        # sum_{m=k}^{level-1} S_m(x, x) at t = 2**-k is 2**(level-k) - 1
+        # sum_{m=k}^{level-1} S_m(x, x) at t = 2**-k is 2**(level-k) - 1; both terms stay below 2**58
         step = sum(_agreement(x, x, m, 1 << m - k) for m in range(k, level)) << level
-        a = [(v << level - k) + i * step for i, v in enumerate(a)]
-        b = [v << level - k for v in b]
+        a = (a << level - k) + np.arange(len(a), dtype=np.int64) * step
+        b = b << level - k
     return QVSeries("qv", sums=ProfileSums(level, stride, a, b))
 
 

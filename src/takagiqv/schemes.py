@@ -6,6 +6,10 @@ named functions of interest (all_plus, the alternating families, the
 half-split oscillation extremizer) plus seeded Bernoulli draws; arbitrary
 finite tables can be loaded from text files.
 
+A scheme defines ``constant(m)`` when generation m has one sign (all_plus,
+alt_m, block:P and their negations), or else ``theta``, plus vectorized
+``row``/``thetas`` where they beat the per-index defaults.
+
 A Bernoulli coefficient (m, k) is decided by word i = 2**m - 1 + k of the
 SplitMix64 stream seeded with ``seed mod 2**64`` (see ``splitmix64``): a
 counter hash, so every coefficient is O(1) to reach and a whole generation
@@ -78,40 +82,47 @@ def splitmix64(state: int, i: int) -> int:
             return state
 
 
-def _constant_row(m: int, value: int) -> np.ndarray:
-    """A generation of equal coefficients as a read-only zero-stride view.
-
-    It takes no memory however deep the generation, so grids of constant
-    schemes stream at any level without a 2**m-entry row per generation.
-    """
-    return np.broadcast_to(np.int64(value), (1 << m,))
-
-
 class CoefficientScheme:
-    """Base class; subclasses define theta(m, k) for 0 <= k < 2**m."""
+    """Base class of the rules (m, k) -> theta, 0 <= k < 2**m: subclasses define
+    ``constant``, or ``theta`` (plus vectorized ``row``/``thetas`` where faster)."""
 
     spec: str  # canonical spec string, set by subclasses
 
+    def constant(self, m: int) -> int | None:
+        """The coefficient that every k of generation m shares, or None."""
+        return None
+
     def theta(self, m: int, k: int) -> int:
-        raise NotImplementedError
+        _check_index(m, k)
+        c = self.constant(m)
+        if c is None:
+            raise NotImplementedError
+        return c
 
     def row(self, m: int) -> np.ndarray:
         """All coefficients of one generation as an int64 array of +/-1.
 
-        The array is either fresh, owned by the caller, or a read-only
-        zero-stride view of one value (``_constant_row``).
+        The array is either fresh, owned by the caller, or for a constant
+        generation a read-only zero-stride view of one value: it takes no
+        memory, so grids of constant schemes stream at any level.
         """
         if m < 0:
             raise ValueError(f"generation m must be >= 0, got {m}")
+        c = self.constant(m)
+        if c is not None:
+            return np.broadcast_to(np.int64(c), (1 << m,))
         return np.array([self.theta(m, k) for k in range(1 << m)], dtype=np.int64)
 
     def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
         """theta(m, k[i]) for an int64 array k of indices in [0, 2**m), as a fresh int64 array.
 
-        Lets a caller that needs a few coefficients of a deep generation skip
-        building (or caching) the whole row.
+        Reads only the indices asked for, so a caller that needs a few
+        coefficients of a deep generation skips building (or caching) the whole row.
         """
-        return self.row(m)[k]
+        c = self.constant(m)
+        if c is not None:
+            return np.full(len(k), c, dtype=np.int64)
+        return np.array([self.theta(m, int(j)) for j in k], dtype=np.int64)
 
     def negated(self) -> CoefficientScheme:
         return _Negated(self)
@@ -129,13 +140,17 @@ class _Negated(CoefficientScheme):
         self.inner = inner
         self.spec = spec or f"neg({inner.spec})"
 
+    def constant(self, m: int) -> int | None:
+        c = self.inner.constant(m)
+        return None if c is None else -c
+
     def theta(self, m: int, k: int) -> int:
         return -self.inner.theta(m, k)
 
     def row(self, m: int) -> np.ndarray:
+        if self.constant(m) is not None:
+            return super().row(m)
         row = self.inner.row(m)
-        if row.strides == (0,):
-            return _constant_row(m, -int(row[0]))
         return np.negative(row, out=row)
 
     def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
@@ -154,15 +169,8 @@ class AllPlus(CoefficientScheme):
 
     spec = "all_plus"
 
-    def theta(self, m: int, k: int) -> int:
-        _check_index(m, k)
+    def constant(self, m: int) -> int:
         return 1
-
-    def row(self, m: int) -> np.ndarray:
-        return _constant_row(m, 1)
-
-    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
-        return np.ones(len(k), dtype=np.int64)
 
 
 class AlternatingM(CoefficientScheme):
@@ -170,15 +178,8 @@ class AlternatingM(CoefficientScheme):
 
     spec = "alt_m"
 
-    def theta(self, m: int, k: int) -> int:
-        _check_index(m, k)
+    def constant(self, m: int) -> int:
         return -1 if m % 2 else 1
-
-    def row(self, m: int) -> np.ndarray:
-        return _constant_row(m, -1 if m % 2 else 1)
-
-    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
-        return np.full(len(k), -1 if m % 2 else 1, dtype=np.int64)
 
 
 class AlternatingMK(CoefficientScheme):
@@ -211,15 +212,8 @@ class Block(CoefficientScheme):
         self.period = period
         self.spec = f"block:{period}"
 
-    def theta(self, m: int, k: int) -> int:
-        _check_index(m, k)
+    def constant(self, m: int) -> int:
         return -1 if (m // self.period) % 2 else 1
-
-    def row(self, m: int) -> np.ndarray:
-        return _constant_row(m, self.theta(m, 0))
-
-    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
-        return np.full(len(k), self.theta(m, 0), dtype=np.int64)
 
 
 class HalfSplit(CoefficientScheme):
@@ -289,7 +283,7 @@ class Bernoulli(CoefficientScheme):
 
     def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
         if m >= 64:  # counters past 2**64 chain the finalizer (see splitmix64)
-            return np.array([self.theta(m, int(j)) for j in k], dtype=np.int64)
+            return super().thetas(m, k)
         z = k.astype(np.uint64)
         z += np.uint64(1 << m)
         return self._signs(z)
@@ -339,10 +333,6 @@ class Explicit(CoefficientScheme):
                 f"generation {m} beyond explicit depth {self.depth}"
             )
         return self.table[(m, k)]
-
-    def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
-        # one table lookup per index, not a whole row per call
-        return np.array([self.theta(m, int(j)) for j in k], dtype=np.int64)
 
     def same_coefficients(self, other: CoefficientScheme) -> bool:
         # tables may share a spec (the default "explicit"), so compare the tables

@@ -10,6 +10,7 @@ width, and ties on the endpoint two blocks share.
 
 from fractions import Fraction as F
 from functools import cmp_to_key
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -371,12 +372,17 @@ class TestInt64Guard:
                 call()
 
     def test_largest_accepted_increment(self):
-        # 12 * w * d**2 < 2**63 with w = 2 intervals: d = 2**29 passes
-        p = np.array([0, 1 << 29, 0], dtype=np.int64)
-        assert qv_approx((p, np.zeros_like(p)), 1, 1).a == F(1 << 59, 4)
-        p[1] = 1 << 30
-        with pytest.raises(ValueError):
-            qv_approx((p, np.zeros_like(p)), 1, 1)
+        # 3 * w * d**2 < 2**63 with w = 2 intervals: d = isqrt((2**63 - 1) // 6) passes, d + 1 does not
+        d = isqrt(((1 << 63) - 1) // 6)
+        p = np.array([0, d, 0], dtype=np.int64)
+        grid = (p, np.zeros_like(p))
+        assert qv_approx(grid, 1, 1).a == cov_approx(grid, grid, 1, 1).a == F(d * d, 2)
+        assert qv_of_sum(grid, grid, 1, 1).a == F(2 * d * d)
+        assert qv_profile(grid, 1, 1).rows[-1].value.a == F(d * d, 2)
+        p[1] = d + 1
+        for call in self.calls(grid, 1):
+            with pytest.raises(ValueError, match="overflow"):
+                call()
 
     def test_guard_is_per_block(self, width):
         # a wide increment in the last block refuses the sums that reach it

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from takagiqv import takagi
+from takagiqv import schemes, takagi
 from takagiqv.qfield import Dyadic, QuadValue
 from takagiqv.quadvar import (
     _cross,
@@ -17,7 +17,7 @@ from takagiqv.quadvar import (
     qv_profile,
 )
 from takagiqv.follmer import RationalPolynomial, follmer_sum, ito_residual, time_sum
-from takagiqv.schemes import BUILTIN_NAMES, Explicit, SchemeDepthError, parse_scheme
+from takagiqv.schemes import BUILTIN_NAMES, AllPlus, Explicit, SchemeDepthError, parse_scheme
 from takagiqv.takagi import TakagiFunction
 
 from conftest import (
@@ -313,6 +313,30 @@ class TestReadsOnlyTheCoarseGrid:
         qv_profile(f, 20, 1 << 12)
         assert levels == [8]
         assert max(f._rows, default=-1) < 8
+
+
+class TestConstantGenerations:
+    """Schemes whose generations are constant (``scheme.constant(m)``), negated
+    ones included, sum their agreement in closed form: no coefficient is read
+    past the depth probe."""
+
+    @pytest.fixture
+    def no_thetas(self, monkeypatch):
+        def fail(self, m, k):
+            raise AssertionError(f"thetas({m}) read by {self.spec}")
+
+        for cls in vars(schemes).values():
+            if isinstance(cls, type) and "thetas" in vars(cls):
+                monkeypatch.setattr(cls, "thetas", fail)
+
+    @pytest.mark.parametrize("t", [F(1), F(5, 8), F(3, 16)])
+    def test_negated_all_plus_with_alt_m(self, t, no_thetas):
+        x, y = TakagiFunction(AllPlus().negated()), fn("alt_m")
+        for n in (4, 9, 14):
+            assert cov_approx(x, y, n, t) == oracle_cov_approx(x, y, n, t)
+            lo = max(1, Dyadic.coerce(t).exp)
+            rows = cov_profile(x, y, n, t).rows
+            assert [ints(r.value, r.level) for r in rows] == oracle_level_sums(_cross, (x, y), n, t, lo)
 
 
 class TestPolarization:

@@ -8,6 +8,7 @@ from takagiqv.schemes import (
     AllPlus,
     AlternatingM,
     Bernoulli,
+    CoefficientScheme,
     Explicit,
     HalfSplit,
     NegHalfSplit,
@@ -113,6 +114,52 @@ class TestNamedSchemes:
         s = parse_scheme("alt_mk")
         assert s.negated().negated() is s
         assert s.negated().theta(3, 2) == -s.theta(3, 2)
+
+
+def _explicit(depth: int) -> Explicit:
+    b = Bernoulli(F(1, 2), seed=3)
+    return Explicit({(m, k): b.theta(m, k) for m in range(depth) for k in range(1 << m)}, depth)
+
+
+class TestConstant:
+    """constant(m), when not None, is the coefficient of every k of generation m,
+    and row/theta/thetas derive from it."""
+
+    CONSTANT = ("all_plus", "alt_m", "block:5")
+
+    @pytest.mark.parametrize("spec", BUILTIN_NAMES + ("bernoulli:0:3", "bernoulli:1/3:7", "bernoulli:1:3", "explicit"))
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_contract(self, spec, negate):
+        s = _explicit(11) if spec == "explicit" else parse_scheme(spec)
+        if negate:
+            s = s.negated()
+        for m in range(11):
+            c = s.constant(m)
+            assert (c is not None) == (spec in self.CONSTANT)
+            if c is None:
+                continue
+            row = s.row(m)
+            assert row.strides == (0,) and not row.flags.writeable
+            assert row.tolist() == [c] * (1 << m)
+            assert [s.theta(m, k) for k in range(1 << m)] == [c] * (1 << m)
+            got = s.thetas(m, np.arange(1 << m, dtype=np.int64))
+            assert got.dtype == np.int64 and got.flags.writeable and got.tolist() == [c] * (1 << m)
+
+    def test_base_thetas_reads_only_the_indices_asked_for(self, monkeypatch):
+        class OnlyTheta(CoefficientScheme):
+            spec = "only_theta"
+
+            def theta(self, m, k):
+                return -1 if k % 3 else 1
+
+        def fail(m):
+            raise AssertionError(f"row({m}) built")
+
+        s = OnlyTheta()
+        monkeypatch.setattr(s, "row", fail)
+        k = np.array([0, 1, 3, 5, (1 << 40) - 1], dtype=np.int64)
+        got = s.thetas(40, k)
+        assert got.dtype == np.int64 and got.tolist() == [s.theta(40, int(j)) for j in k]
 
 
 class TestBernoulli:
