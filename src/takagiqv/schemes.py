@@ -7,8 +7,10 @@ half-split oscillation extremizer) plus seeded Bernoulli draws; arbitrary
 finite tables can be loaded from text files.
 
 A scheme defines ``constant(m)`` when generation m has one sign (all_plus,
-alt_m, block:P and their negations), or else ``theta``, plus vectorized
-``row``/``thetas`` where they beat the per-index defaults.
+alt_m, block:P, bernoulli at p = 0 or 1, and their negations), or else
+``theta``, plus a vectorized ``thetas`` where it beats the per-index
+default.  Every reader of coefficients asks ``constant`` or ``thetas``;
+``row``, a whole generation, follows from them.
 
 A Bernoulli coefficient (m, k) is decided by word i = 2**m - 1 + k of the
 SplitMix64 stream seeded with ``seed mod 2**64`` (see ``splitmix64``): a
@@ -84,7 +86,7 @@ def splitmix64(state: int, i: int) -> int:
 
 class CoefficientScheme:
     """Base class of the rules (m, k) -> theta, 0 <= k < 2**m: subclasses define
-    ``constant``, or ``theta`` (plus vectorized ``row``/``thetas`` where faster)."""
+    ``constant``, or ``theta`` (plus a vectorized ``thetas`` where faster)."""
 
     spec: str  # canonical spec string, set by subclasses
 
@@ -100,24 +102,22 @@ class CoefficientScheme:
         return c
 
     def row(self, m: int) -> np.ndarray:
-        """All coefficients of one generation as an int64 array of +/-1.
-
-        The array is either fresh, owned by the caller, or for a constant
-        generation a read-only zero-stride view of one value: it takes no
-        memory, so grids of constant schemes stream at any level.
+        """All coefficients of one generation as an int64 array of +/-1: ``thetas``
+        at every k, fresh and owned by the caller, or for a constant generation a
+        read-only zero-stride view of one value, which takes no memory.
         """
         if m < 0:
             raise ValueError(f"generation m must be >= 0, got {m}")
         c = self.constant(m)
         if c is not None:
             return np.broadcast_to(np.int64(c), (1 << m,))
-        return np.array([self.theta(m, k) for k in range(1 << m)], dtype=np.int64)
+        return self.thetas(m, np.arange(1 << m, dtype=np.int64))
 
     def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
         """theta(m, k[i]) for an int64 array k of indices in [0, 2**m), as a fresh int64 array.
 
         Reads only the indices asked for, so a caller that needs a few
-        coefficients of a deep generation skips building (or caching) the whole row.
+        coefficients of a deep generation skips building the whole row.
         """
         c = self.constant(m)
         if c is not None:
@@ -146,12 +146,6 @@ class _Negated(CoefficientScheme):
 
     def theta(self, m: int, k: int) -> int:
         return -self.inner.theta(m, k)
-
-    def row(self, m: int) -> np.ndarray:
-        if self.constant(m) is not None:
-            return super().row(m)
-        row = self.inner.row(m)
-        return np.negative(row, out=row)
 
     def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
         t = self.inner.thetas(m, k)
@@ -191,13 +185,6 @@ class AlternatingMK(CoefficientScheme):
         _check_index(m, k)
         return -1 if (m + k) % 2 else 1
 
-    def row(self, m: int) -> np.ndarray:
-        out = np.empty(1 << m, dtype=np.int64)
-        s = -1 if m % 2 else 1
-        out[0::2] = s
-        out[1::2] = -s
-        return out
-
     def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
         s = -1 if m % 2 else 1
         return np.where(k & 1, -s, s)
@@ -230,12 +217,6 @@ class HalfSplit(CoefficientScheme):
         if m == 0:
             return 1
         return 1 if k < (1 << (m - 1)) else -1
-
-    def row(self, m: int) -> np.ndarray:
-        out = np.ones(1 << m, dtype=np.int64)
-        if m >= 1:
-            out[1 << (m - 1):] = -1
-        return out
 
     def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
         if m == 0:
@@ -276,34 +257,30 @@ class Bernoulli(CoefficientScheme):
         _check_index(m, k)
         return 1 if splitmix64(self._state, (1 << m) - 1 + k) < self._bound else -1
 
-    def row(self, m: int) -> np.ndarray:
-        if m < 0:
-            raise ValueError(f"generation m must be >= 0, got {m}")
-        return self._signs(np.arange(1 << m, 2 << m, dtype=np.uint64))
+    def constant(self, m: int) -> int | None:
+        if self._bound > _MASK:  # p_plus = 1: every word is below the bound
+            return 1
+        return -1 if self._bound == 0 else None
 
     def thetas(self, m: int, k: np.ndarray) -> np.ndarray:
-        if m >= 64:  # counters past 2**64 chain the finalizer (see splitmix64)
-            return super().thetas(m, k)
-        z = k.astype(np.uint64)
-        z += np.uint64(1 << m)
-        return self._signs(z)
-
-    def _signs(self, z: np.ndarray) -> np.ndarray:
-        """The +/-1 coefficients of the uint64 counters z = i + 1 < 2**64 (i the
-        breadth-first index), computed in z's own buffer.
+        """The coefficients at k, computed in the buffer of their uint64
+        counters z = i + 1 < 2**64 (i the breadth-first index).
 
         splitmix64 at i: state + (i+1)*gamma, then the finalizer, all mod 2**64.
         """
-        out = z.view(np.int64)  # the +/-1 values reuse the buffer of the words
-        if self._bound > _MASK:
-            out[:] = 1
-            return out
+        # the base thetas: one sign at p = 0 or 1, or the scalar theta for counters
+        # past 2**64, which chain the finalizer (see splitmix64)
+        if m >= 64 or self.constant(m) is not None:
+            return super().thetas(m, k)
+        z = k.astype(np.uint64)
+        z += np.uint64(1 << m)
         z *= np.uint64(_GAMMA)
         z += np.uint64(self._state)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             z ^= z >> np.uint64(shift)
             z *= np.uint64(mult)
         z ^= z >> np.uint64(31)
+        out = z.view(np.int64)  # the +/-1 values reuse the buffer of the words
         np.copyto(out, z < np.uint64(self._bound))
         out *= 2
         out -= 1

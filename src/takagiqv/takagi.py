@@ -17,10 +17,11 @@ Evaluation surfaces:
   (p + q*sqrt(2)) / 2**N in blocks of at most BLOCK + 1 points, built by
   the midpoint recursion (one numpy pass per generation): the series is
   local, so each cell of a coarse grid refines on its own, and a
-  reduction never holds more than one block.  It is the only grid builder
-  (``extrema.grid_extrema`` refines single cells of a coarse grid by the
-  same recursion); ``grid_blocks``, the one grid reader of the sums,
-  reads it or a caller's pair grid in its layout;
+  reduction never holds more than one block.  A block asks the scheme for
+  its own coefficients, so a function holds nothing but its scheme.  It
+  is the only grid builder (``extrema.grid_extrema`` refines single cells
+  of a coarse grid by the same recursion); ``grid_blocks``, the one grid
+  reader of the sums, reads it or a caller's pair grid in its layout;
 * ``grid_pairs`` -- the same grid at once, its blocks copied into one
   array;
 * ``approx`` -- truncated series with a certified geometric tail bound;
@@ -72,17 +73,13 @@ class TakagiFunction:
 
     def __init__(self, scheme: CoefficientScheme) -> None:
         self.scheme = scheme
-        self._rows: dict[int, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return f"TakagiFunction({self.scheme.spec})"
 
     def row(self, m: int) -> np.ndarray:
-        """Generation-m coefficients, cached after first use."""
-        got = self._rows.get(m)
-        if got is None:
-            got = self._rows[m] = self.scheme.row(m)
-        return got
+        """Generation-m coefficients, the scheme's ``row``."""
+        return self.scheme.row(m)
 
     # -- scalar evaluation ----------------------------------------------------
 
@@ -156,24 +153,29 @@ class TakagiFunction:
         new midpoint to the average of its neighbours plus theta times the
         new wedge height.  The result holds the level-stop values between
         the same two endpoints.  Every generation, the result among them, is
-        written into the (5, m) int64 scratch array buf, m at least the
+        written into the (4, m) int64 scratch array buf, m at least the
         result's length, which p and q must not share.
+
+        Each generation's coefficients are asked of the scheme for these
+        cells alone: one ``constant``, or ``thetas`` at their indices.
         """
         for n in range(start, stop):
             cells = len(p) - 1
             size = 2 * cells + 1
             # alternate between two row pairs: the old generation is the other one
             i = 2 * (n % 2)
-            p_new, q_new, step = buf[i, :size], buf[i + 1, :size], buf[4, :cells]
+            p_new, q_new = buf[i, :size], buf[i + 1, :size]
             for old, new in ((p, p_new), (q, q_new)):
                 np.left_shift(old, 1, out=new[::2])
                 np.add(old[:-1], old[1:], out=new[1::2])
             # wedge height 2**-(n+2)/2 rescaled by 2**(n+1): 2**(n//2) in the
             # rational part for even n, in the sqrt2 part for odd n
             mid = p_new[1::2] if n % 2 == 0 else q_new[1::2]
-            lo = first << (n - start)
-            np.left_shift(self.row(n)[lo : lo + cells], n // 2, out=step)
-            mid += step
+            theta = self.scheme.constant(n)
+            if theta is None:
+                lo = first << (n - start)
+                theta = self.scheme.thetas(n, np.arange(lo, lo + cells))
+            mid += theta << (n // 2)
             p, q = p_new, q_new
         return p, q
 
@@ -207,9 +209,9 @@ class TakagiFunction:
         bits = block_bits(level)
         coarse = level - bits
         zp, zq = np.zeros((2, 2), dtype=np.int64)
-        cbuf = np.empty((5, (1 << coarse) + 1), dtype=np.int64)
+        cbuf = np.empty((4, (1 << coarse) + 1), dtype=np.int64)
         cp, cq = self._refine(zp, zq, 0, coarse, 0, cbuf)
-        buf = np.empty((5, (1 << bits) + 1), dtype=np.int64)
+        buf = np.empty((4, (1 << bits) + 1), dtype=np.int64)
         for c in range(1 << coarse):
             p, q = self._refine(cp[c : c + 2], cq[c : c + 2], coarse, level, c, buf)
             yield c << bits, p, q

@@ -124,6 +124,19 @@ def oracle_grid_pairs(fn: TakagiFunction, level: int) -> tuple[np.ndarray, np.nd
     return p, q
 
 
+def thetas_reads(monkeypatch, scheme) -> list[tuple[int, np.ndarray]]:
+    """From now on, record (m, k) of every ``scheme.thetas(m, k)`` call, k copied."""
+    reads: list[tuple[int, np.ndarray]] = []
+    thetas = scheme.thetas
+
+    def recording(m, k):
+        reads.append((m, np.array(k)))
+        return thetas(m, k)
+
+    monkeypatch.setattr(scheme, "thetas", recording)
+    return reads
+
+
 # -- full-grid oracles for the block-streamed reductions ---------------------------
 # The reductions as they were before grids were streamed: one full grid per
 # call from oracle_grid_pairs, full-size increments, a single-sided screen.

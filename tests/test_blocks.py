@@ -43,6 +43,7 @@ from conftest import (
     oracle_qv_approx,
     oracle_qv_of_sum,
     oracle_qv_profile,
+    thetas_reads,
 )
 
 SCHEMES = BUILTIN_NAMES + ("bernoulli:1/3:5",)
@@ -71,7 +72,7 @@ def joined(blocks):
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("spec", ["alt_mk", "bernoulli:1/3:5"])
+    @pytest.mark.parametrize("spec", ["alt_mk", "neg_half_split", "bernoulli:1/3:5", "bernoulli:0:3", "bernoulli:1:3"])
     @pytest.mark.parametrize("level", [0, 1, 15, 16, 17, 18])
     def test_default_width_joins_to_the_grid(self, spec, level):
         f = fn(spec)
@@ -82,6 +83,20 @@ class TestBlocks:
         assert np.array_equal(p, op) and np.array_equal(q, oq)
         gp, gq = f.grid_pairs(level)
         assert np.array_equal(gp, op) and np.array_equal(gq, oq)
+
+    @pytest.mark.parametrize("spec", ["alt_mk", "bernoulli:1/3:5"])
+    def test_each_block_reads_its_own_coefficients(self, spec, monkeypatch):
+        """A block asks the scheme for its own indices only: no call reads more than
+        one block, each generation is read once, and the function keeps nothing."""
+        f = fn(spec)
+        reads = thetas_reads(monkeypatch, f.scheme)
+        f.grid_pairs(18)
+        assert max(len(k) for _, k in reads) <= takagi.BLOCK
+        for m in range(18):
+            got = np.concatenate([k for n, k in reads if n == m])
+            assert np.array_equal(np.sort(got), np.arange(1 << m))
+        assert {m for m, _ in reads} == set(range(18))
+        assert vars(f) == {"scheme": f.scheme}
 
     @pytest.mark.parametrize("spec", SCHEMES)
     @pytest.mark.parametrize("level", [0, 1, 3, 9])

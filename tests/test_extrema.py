@@ -7,7 +7,7 @@ from takagiqv.qfield import Dyadic, QuadValue
 from takagiqv.schemes import Explicit, SchemeDepthError, parse_scheme
 from takagiqv.takagi import TakagiFunction
 
-from conftest import oracle_partial
+from conftest import oracle_partial, thetas_reads
 
 
 def fn(spec):
@@ -109,10 +109,16 @@ class TestGridScan:
             grid_extrema(fn("all_plus"), 27)
 
     @pytest.mark.parametrize("spec", ["half_split", "neg_half_split", "alt_mk", "bernoulli:1/3:7"])
-    def test_deep_grid_caches_no_whole_row(self, spec):
+    def test_deep_grid_caches_no_whole_row(self, spec, monkeypatch):
         f = fn(spec)
+        reads = thetas_reads(monkeypatch, f.scheme)
         rep = grid_extrema(f, 22)
-        assert max(f._rows) < SEED_LEVEL
+        sizes = [(m, len(k)) for m, k in reads]
+        # the seed grid reads its generations whole, once; deeper ones are read
+        # once each, at the alive cells alone, far fewer than one seed row in all
+        assert sizes[:SEED_LEVEL] == [(m, 1 << m) for m in range(SEED_LEVEL)]
+        assert [m for m, _ in sizes[SEED_LEVEL:]] == list(range(SEED_LEVEL, 22))
+        assert sum(n for _, n in sizes[SEED_LEVEL:]) < 1 << SEED_LEVEL
         assert rep.max.compare(max_value(22)) <= 0
 
     @pytest.mark.parametrize("depth", [3, 11])

@@ -27,6 +27,7 @@ from conftest import (
     oracle_qv,
     oracle_square,
     oracle_sum_square,
+    thetas_reads,
 )
 
 ALL_SCHEMES = BUILTIN_NAMES + ("bernoulli:1/2:1",)
@@ -292,13 +293,21 @@ class TestLevelIdentity:
 
 
 class TestReadsOnlyTheCoarseGrid:
-    def test_cov_profile_caches_no_row(self):
+    def test_cov_profile_caches_no_row(self, monkeypatch):
         x, y = fn("bernoulli:1/3:7"), fn("bernoulli:2/3:8")
-        cov_profile(x, y, 18, 1)
-        assert x._rows == {} and y._rows == {}
-        # t = 5/8 reads the level-3 grid, and so rows 0..2 alone
-        cov_profile(x, y, 18, F(5, 8))
-        assert set(x._rows) == set(y._rows) == {0, 1, 2}
+        reads = [thetas_reads(monkeypatch, f.scheme) for f in (x, y)]
+        # t = 5/8 reads the level-3 grid, and so generations 0..2 whole; the
+        # agreement of each generation m >= exp(t) reads its first t * 2**m
+        for t, exp in ((F(1), 0), (F(5, 8), 3)):
+            cov_profile(x, y, 18, t)
+            want = {m: 1 << m if m < exp else int(t * (1 << m)) for m in range(18)}
+            for got in reads:
+                assert max(len(k) for _, k in got) <= takagi.BLOCK
+                per_m = {m: 0 for m in range(18)}
+                for m, k in got:
+                    per_m[m] += len(k)
+                assert per_m == want
+                got.clear()
 
     @pytest.mark.parametrize("spec", ["alt_mk", "bernoulli:1/3:7"])
     def test_strided_profile_never_streams_the_fine_grid(self, spec, monkeypatch):
@@ -310,9 +319,10 @@ class TestReadsOnlyTheCoarseGrid:
             return streamed(level)
 
         monkeypatch.setattr(f, "_blocks", recording)
+        reads = thetas_reads(monkeypatch, f.scheme)
         qv_profile(f, 20, 1 << 12)
         assert levels == [8]
-        assert max(f._rows, default=-1) < 8
+        assert [(m, len(k)) for m, k in reads] == [(m, 1 << m) for m in range(8)]
 
 
 class TestConstantGenerations:
@@ -406,21 +416,20 @@ class TestEqualSchemes:
     """Two schemes with the same coefficients sum their agreement in closed form."""
 
     @staticmethod
-    def no_thetas(monkeypatch, *schemes):
-        def refuse(m, k):
-            raise AssertionError("coefficients were read")
-
-        for scheme in schemes:
-            monkeypatch.setattr(scheme, "thetas", refuse)
+    def agreement_reads(monkeypatch, t, *schemes):
+        """The thetas calls, from now on, past the grid of level exp(t): the agreement's."""
+        reads = [thetas_reads(monkeypatch, s) for s in schemes]
+        return lambda: [m for got in reads for m, _ in got if m >= Dyadic.coerce(t).exp]
 
     @pytest.mark.parametrize("spec", ALL_SCHEMES + ("bernoulli:1/3:7",))
     def test_equal_specs(self, spec, monkeypatch):
         x, y = fn(spec), fn(spec)
         want = {t: [oracle_cov_approx(x, y, n, t) for n in range(3, 11)] for t in (F(1), F(3, 8))}
-        self.no_thetas(monkeypatch, x.scheme, y.scheme)
         for t, values in want.items():
+            read = self.agreement_reads(monkeypatch, t, x.scheme, y.scheme)
             assert [r.value for r in cov_profile(x, y, 10, t).rows if r.level >= 3] == values
             assert cov_approx(x, y, 10, t) == qv_approx(x, 10, t) == values[-1]
+            assert read() == []
 
     @staticmethod
     def tables(depth):
@@ -434,8 +443,10 @@ class TestEqualSchemes:
         for t in (F(1), F(5, 8)):
             # different coefficients behind one spec are summed, not taken in closed form
             assert cov_approx(x, y, 7, t) == oracle_cov_approx(x, y, 7, t) != qv_approx(x, 7, t)
-        self.no_thetas(monkeypatch, x.scheme, z.scheme)
-        assert cov_approx(x, z, 7, F(5, 8)) == oracle_cov_approx(x, z, 7, F(5, 8))
+        want = oracle_cov_approx(x, z, 7, F(5, 8))
+        read = self.agreement_reads(monkeypatch, F(5, 8), x.scheme, z.scheme)
+        assert cov_approx(x, z, 7, F(5, 8)) == want
+        assert read() == []
 
     def test_depth_errors_unchanged(self):
         plus, _ = self.tables(6)

@@ -5,8 +5,6 @@ import pytest
 
 from takagiqv.schemes import (
     BUILTIN_NAMES,
-    AllPlus,
-    AlternatingM,
     Bernoulli,
     CoefficientScheme,
     Explicit,
@@ -74,10 +72,9 @@ class TestNamedSchemes:
             k = rng.integers(0, 1 << min(m, 63), 64)
             if m >= 63:
                 k[:2] = 0, (1 << 63) - 1
-                # rows of 2**63 entries cannot be built: the scalar definition
-                expected = np.array([s.theta(m, int(j)) for j in k])
-            else:
-                expected = s.row(m)[k]
+            expected = np.array([s.theta(m, int(j)) for j in k])
+            if m < 63:  # rows of 2**63 entries cannot be built
+                assert np.array_equal(s.row(m)[k], expected)
             got = s.thetas(m, k)
             assert got.dtype == np.int64 and np.array_equal(got, expected)
             s = s.negated()
@@ -90,15 +87,6 @@ class TestNamedSchemes:
             s.theta(2, -1)
         with pytest.raises(ValueError):
             s.theta(-1, 0)
-
-    @pytest.mark.parametrize("inner", [AllPlus(), AlternatingM()])
-    def test_negated_constant_row_stays_a_view(self, inner):
-        neg = inner.negated()
-        for m in range(12):
-            row = neg.row(m)
-            assert row.strides == (0,)
-            assert row.tolist() == [-inner.theta(m, 0)] * (1 << m)
-            assert row.tolist() == [neg.theta(m, k) for k in range(1 << m)]
 
     @pytest.mark.parametrize("spec", ["half_split", "alt_mk", "bernoulli:1/3:7"])
     def test_negated_fresh_row(self, spec):
@@ -125,15 +113,15 @@ class TestConstant:
     """constant(m), when not None, is the coefficient of every k of generation m,
     and row/theta/thetas derive from it."""
 
-    CONSTANT = ("all_plus", "alt_m", "block:5")
+    CONSTANT = ("all_plus", "alt_m", "block:5", "bernoulli:0:3", "bernoulli:1:3")
 
     @pytest.mark.parametrize("spec", BUILTIN_NAMES + ("bernoulli:0:3", "bernoulli:1/3:7", "bernoulli:1:3", "explicit"))
     @pytest.mark.parametrize("negate", [False, True])
     def test_contract(self, spec, negate):
-        s = _explicit(11) if spec == "explicit" else parse_scheme(spec)
+        s = _explicit(12) if spec == "explicit" else parse_scheme(spec)
         if negate:
             s = s.negated()
-        for m in range(11):
+        for m in range(12):
             c = s.constant(m)
             assert (c is not None) == (spec in self.CONSTANT)
             if c is None:
