@@ -32,7 +32,7 @@ from .extrema import grid_extrema
 from .follmer import RationalPolynomial, _residual_and_sum
 from .modulus import _omega_pair, modulus_scan, sweep_all_steps, witness_ratios, witness_steps
 from .qfield import Dyadic, QuadValue, decimal_column, decimal_pair, decimal_ratio
-from .quadvar import QVSeries, _first_level, counterexample_series, cov_profile, qv_profile
+from .quadvar import QVSeries, _first_level, _profile_sums, counterexample_series, cov_profile
 from .schemes import SchemeDepthError, parse_exact_fraction, parse_scheme
 from .takagi import GRID_LEVEL_CAP, TakagiFunction, thirds_value
 
@@ -160,9 +160,12 @@ def _is_dyadic(t: Fraction) -> bool:
 def cmd_eval(args: argparse.Namespace) -> None:
     if not 1 <= args.digits <= DIGITS_CAP:
         raise ValueError(f"--digits must be in [1, {DIGITS_CAP}], got {args.digits}")
+    tol = parse_exact_fraction(args.tol)
+    # a tail bound finer than the most digits printed shows nothing, and its levels cost O(L**2)
+    if tol < Fraction(1, 10**DIGITS_CAP):
+        raise ValueError(f"--tol must be at least 1/10**{DIGITS_CAP}, got {args.tol}")
     fn = _scheme(args)
     t = parse_exact_fraction(args.t)
-    tol = parse_exact_fraction(args.tol)
     bound = None
     if _is_dyadic(t):
         v = fn.at_dyadic(t)
@@ -218,11 +221,11 @@ def cmd_qv(args: argparse.Namespace) -> None:
     limit = None if args.t is None else parse_exact_fraction(args.t)
     if limit is not None and not 0 <= limit <= 1:
         raise ValueError(f"--t must be in [0, 1], got {limit}")
-    sums = qv_profile(fn, n, args.stride).sums  # validates the stride
+    a, b = _profile_sums(fn, n, args.stride)  # validates the stride
     # the rows at t = i * stride / 2**n <= limit
-    count = None if limit is None else math.floor(limit * (1 << n)) // sums.stride + 1
-    a, b = sums.a[:count], sums.b[:count]
-    t_num = np.arange(len(a)) * sums.stride
+    count = None if limit is None else math.floor(limit * (1 << n)) // args.stride + 1
+    a, b = a[:count], b[:count]
+    t_num = np.arange(len(a)) * args.stride
     _emit(_pair_rows(n, t_num, n, a, b, 2 * n), list(SERIES_FIELDS), args)
 
 

@@ -5,7 +5,9 @@ J_n/2**n and 1 - J_n/2**n with J_n the Jacobsthal numbers, and the maximum
 has the closed form M_n below.  M_n also bounds every n-generation ±1
 partial sum in size, which is what lets ``grid_extrema`` find the exact
 extrema of any scheme on a fine grid by branch and bound, refining only
-the few cells that could still hold one.
+the few cells that could still hold one.  Every search starts from a full
+seed grid, the whole grid up to level ``SEED_LEVEL``, and ends in one
+exact merge of its float candidates, ``_merge``.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ from functools import cache
 
 import numpy as np
 
-from .gridscan import Extremum, _merge, block_extrema
-from .qfield import _SQRT2_F, Dyadic, QuadValue, pow2_half
+from .qfield import _SQRT2_F, Dyadic, QuadValue, pow2_half, sign_pair
 from .takagi import TakagiFunction, _check_level, pair_value
 
 #: Level of the full grid a search starts from; finer levels refine only the
 #: cells the remainder bound cannot rule out.
 SEED_LEVEL = 10
+
+#: (p*, q*, sorted tie indices) of one exact extremum.
+Extremum = tuple[int, int, list[int]]
 
 
 def jacobsthal(n: int) -> int:
@@ -68,14 +72,13 @@ def grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
     """Exact max/min over the grid j/2**level by branch and bound; ties listed in order.
 
     Values are integer pairs at the level-N scale (N = level): x(j/2**N) =
-    (p + q*sqrt2) / 2**N.  Up to N = SEED_LEVEL the grid is screened whole
-    (``gridscan.block_extrema``).  Above, the search starts from the full
-    grid of level s = SEED_LEVEL and refines one generation at a time.  At
-    level n it keeps the alive cells [k/2**n, (k+1)/2**n] as their endpoint
-    pairs, drops the cells that cannot hold an extremum, and splits the rest
-    at their midpoints, which the midpoint recursion gives as (left +
-    right)/2 plus theta(n, k) times the wedge height 2**(N - 1 - n + n//2)
-    on p (n even) or q (n odd).
+    (p + q*sqrt2) / 2**N.  The search starts from the full grid of level
+    s = min(N, SEED_LEVEL), the whole grid when N <= SEED_LEVEL, and refines
+    one generation at a time.  At level n it keeps the alive cells [k/2**n,
+    (k+1)/2**n] as their endpoint pairs, drops the cells that cannot hold an
+    extremum, and splits the rest at their midpoints, which the midpoint
+    recursion gives as (left + right)/2 plus theta(n, k) times the wedge
+    height 2**(N - 1 - n + n//2) on p (n even) or q (n odd).
 
     Why a dropped cell holds no maximum (the minimum is symmetric).  On a
     level-n cell the generations below n add up to the chord between the
@@ -103,14 +106,12 @@ def grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
     screened, at its own level, as a seed point or as the midpoint of an
     alive cell, and every point of a dropped cell lies strictly below the
     maximum seen (above the minimum).  The candidates are merged exactly by
-    ``gridscan._merge``.
+    ``_merge``.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     _check_level(level)
-    # at or below the seed level the seed grid is the whole search: one screen of its blocks
-    search = block_extrema(fn._blocks(level)) if level <= SEED_LEVEL else _search(fn, level)
-    (hi_p, hi_q, hi_ties), (lo_p, lo_q, lo_ties) = search
+    (hi_p, hi_q, hi_ties), (lo_p, lo_q, lo_ties) = _search(fn, level)
     hi = pair_value(hi_p, hi_q, level)
     lo = pair_value(lo_p, lo_q, level)
     return ExtremaReport(
@@ -124,8 +125,8 @@ def grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
 
 
 def _search(fn: TakagiFunction, level: int) -> tuple[Extremum, Extremum]:
-    """The branch and bound of ``grid_extrema`` from the seed grid, for level > SEED_LEVEL."""
-    seed = SEED_LEVEL
+    """The branch and bound of ``grid_extrema`` from the seed grid."""
+    seed = min(level, SEED_LEVEL)
     pts = np.stack(fn.grid_pairs(seed)) << (level - seed)
     f = pts[1] * _SQRT2_F + pts[0]
     found = [(np.arange(0, (1 << level) + 1, 1 << (level - seed)), pts, f)]
@@ -147,6 +148,24 @@ def _search(fn: TakagiFunction, level: int) -> tuple[Extremum, Extremum]:
     idx, pts, f = (np.concatenate(part, axis=-1) for part in zip(*found))
     cand = np.flatnonzero((f >= hi - margin) | (f <= lo + margin))
     return _merge(idx[cand].tolist(), pts[0, cand].tolist(), pts[1, cand].tolist())
+
+
+def _merge(idx: list[int], cp: list[int], cq: list[int]) -> tuple[Extremum, Extremum]:
+    """Exact maximum and minimum over candidate values cp[i] + cq[i]*sqrt2 at indices idx."""
+    hi = lo = 0
+    hi_ties, lo_ties = [idx[0]], [idx[0]]
+    for i in range(1, len(idx)):
+        c = sign_pair(cp[i] - cp[hi], cq[i] - cq[hi])
+        if c > 0:
+            hi, hi_ties = i, [idx[i]]
+        elif c == 0:
+            hi_ties.append(idx[i])
+        c = sign_pair(cp[i] - cp[lo], cq[i] - cq[lo])
+        if c < 0:
+            lo, lo_ties = i, [idx[i]]
+        elif c == 0:
+            lo_ties.append(idx[i])
+    return (cp[hi], cq[hi], sorted(hi_ties)), (cp[lo], cq[lo], sorted(lo_ties))
 
 
 def grid_oscillation(fn: TakagiFunction, level: int) -> QuadValue:

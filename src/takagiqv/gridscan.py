@@ -1,4 +1,6 @@
-"""Exact extrema over arrays of Q(sqrt(2)) values stored as integer pairs.
+"""Exact extrema over arrays of Q(sqrt(2)) values stored as integer pairs:
+the scan oracle that tests and ``benchmark/`` import; no library module
+imports it.
 
 Scans run in two stages.  A float pass in one float64 buffer per block
 narrows the values to a small candidate set for the maximum and the
@@ -6,11 +8,10 @@ minimum together, using a rigorous error bound; then exact integer
 comparisons over the candidates decide both winners and collect every
 tie.  ``block_extrema`` scans the blocks a grid streams in, which share
 endpoints; arrays of any length are screened as one block.  Only the
-candidates' pairs are kept, the exact merge makes the result independent
-of the blocking, and scans run on the calling thread.  The extrema of a
-function's own grid above ``extrema.SEED_LEVEL`` need no scan:
-``extrema.grid_extrema`` searches it by branch and bound and hands its
-candidates to the same exact merge, ``_merge``.
+candidates' pairs are kept, the exact merge (``extrema._merge``, which
+also decides the branch-and-bound search of ``extrema.grid_extrema``)
+makes the result independent of the blocking, and scans run on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .qfield import _SQRT2_F, sign_pair
-
-
-#: (p*, q*, sorted tie indices) of one exact extremum.
-Extremum = tuple[int, int, list[int]]
+from .extrema import Extremum, _merge
+from .qfield import _SQRT2_F
 
 
 def thread_cap() -> int:
@@ -46,24 +44,6 @@ def _float_candidates(p: np.ndarray, q: np.ndarray, lo: int, hi: int, buf: np.nd
     keep = f >= f.max() - tol
     keep |= f <= f.min() + tol
     return np.flatnonzero(keep) + lo
-
-
-def _merge(idx: list[int], cp: list[int], cq: list[int]) -> tuple[Extremum, Extremum]:
-    """Exact maximum and minimum over candidate values cp[i] + cq[i]*sqrt2 at indices idx."""
-    hi = lo = 0
-    hi_ties, lo_ties = [idx[0]], [idx[0]]
-    for i in range(1, len(idx)):
-        c = sign_pair(cp[i] - cp[hi], cq[i] - cq[hi])
-        if c > 0:
-            hi, hi_ties = i, [idx[i]]
-        elif c == 0:
-            hi_ties.append(idx[i])
-        c = sign_pair(cp[i] - cp[lo], cq[i] - cq[lo])
-        if c < 0:
-            lo, lo_ties = i, [idx[i]]
-        elif c == 0:
-            lo_ties.append(idx[i])
-    return (cp[hi], cq[hi], sorted(hi_ties)), (cp[lo], cq[lo], sorted(lo_ties))
 
 
 def block_extrema(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> tuple[Extremum, Extremum]:

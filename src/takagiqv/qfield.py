@@ -79,11 +79,10 @@ def decimal_column(p: np.ndarray, q: np.ndarray, bits: int, digits: int) -> list
     """decimal_pair(p[i], q[i], 2**bits, digits) for every i, for int64 arrays p and q.
 
     A float screen with an exact fallback (Ziv's strategy for correctly
-    rounded results, ACM TOMS 17(3), 1991), bounded like the screen of
-    ``gridscan._float_candidates``.  x = value * 10**digits is computed in
-    float64, and tol = (|p| + 2|q|) * 10**digits / 2**bits * 2**-50 is at
-    least twice its rounding error, (3|p| + 5*sqrt(2)*|q|) * 2**-53 in the
-    same units.  A row whose x lies farther than tol from every rounding
+    rounded results, ACM TOMS 17(3), 1991).  x = value * 10**digits is
+    computed in float64, and tol = (|p| + 2|q|) * 10**digits / 2**bits *
+    2**-50 is at least twice its rounding error, (3|p| + 5*sqrt(2)*|q|) *
+    2**-53 in the same units.  A row whose x lies farther than tol from every rounding
     half rounds to n = rint(x), and n prints exactly as ``%.{digits}f`` of
     n / 10**digits, since |n| < 2**52.  decimal_pair decides the other
     rows: exact ties (q == 0 at a dyadic half), near ties, and every

@@ -20,35 +20,41 @@ below k are constant on a level-k cell, adding up to 2**k times the
 level-k increment L there, and each finer one sums to 0 over it.  So over
 a level-k cell the products of 2**n times the increments of x and y sum to
 2**(n-k) L_x L_y plus same-generation terms only, 2**m theta_x theta_y on
-each of the 2**(n-m) intervals of a generation-m cell.  Row i of qv_profile(x, N, 2**(N-k)),
-at t = i/2**k, is thus row i of the level-k profile mapped to a'_i =
-2**(N-k) a_i + i (2**(2N-k) - 2**N), b'_i = 2**(N-k) b_i.
+each of the 2**(n-m) intervals of a generation-m cell.  Row i of
+qv_profile(x, N, 2**(N-k)), at t = i/2**k, is thus row i of the level-k
+profile mapped to a'_i = 2**(N-k) a_i + i (2**(2N-k) - 2**N), b'_i =
+2**(N-k) b_i.
 
 S_m is closed-form when the schemes have the same coefficients (t 2**m)
 or are both constant in generation m (``scheme.constant(m)``, as all_plus
 and alt_m are).  Otherwise it adds int64 dot products of ``scheme.thetas(m,
 range)`` over chunks of at most ``takagi.BLOCK`` indices, each exact as
 every product is +-1, in Python ints, and caches no row.  The level-k
-sums, a caller's pair grid (in general no class member) and stride-1
-profiles are int64 dot products of each block's increments
-(``takagi.grid_blocks``) added in Python ints; a pair grid too large for
-them to be exact is refused with ValueError.  :func:`counterexample_series`
-tabulates the even and odd subsequences of the qv of the sum and the
-covariation of all_plus and alt_m, which tend to different limits.
+sums, and those of a caller's pair grid (in general no class member), are
+int64 dot products of each block's increments (``takagi.grid_blocks``)
+added in Python ints.  Each grid is read once: every covariation a result
+needs (one for a qv, three for the qv of a sum) is summed from the same
+increments.  A profile at stride 2**(N-k) sums the cells of the level-k
+grid (k = N at stride 1, and a pair grid's own grid, sliced); a pair grid
+too large for exact int64 sums is refused with ValueError.
+:func:`counterexample_series` tabulates the even and odd subsequences of
+the qv of the sum and the covariation of all_plus and alt_m, which tend to
+different limits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .qfield import Dyadic, QuadValue, Rational
 from .schemes import AllPlus, AlternatingM
-from .takagi import (Block, GridLike, PairGrid, TakagiFunction, _check_level, _grid_index, block_bits,
-                     grid_blocks, pair_value, prefix_blocks)
+from .takagi import (Block, GridLike, TakagiFunction, _check_level, _grid_index, block_bits, grid_blocks,
+                     pair_value)
 
 
 @dataclass(frozen=True)
@@ -59,47 +65,11 @@ class QVRow:
     distance: QuadValue | None = None
 
 
-class ProfileSums(NamedTuple):
-    """A running qv profile as integers: row i is the time i * stride / 2**level,
-    with value (a[i] + b[i]*sqrt(2)) / 4**level."""
+class QVSeries(NamedTuple):
+    """Rows of (level, time, value), tagged qv / covariation / qv_of_sum."""
 
-    level: int
-    stride: int
-    a: np.ndarray
-    b: np.ndarray
-
-    def rows(self) -> list[QVRow]:
-        n = self.level
-        return [QVRow(n, Dyadic(i * self.stride, n), pair_value(a, b, 2 * n))
-                for i, (a, b) in enumerate(zip(self.a.tolist(), self.b.tolist()))]
-
-
-class QVSeries:
-    """Rows of (level, time, value), tagged qv / covariation / qv_of_sum.
-
-    A qv profile is held as its integer ``sums``; its rows are built the
-    first time they are asked for.
-    """
-
-    def __init__(self, tag: str, rows: list[QVRow] | None = None,
-                 sums: ProfileSums | None = None) -> None:
-        self.tag = tag
-        self.sums = sums
-        self._rows = rows
-
-    @property
-    def rows(self) -> list[QVRow]:
-        if self._rows is None:
-            self._rows = self.sums.rows()
-        return self._rows
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QVSeries):
-            return NotImplemented
-        return (self.tag, self.rows) == (other.tag, other.rows)
-
-    def __repr__(self) -> str:
-        return f"QVSeries({self.tag!r}, {self.rows!r})"
+    tag: str
+    rows: list[QVRow]
 
 
 Increments = tuple[np.ndarray, np.ndarray]
@@ -108,36 +78,35 @@ Increments = tuple[np.ndarray, np.ndarray]
 _ENTRY_LIMIT = 1 << 61
 
 
-def _blocks(x: GridLike, level: int) -> Iterator[Block]:
-    """The level grid of x as blocks; a pair grid is checked for int64 room (GRID_LEVEL_CAP bounds the rest)."""
-    blocks = grid_blocks(x, level)
-    return blocks if isinstance(x, TakagiFunction) else _checked_blocks(x, blocks)
+def _size(a: np.ndarray) -> int:
+    """The largest entry of a in size."""
+    return max(-int(np.min(a)), int(np.max(a)))
 
 
-def _checked_blocks(x: PairGrid, blocks: Iterator[Block]) -> Iterator[Block]:
-    """The blocks of the pair grid x; ValueError before an int64 sum over a block could overflow.
+def _increments(x: GridLike, level: int, end: int, buf: np.ndarray) -> Iterator[Block]:
+    """(offset, dp, dq) for each block of the level grid of x that holds its points 0 .. end: the
+    increments of p and q, up to point end, in the rows of buf.
 
-    With d the largest increment size in a block of w intervals, every
-    int64 sum below (a dot product, or p.p + 2 q.q per interval) is at most
-    3 * w * d**2, which the check keeps below 2**63.
+    Blocks are summed one after another in the same scratch rows, as fresh
+    arrays would take new pages, and blocks past end are never built.  A
+    caller's pair grid is checked for int64 room, each block whole
+    (GRID_LEVEL_CAP bounds a class member): with d the largest increment
+    size in a block of w intervals, every int64 sum below (a dot product,
+    or p.p + 2 q.q per interval) is at most 3 * w * d**2, and ValueError is
+    raised before one could reach 2**63.
     """
-    for a in x:
-        if max(-int(np.min(a)), int(np.max(a))) >= _ENTRY_LIMIT:
-            raise ValueError("pair grid entries must be below 2**61 in size")
-    for off, bp, bq in blocks:
-        d = max(int(np.abs(np.diff(bp)).max()), int(np.abs(np.diff(bq)).max()))
-        if 3 * (len(bp) - 1) * d * d >= 1 << 63:
+    blocks = islice(grid_blocks(x, level), max(1, -(-end >> block_bits(level))))
+    pair = not isinstance(x, TakagiFunction)
+    if pair and max(map(_size, x)) >= _ENTRY_LIMIT:
+        raise ValueError("pair grid entries must be below 2**61 in size")
+    for off, p, q in blocks:
+        dp, dq = buf[0, : len(p) - 1], buf[1, : len(p) - 1]
+        np.subtract(p[1:], p[:-1], out=dp)
+        np.subtract(q[1:], q[:-1], out=dq)
+        d = max(_size(dp), _size(dq)) if pair else 0
+        if 3 * len(dp) * d * d >= 1 << 63:
             raise ValueError(f"pair grid increments up to {d} would overflow int64 sums")
-        yield off, bp, bq
-
-
-def _diffs(p: np.ndarray, q: np.ndarray, buf: np.ndarray) -> Increments:
-    """Increments of p and q in the rows of buf: blocks are summed one after
-    another in the same scratch rows, as fresh arrays would take new pages."""
-    dp, dq = buf[0, : len(p) - 1], buf[1, : len(p) - 1]
-    np.subtract(p[1:], p[:-1], out=dp)
-    np.subtract(q[1:], q[:-1], out=dq)
-    return dp, dq
+        yield off, dp[: end - off], dq[: end - off]
 
 
 def _cross(dx: Increments, dy: Increments) -> tuple[int, int]:
@@ -167,50 +136,53 @@ def _agreement(x: TakagiFunction, y: TakagiFunction, m: int, j: int) -> int:
     return total
 
 
-def _levels(x: GridLike, y: GridLike, top: int, t: Dyadic | Rational, lo: int) -> list[tuple[int, int]]:
-    """The covariation of x and y over [0, t] at every level lo..top, as pairs over 4**n.
+def _levels(grids: list[GridLike], pairs: list[tuple[int, int]], top: int, t: Dyadic | Rational,
+            lo: int) -> list[list[tuple[int, int]]]:
+    """For each (i, j) in pairs, the covariation of grids[i] and grids[j] over [0, t] at every
+    level lo..top, as pairs over 4**n.
 
-    Class members are summed on their level-k grids, k = exp(t), and carried
-    up by the identity of the module docstring.  A caller's pair grid, with
-    lo = top, is summed on its own grid.  When x is y its one grid gives
-    both sides.  Blocks past t are never built.
+    Each grid is read once, up to t: block by block into its own scratch
+    rows, and every pair sums ``_cross`` of the same increments.  Class
+    members are summed on their level-k grids, k = exp(t), and carried up
+    by the identity of the module docstring.  A caller's pair grid, with
+    lo = top, is summed on its own grid.  Blocks past t are never built.
     """
     _check_level(top)
     t = _grid_index(top, t)
-    k = t.exp if isinstance(x, TakagiFunction) and isinstance(y, TakagiFunction) else top
-    j = t.numerator_at(k)
-    buf = np.empty((2, 2, 1 << block_bits(k)), dtype=np.int64)
-    xs = prefix_blocks(_blocks(x, k), k, j)
-    if x is y:
-        sums = [_cross(d, d) for d in (_diffs(p, q, buf[0]) for p, q in xs)]
-    else:
-        ys = prefix_blocks(_blocks(y, k), k, j)
-        sums = [_cross(_diffs(*bx, buf[0]), _diffs(*by, buf[1])) for bx, by in zip(xs, ys)]
-    a, b = map(sum, zip(*sums))
-    out, w = [], 0
-    for n in range(k, top + 1):
-        if n >= lo:
-            out.append(((a << n - k) + (w << n), b << n - k))
-        if n < top:
-            w += _agreement(x, y, n, t.numerator_at(n))
+    k = t.exp if all(isinstance(g, TakagiFunction) for g in grids) else top
+    end = t.numerator_at(k)
+    buf = np.empty((len(grids), 2, 1 << block_bits(k)), dtype=np.int64)
+    crosses = []  # per block, the sum of each pair
+    for blocks in zip(*(_increments(g, k, end, rows) for g, rows in zip(grids, buf))):
+        d = [(dp, dq) for _, dp, dq in blocks]
+        crosses.append([_cross(d[i], d[j]) for i, j in pairs])
+    out = []
+    for (i, j), cells in zip(pairs, zip(*crosses)):
+        a, b = map(sum, zip(*cells))
+        w, levels = 0, []
+        for n in range(k, top + 1):
+            if n >= lo:
+                levels.append(((a << n - k) + (w << n), b << n - k))
+            if n < top:
+                w += _agreement(grids[i], grids[j], n, t.numerator_at(n))
+        out.append(levels)
     return out
 
 
 def _polarized(x: GridLike, y: GridLike, top: int, t: Dyadic | Rational, lo: int) -> tuple[list, list]:
     """The qv of x + y, [x] + [y] + 2[x, y], and the covariation [x, y] as pairs at every level lo..top."""
-    cov = _levels(x, y, top, t, lo)
-    parts = zip(_levels(x, x, top, t, lo), _levels(y, y, top, t, lo), cov)
-    return [(ax + ay + 2 * ac, bx + by + 2 * bc) for (ax, bx), (ay, by), (ac, bc) in parts], cov
+    xx, yy, xy = _levels([x, y], [(0, 0), (1, 1), (0, 1)], top, t, lo)
+    return [(ax + ay + 2 * ac, bx + by + 2 * bc) for (ax, bx), (ay, by), (ac, bc) in zip(xx, yy, xy)], xy
 
 
 def qv_approx(x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """Level-n squared-increment sum of x over [0, t], exact: the covariation of x with itself."""
-    return pair_value(*_levels(x, x, level, t, level)[0], 2 * level)
+    return pair_value(*_levels([x], [(0, 0)], level, t, level)[0][0], 2 * level)
 
 
 def cov_approx(x: GridLike, y: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """Level-n cross-increment sum of x and y over [0, t], exact."""
-    return pair_value(*_levels(x, y, level, t, level)[0], 2 * level)
+    return pair_value(*_levels([x, y], [(0, 1)], level, t, level)[0][0], 2 * level)
 
 
 def qv_of_sum(x: GridLike, y: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
@@ -225,34 +197,44 @@ def _running_sums(x: GridLike, level: int) -> tuple[np.ndarray, np.ndarray]:
     a = np.zeros((1 << level) + 1, dtype=np.int64 if isinstance(x, TakagiFunction) else object)
     b = np.zeros_like(a)
     buf = np.empty((2, 1 << block_bits(level)), dtype=np.int64)
-    for off, p, q in _blocks(x, level):
-        dp, dq = _diffs(p, q, buf)
-        cells = slice(off + 1, off + len(p))
+    for off, dp, dq in _increments(x, level, 1 << level, buf):
+        cells = slice(off + 1, off + 1 + len(dp))
         a[cells] = dp * dp + 2 * dq * dq
         b[cells] = 2 * dp * dq
     return np.cumsum(a, out=a), np.cumsum(b, out=b)
 
 
-def qv_profile(x: GridLike, level: int, stride: int = 1) -> QVSeries:
-    """The running qv along the level-n grid, one row per stride-th point.
+def _profile_sums(x: GridLike, level: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The running qv along the level-n grid as integers: row i is the time i * stride / 2**level,
+    with value (a[i] + b[i]*sqrt(2)) / 4**level.
 
-    For a class member with stride 2**(level-k) > 1 the rows are the
-    stride-1 profile of its level-k grid, mapped as in the module docstring.
+    For a class member, with stride = 2**(level-k), the rows are the
+    stride-1 profile of its level-k grid, mapped as in the module docstring
+    (at stride 1, k = level and the map is the identity).  A caller's pair
+    grid is summed on its own grid and sliced.
     """
     _check_level(level)
     if stride < 1 or (1 << level) % stride:
         raise ValueError(f"stride {stride} must divide 2**{level}")
-    k = level - stride.bit_length() + 1
-    if stride == 1 or not isinstance(x, TakagiFunction):
+    if not isinstance(x, TakagiFunction):
         a, b = _running_sums(x, level)
-        a, b = a[::stride], b[::stride]
-    else:
-        a, b = _running_sums(x, k)
-        # sum_{m=k}^{level-1} S_m(x, x) at t = 2**-k is 2**(level-k) - 1; both terms stay below 2**58
-        step = sum(_agreement(x, x, m, 1 << m - k) for m in range(k, level)) << level
-        a = (a << level - k) + np.arange(len(a), dtype=np.int64) * step
-        b = b << level - k
-    return QVSeries("qv", sums=ProfileSums(level, stride, a, b))
+        return a[::stride], b[::stride]
+    k = level - stride.bit_length() + 1
+    a, b = _running_sums(x, k)
+    # sum_{m=k}^{level-1} S_m(x, x) at t = 2**-k is 2**(level-k) - 1; both terms stay below 2**58
+    step = sum(_agreement(x, x, m, 1 << m - k) for m in range(k, level)) << level
+    # in place: at stride 1 the sums are a whole grid's size
+    a <<= level - k
+    a += np.arange(len(a), dtype=np.int64) * step
+    b <<= level - k
+    return a, b
+
+
+def qv_profile(x: GridLike, level: int, stride: int = 1) -> QVSeries:
+    """The running qv along the level-n grid, one row per stride-th point."""
+    a, b = _profile_sums(x, level, stride)
+    return QVSeries("qv", [QVRow(level, Dyadic(i * stride, level), pair_value(p, q, 2 * level))
+                           for i, (p, q) in enumerate(zip(a.tolist(), b.tolist()))])
 
 
 def _first_level(t: Dyadic) -> int:
@@ -266,7 +248,7 @@ def cov_profile(x: TakagiFunction, y: TakagiFunction, n_max: int, t: Dyadic | Ra
     lo = _first_level(t)
     if n_max < lo:
         return QVSeries("covariation", [])
-    sums = _levels(x, y, n_max, t, lo)
+    sums = _levels([x, y], [(0, 1)], n_max, t, lo)[0]
     return QVSeries("covariation", [QVRow(n, t, pair_value(a, b, 2 * n)) for n, (a, b) in enumerate(sums, lo)])
 
 

@@ -327,6 +327,8 @@ MALFORMED = [
     ("eval --t 0.5", 2),
     ("eval --t 3/2", 2),
     ("eval --t 1/5 --tol 1/0", 2),
+    ("eval --t 1/7 --tol 0", 2),
+    (f"eval --t 1/7 --tol 1/{10**1001}", 2),
     ("eval --t 1/2 --scheme bernoulli:1/0:3", 2),
     ("eval --t 1/2 --scheme file:{dup}", 2),
     ("eval --t 1/16 --scheme file:{short}", 3),
@@ -471,6 +473,11 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert err == f"error: --digits must be in [1, {DIGITS_CAP}], got {digits}\n"
+
+    def test_eval_tol_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "eval", "--t", "1/7", "--tol", f"1/{10**DIGITS_CAP}")
+        assert code == 0
+        assert "tail_bound: " in out
 
     def test_eval_digits_at_the_cap(self, capsys):
         code, out, _ = run(capsys, "eval", "--t", "1/3", "--digits", str(DIGITS_CAP))

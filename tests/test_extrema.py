@@ -1,13 +1,16 @@
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from takagiqv import gridscan
 from takagiqv.extrema import SEED_LEVEL, grid_extrema, grid_oscillation, jacobsthal, max_value, maximizers
 from takagiqv.qfield import Dyadic, QuadValue
-from takagiqv.schemes import Explicit, SchemeDepthError, parse_scheme
+from takagiqv.schemes import BUILTIN_NAMES, Explicit, SchemeDepthError, parse_scheme
 from takagiqv.takagi import TakagiFunction
 
-from conftest import oracle_partial, thetas_reads
+from conftest import oracle_grid_extrema, oracle_partial, thetas_reads
 
 
 def fn(spec):
@@ -120,6 +123,22 @@ class TestGridScan:
         assert [m for m, _ in sizes[SEED_LEVEL:]] == list(range(SEED_LEVEL, 22))
         assert sum(n for _, n in sizes[SEED_LEVEL:]) < 1 << SEED_LEVEL
         assert rep.max.compare(max_value(22)) <= 0
+
+    @pytest.mark.parametrize("spec", BUILTIN_NAMES)
+    def test_whole_grid_is_the_seed_of_the_search(self, spec, monkeypatch):
+        """Up to SEED_LEVEL the search is its seed grid alone: no scan of gridscan runs."""
+        def fail(*args):
+            raise AssertionError("grid_extrema scanned its grid")
+
+        monkeypatch.setattr(gridscan, "block_extrema", fail)
+        monkeypatch.setattr(gridscan, "_float_candidates", fail)
+        f = fn(spec)
+        for level in range(1, SEED_LEVEL + 1):
+            assert grid_extrema(f, level) == oracle_grid_extrema(f, level)
+
+    def test_no_library_module_imports_gridscan(self):
+        code = "import sys, takagiqv, takagiqv.cli; sys.exit('takagiqv.gridscan' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
     @pytest.mark.parametrize("depth", [3, 11])
     def test_explicit_depth_error_names_the_first_missing_generation(self, depth):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from takagiqv import schemes, takagi
+from takagiqv import quadvar, schemes, takagi
 from takagiqv.qfield import Dyadic, QuadValue
 from takagiqv.quadvar import (
     _cross,
@@ -285,11 +285,11 @@ class TestLevelIdentity:
             got = sorted(both, key=lambda r: r.level)
             want = oracle_level_sums(kernel, (ap, am), n, t, lo)
             assert [ints(r.value, r.level) for r in got] == want
-        sums = qv_profile(x, n, 1 << (n - k)).sums
-        assert len(sums.a) == (1 << k) + 1
+        a, b = quadvar._profile_sums(x, n, 1 << (n - k))
+        assert len(a) == (1 << k) + 1
         for i in {0, 1 << k, *(rng.randrange((1 << k) + 1) for _ in range(6))}:
             want = oracle_level_sums(oracle_square, (x,), n, Dyadic(i, k), n)[0]
-            assert (sums.a[i], sums.b[i]) == want
+            assert (a[i], b[i]) == want
 
 
 class TestReadsOnlyTheCoarseGrid:
@@ -389,6 +389,37 @@ class TestPolarization:
             for t in self.TIMES:
                 want = oracle_level_sums(oracle_sum_square, (x, y), level, t, level)[0]
                 assert ints(qv_of_sum(x, y, level, t), level) == want
+
+
+class TestOneReadPerGrid:
+    """A sum reads each grid it needs once, however many covariations it takes from it."""
+
+    @staticmethod
+    def calls(monkeypatch, owner, name):
+        seen, original = [], getattr(owner, name)
+
+        def counting(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+        return seen
+
+    def test_class_members(self, monkeypatch):
+        reads = self.calls(monkeypatch, TakagiFunction, "_blocks")
+        x, y = fn("half_split"), fn("bernoulli:1/3:5")
+        for call, grids in ((lambda: counterexample_series(12, F(5, 8)), 2),
+                            (lambda: qv_of_sum(x, y, 14, F(37, 128)), 2),
+                            (lambda: qv_approx(x, 14, F(37, 128)), 1)):
+            reads.clear()
+            call()
+            assert len(reads) == grids
+
+    def test_pair_grids(self, monkeypatch):
+        x, y = fn("all_plus").grid_pairs(17), fn("alt_mk").grid_pairs(17)
+        reads = self.calls(monkeypatch, quadvar, "grid_blocks")
+        assert ints(qv_of_sum(x, y, 17, 1), 17) == oracle_level_sums(oracle_sum_square, (x, y), 17, 1, 17)[0]
+        assert len(reads) == 2
 
 
 def test_pair_grid_of_wrong_length_refused_everywhere():
