@@ -153,6 +153,14 @@ def _level(args: argparse.Namespace, option: str) -> int:
     return level
 
 
+def _level_range(args: argparse.Namespace, option: str, t: Dyadic) -> range:
+    """The levels of a profile at t, from the first carrying t to --option, refused if empty."""
+    first, top = _first_level(t), _level(args, option)
+    if top < first:
+        raise ValueError(f"--{option} {top} below the first level {first} carrying t={t}")
+    return range(first, top + 1)
+
+
 def _is_dyadic(t: Fraction) -> bool:
     return t.denominator & (t.denominator - 1) == 0
 
@@ -244,16 +252,13 @@ def cmd_cov(args: argparse.Namespace) -> None:
     fx = _scheme(args)
     fy = _scheme(args, "scheme_y")
     t = Dyadic.from_fraction(parse_exact_fraction(args.t))
-    first = _first_level(t)
-    if _level(args, "level") < first:
-        raise ValueError(f"--level {args.level} below the first level {first} carrying t={t}")
-    series = cov_profile(fx, fy, args.level, t)
+    series = cov_profile(fx, fy, _level_range(args, "level", t)[-1], t)
     _emit(_series_rows(series), list(SERIES_FIELDS), args)
 
 
 def cmd_counterexample(args: argparse.Namespace) -> None:
     t = Dyadic.from_fraction(parse_exact_fraction(args.t))
-    study = counterexample_series(_level(args, "levels"), t)
+    study = counterexample_series(_level_range(args, "levels", t)[-1], t)
     rows = []
     for name in ("even_qv", "odd_qv", "even_cov", "odd_cov"):
         rows += _series_rows(getattr(study, name), name)
@@ -297,12 +302,7 @@ def cmd_ito(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     poly = RationalPolynomial.parse(args.poly)
     t = Dyadic.from_fraction(parse_exact_fraction(args.t))
-    if args.levels is None:
-        levels = [_level(args, "level")]
-    else:
-        levels = range(_first_level(t), _level(args, "levels") + 1)
-        if not levels:
-            raise ValueError(f"--levels {args.levels} below the first level {levels.start} carrying t={t}")
+    levels = [_level(args, "level")] if args.levels is None else _level_range(args, "levels", t)
     rows = []
     for n in levels:
         res, rsum = _residual_and_sum(poly, fn, n, t)

@@ -24,17 +24,17 @@ and the grid point x_j = u_j/2**n, u_j = p_j + q_j sqrt2, the level-n sum is
 where w_j is the increment u_{j+1} - u_j for the Riemann sum and 1 for the
 dt-sum.  S_0 telescopes or counts the intervals; the kernel computes the
 other S_i as exact integer pairs (the coefficients never enter it) in one
-pass over the grid's block stream up to t, in chunks of at most _CHUNK
-intervals that carry their right endpoint, one chain of powers for both
-sums.  The size |a| + 2|b| of a + b sqrt2 bounds both parts and is
-submultiplicative, so with X = max|p| + 2 max|q| and W = (max p - min p)
-+ 2 (max q - min q) over a chunk of C intervals, a part of its sums is at
-most C * X**deg * W, or C * X**deg for the dt-sum.  Each chunk takes the
-fewest primes below 2**30 whose product exceeds twice its bound, raises u
-to its powers and weights them in int64 modulo each prime (a product of
-two residues stays below 2**60), rebuilds each chunk sum by the Chinese
-remainder theorem as the symmetric residue (Knuth, TAOCP vol. 2, 4.3.2),
-and adds the chunks and the coefficients up in Python ints.
+pass over the grid up to t, ``takagi.grid_blocks(x, level, t 2**level)``,
+in chunks of at most _CHUNK intervals that carry their right endpoint, one
+chain of powers for both sums.  The size |a| + 2|b| of a + b sqrt2 bounds
+both parts and is submultiplicative, so with X = max|p| + 2 max|q| and W =
+(max p - min p) + 2 (max q - min q) over a chunk of C intervals, a part of
+its sums is at most C * X**deg * W, or C * X**deg for the dt-sum.  Each
+chunk takes the fewest primes below 2**30 whose product exceeds twice its
+bound, raises u to its powers and weights them in int64 modulo each prime
+(a product of two residues stays below 2**60), rebuilds each chunk sum by
+the Chinese remainder theorem as the symmetric residue (Knuth, TAOCP vol.
+2, 4.3.2), and adds the chunks and the coefficients up in Python ints.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from .qfield import QuadValue, Rational, _as_fraction, Dyadic
-from .takagi import GridLike, PairGrid, _grid_index, grid_blocks, pair_value, prefix_blocks
+from .takagi import GridLike, PairGrid, _grid_index, grid_blocks, pair_value
 
 
 #: Largest exponent size taken in a coefficient such as 1e3000.
@@ -161,7 +161,7 @@ def _times(a: np.ndarray, b: np.ndarray, r: np.ndarray, out: np.ndarray, tmp: np
 def _chunks(x: GridLike, level: int, n: int) -> Iterator[PairGrid]:
     """Points 0 .. n of the level grid of x in chunks of at most _CHUNK
     intervals that share endpoints; blocks past n are never built."""
-    for p, q in prefix_blocks(grid_blocks(x, level), level, n):
+    for _, p, q in grid_blocks(x, level, n):
         for lo in range(0, max(len(p) - 1, 1), _CHUNK):
             yield p[lo : lo + _CHUNK + 1], q[lo : lo + _CHUNK + 1]
 

@@ -31,12 +31,14 @@ and alt_m are).  Otherwise it adds int64 dot products of ``scheme.thetas(m,
 range)`` over chunks of at most ``takagi.BLOCK`` indices, each exact as
 every product is +-1, in Python ints, and caches no row.  The level-k
 sums, and those of a caller's pair grid (in general no class member), are
-int64 dot products of each block's increments (``takagi.grid_blocks``)
-added in Python ints.  Each grid is read once: every covariation a result
-needs (one for a qv, three for the qv of a sum) is summed from the same
-increments.  A profile at stride 2**(N-k) sums the cells of the level-k
-grid (k = N at stride 1, and a pair grid's own grid, sliced); a pair grid
-too large for exact int64 sums is refused with ValueError.
+int64 dot products of each block's increments up to t
+(``takagi.grid_blocks(x, k, end)``) added in Python ints.  Each grid is
+read once: every covariation a result needs (one for a qv, three for the
+qv of a sum) is summed from the same increments, and the covariation of a
+grid with itself takes three dot products, not four.  A profile at stride
+2**(N-k) sums the cells of the level-k grid (k = N at stride 1, and a pair
+grid's own grid, sliced); a pair grid too large for exact int64 sums on
+the blocks read is refused with ValueError.
 :func:`counterexample_series` tabulates the even and odd subsequences of
 the qv of the sum and the covariation of all_plus and alt_m, which tend to
 different limits.
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -79,43 +80,42 @@ _ENTRY_LIMIT = 1 << 61
 
 
 def _size(a: np.ndarray) -> int:
-    """The largest entry of a in size."""
-    return max(-int(np.min(a)), int(np.max(a)))
+    """The largest entry of a in size, 0 if a is empty."""
+    return max(-int(np.min(a, initial=0)), int(np.max(a, initial=0)))
 
 
-def _increments(x: GridLike, level: int, end: int, buf: np.ndarray) -> Iterator[Block]:
+def _increments(x: GridLike, level: int, end: int) -> Iterator[Block]:
     """(offset, dp, dq) for each block of the level grid of x that holds its points 0 .. end: the
-    increments of p and q, up to point end, in the rows of buf.
+    increments of p and q up to point end, all in this generator's one pair of scratch rows, as
+    fresh arrays would take new pages.
 
-    Blocks are summed one after another in the same scratch rows, as fresh
-    arrays would take new pages, and blocks past end are never built.  A
-    caller's pair grid is checked for int64 room, each block whole
-    (GRID_LEVEL_CAP bounds a class member): with d the largest increment
-    size in a block of w intervals, every int64 sum below (a dot product,
-    or p.p + 2 q.q per interval) is at most 3 * w * d**2, and ValueError is
-    raised before one could reach 2**63.
+    A caller's pair grid is checked for int64 room on the blocks as read,
+    up to end (GRID_LEVEL_CAP bounds a class member): its entries must stay
+    below _ENTRY_LIMIT, and with d the largest increment size read from a
+    block of w intervals, every int64 sum below (a dot product, or p.p +
+    2 q.q per interval) is at most 3 * w * d**2, so ValueError is raised
+    before one could reach 2**63.
     """
-    blocks = islice(grid_blocks(x, level), max(1, -(-end >> block_bits(level))))
     pair = not isinstance(x, TakagiFunction)
-    if pair and max(map(_size, x)) >= _ENTRY_LIMIT:
-        raise ValueError("pair grid entries must be below 2**61 in size")
-    for off, p, q in blocks:
-        dp, dq = buf[0, : len(p) - 1], buf[1, : len(p) - 1]
+    buf = np.empty((2, 1 << block_bits(level)), dtype=np.int64)
+    for off, p, q in grid_blocks(x, level, end):
+        if pair and max(_size(p), _size(q)) >= _ENTRY_LIMIT:
+            raise ValueError("pair grid entries must be below 2**61 in size")
+        dp, dq = buf[:, : len(p) - 1]
         np.subtract(p[1:], p[:-1], out=dp)
         np.subtract(q[1:], q[:-1], out=dq)
         d = max(_size(dp), _size(dq)) if pair else 0
-        if 3 * len(dp) * d * d >= 1 << 63:
+        if 3 * buf.shape[1] * d * d >= 1 << 63:
             raise ValueError(f"pair grid increments up to {d} would overflow int64 sums")
-        yield off, dp[: end - off], dq[: end - off]
+        yield off, dp, dq
 
 
 def _cross(dx: Increments, dy: Increments) -> tuple[int, int]:
-    """sum (dpx + dqx sqrt2)(dpy + dqy sqrt2) as the integer pair (a, b): the one block kernel."""
+    """sum (dpx + dqx sqrt2)(dpy + dqy sqrt2) as the integer pair (a, b): the one block kernel,
+    with three dot products, not four, when dx is dy."""
     (dpx, dqx), (dpy, dqy) = dx, dy
-    return (
-        int(np.dot(dpx, dpy)) + 2 * int(np.dot(dqx, dqy)),
-        int(np.dot(dpx, dqy)) + int(np.dot(dqx, dpy)),
-    )
+    return (int(np.dot(dpx, dpy)) + 2 * int(np.dot(dqx, dqy)),
+            2 * int(np.dot(dpx, dqx)) if dx is dy else int(np.dot(dpx, dqy)) + int(np.dot(dqx, dpy)))
 
 
 def _agreement(x: TakagiFunction, y: TakagiFunction, m: int, j: int) -> int:
@@ -141,19 +141,18 @@ def _levels(grids: list[GridLike], pairs: list[tuple[int, int]], top: int, t: Dy
     """For each (i, j) in pairs, the covariation of grids[i] and grids[j] over [0, t] at every
     level lo..top, as pairs over 4**n.
 
-    Each grid is read once, up to t: block by block into its own scratch
-    rows, and every pair sums ``_cross`` of the same increments.  Class
-    members are summed on their level-k grids, k = exp(t), and carried up
-    by the identity of the module docstring.  A caller's pair grid, with
-    lo = top, is summed on its own grid.  Blocks past t are never built.
+    Each grid is read once, up to t, block by block, and every pair sums
+    ``_cross`` of the same increments: one tuple per grid, so an (i, i)
+    pair passes the same tuple twice.  Class members are summed on their
+    level-k grids, k = exp(t), and carried up by the identity of the
+    module docstring.  A caller's pair grid, with lo = top, is summed on
+    its own grid.  Blocks past t are never built.
     """
     _check_level(top)
     t = _grid_index(top, t)
     k = t.exp if all(isinstance(g, TakagiFunction) for g in grids) else top
-    end = t.numerator_at(k)
-    buf = np.empty((len(grids), 2, 1 << block_bits(k)), dtype=np.int64)
     crosses = []  # per block, the sum of each pair
-    for blocks in zip(*(_increments(g, k, end, rows) for g, rows in zip(grids, buf))):
+    for blocks in zip(*(_increments(g, k, t.numerator_at(k)) for g in grids)):
         d = [(dp, dq) for _, dp, dq in blocks]
         crosses.append([_cross(d[i], d[j]) for i, j in pairs])
     out = []
@@ -196,8 +195,7 @@ def _running_sums(x: GridLike, level: int) -> tuple[np.ndarray, np.ndarray]:
     2**(2n + 4)), Python ints for a pair grid, whose totals may pass 2**63 under the block guard."""
     a = np.zeros((1 << level) + 1, dtype=np.int64 if isinstance(x, TakagiFunction) else object)
     b = np.zeros_like(a)
-    buf = np.empty((2, 1 << block_bits(level)), dtype=np.int64)
-    for off, dp, dq in _increments(x, level, 1 << level, buf):
+    for off, dp, dq in _increments(x, level, 1 << level):
         cells = slice(off + 1, off + 1 + len(dp))
         a[cells] = dp * dp + 2 * dq * dq
         b[cells] = 2 * dp * dq

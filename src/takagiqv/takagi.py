@@ -20,11 +20,14 @@ Evaluation surfaces:
   reduction never holds more than one block.  A block asks the scheme for
   its own coefficients, so a function holds nothing but its scheme.  It
   is the only grid builder (``extrema.grid_extrema`` refines single cells
-  of a coarse grid by the same recursion); ``grid_blocks``, the one grid
-  reader of the sums, reads it or a caller's pair grid in its layout;
+  of a coarse grid by the same recursion); ``grid_blocks(x, level, end)``,
+  the one grid reader of the sums, reads it or a caller's pair grid in its
+  layout up to point end: it alone knows the block layout and where a
+  prefix read stops;
 * ``grid_pairs`` -- the same grid at once, its blocks copied into one
   array;
-* ``approx`` -- truncated series with a certified geometric tail bound;
+* ``approx`` -- truncated series with a certified geometric tail bound,
+  its level from a bit-length estimate and exact integer sign tests;
 * ``thirds_value`` -- closed-form exact values at points with denominator
   3 * 2**n for the three named functions that admit them, as the level-n
   integer pair plus the closed-form tail.
@@ -33,12 +36,12 @@ Evaluation surfaces:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .qfield import Dyadic, QuadValue, Rational, _as_fraction, pow2_half
+from .qfield import Dyadic, QuadValue, Rational, _as_fraction, pow2_half, sign_pair
 from .schemes import AllPlus, CoefficientScheme, HalfSplit, _Negated
 
 # Sum of all wedge heights 2**-(m+2)/2: the series tail after M generations
@@ -133,12 +136,12 @@ class TakagiFunction:
         tol = _as_fraction(tol)
         if tol <= 0:
             raise ValueError("tol must be > 0")
-        level = 0
-        while True:
-            bound = TAIL_SUM * pow2_half(-(level + 2))
-            if bound.compare(tol) <= 0:
-                return self.partial_sum(level, t), bound
-            level += 1
+        # tol = a/b: the first level with (2 + sqrt(2)) * b <= a * 2**((level+2)/2), squared; none
+        # is at or below the bit-length difference of b**2 and a**2, and one is within 5 levels above
+        aa, bb = tol.numerator**2, tol.denominator**2
+        level = next(n for n in count(max(0, bb.bit_length() - aa.bit_length() + 1))
+                     if sign_pair((aa << n + 2) - 6 * bb, -4 * bb) >= 0)
+        return self.partial_sum(level, t), TAIL_SUM * pow2_half(-(level + 2))
 
     # -- bulk evaluation on dyadic grids ---------------------------------------
 
@@ -227,15 +230,20 @@ def block_bits(level: int) -> int:
     return min(BLOCK, 1 << level).bit_length() - 1
 
 
-def grid_blocks(x: GridLike, level: int) -> Iterator[Block]:
-    """The level grid of x as (offset, p, q) blocks: a function's ``_blocks``, or views of
-    a caller's pair grid in the same layout, refused unless it has 2**level + 1 points."""
+def grid_blocks(x: GridLike, level: int, end: int | None = None) -> Iterator[Block]:
+    """The (offset, p, q) blocks of the level grid of x that hold its points 0 .. end (all by default),
+    the last one trimmed at end, and no later block: a function's ``_blocks``, or views of a caller's
+    pair grid in the same layout, refused when called unless it has 2**level + 1 points."""
     if isinstance(x, TakagiFunction):
-        return x._blocks(level)
-    p, q = (np.asarray(a) for a in x)
-    if len(p) != (1 << level) + 1:
-        raise ValueError("pair grid has wrong length for this level")
-    return ((off, p[off : off + BLOCK + 1], q[off : off + BLOCK + 1]) for off in range(0, 1 << level, BLOCK))
+        blocks = x._blocks(level)
+    else:
+        p, q = (np.asarray(a) for a in x)
+        if len(p) != (1 << level) + 1:
+            raise ValueError("pair grid has wrong length for this level")
+        blocks = ((off, p[off : off + BLOCK + 1], q[off : off + BLOCK + 1]) for off in range(0, 1 << level, BLOCK))
+    end = 1 << level if end is None else end
+    return ((off, bp[: end - off + 1], bq[: end - off + 1])
+            for off, bp, bq in islice(blocks, max(1, -(-end >> block_bits(level)))))
 
 
 def _grid_index(level: int, t: Dyadic | Rational) -> Dyadic:
@@ -244,13 +252,6 @@ def _grid_index(level: int, t: Dyadic | Rational) -> Dyadic:
     if t.exp > level:
         raise ValueError(f"t={t} not on the level-{level} dyadic grid")
     return t
-
-
-def prefix_blocks(blocks: Iterator[Block], level: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (p, q) of the blocks of a level grid that hold its points 0 .. n (at
-    least one block), the last one trimmed to end at point n; later blocks are never built."""
-    for off, p, q in islice(blocks, max(1, -(-n >> block_bits(level)))):
-        yield p[: n - off + 1], q[: n - off + 1]
 
 
 def pair_value(p: int, q: int, level: int) -> QuadValue:

@@ -35,7 +35,7 @@ from takagiqv.quadvar import (
 )
 from takagiqv.schauder import eval_e
 from takagiqv.schemes import AllPlus, AlternatingM
-from takagiqv.takagi import TakagiFunction, _check_level, _grid_index, block_bits, grid_blocks, pair_value, prefix_blocks
+from takagiqv.takagi import TAIL_SUM, TakagiFunction, _check_level, _grid_index, block_bits, grid_blocks, pair_value
 
 
 def oracle_partial(fn: TakagiFunction, n: int, t: Fraction) -> QuadValue:
@@ -59,6 +59,15 @@ def oracle_partial_sum(fn: TakagiFunction, n: int, t: Fraction) -> QuadValue:
         if term:
             acc = acc + (term if fn.scheme.theta(m, k) > 0 else -term)
     return acc
+
+
+def oracle_approx_level(tol: Fraction) -> int:
+    """The truncation level of ``approx``: the first whose tail bound, built as a
+    QuadValue level by level, compares <= tol."""
+    level = 0
+    while (TAIL_SUM * pow2_half(-(level + 2))).compare(tol) > 0:
+        level += 1
+    return level
 
 
 def oracle_omega(h: Fraction) -> QuadValue:
@@ -316,9 +325,10 @@ def oracle_level_sums(kernel, grids, top: int, t, lo: int) -> list[tuple[int, ..
         got = kernel(*[_oracle_strided_diffs(p, q, stride) for p, q in parts])
         sums[n] = [u + v for u, v in zip(got, sums[n])] if n in sums else list(got)
 
-    for parts in zip(*[prefix_blocks(grid_blocks(g, top), top, j) for g in grids]):
+    # zipped, never listed: a function's blocks share one scratch buffer
+    for blocks in zip(*[grid_blocks(g, top, j) for g in grids]):
         for n in range(max(lo, top - bits), top + 1):
-            add(n, 1 << (top - n), parts)
+            add(n, 1 << (top - n), [(p, q) for _, p, q in blocks])
     for n in range(lo, top - bits):
         # t is on the level-lo grid, so j is a whole number of level-n intervals
         shift = top - n

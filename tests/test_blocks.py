@@ -20,6 +20,7 @@ from takagiqv.extrema import grid_extrema
 from takagiqv.gridscan import block_extrema, exact_argmax, exact_argmin
 from takagiqv.modulus import modulus_scan, nu, sweep_all_steps
 from takagiqv.qfield import Dyadic
+from takagiqv.follmer import RationalPolynomial, follmer_sum
 from takagiqv.quadvar import (
     counterexample_series,
     cov_approx,
@@ -146,6 +147,69 @@ class TestBlocks:
     def test_level_above_cap_refused(self):
         with pytest.raises(ValueError, match=r"\[0, 26\]"):
             next(fn("all_plus")._blocks(27))
+
+
+class TestPrefixReads:
+    """grid_blocks(x, level, end) yields the blocks that hold points 0 .. end, the last one
+    trimmed at end, and never builds a later block."""
+
+    @staticmethod
+    def ends(level):
+        """0, 1, 2**level and every block edge +-1 on the level grid."""
+        top, w = 1 << level, min(takagi.BLOCK, 1 << level)
+        near = {e + d for e in range(0, top + 1, w) for d in (-1, 0, 1)}
+        return sorted({0, 1, top} | {e for e in near if 0 <= e <= top})
+
+    @staticmethod
+    def asked(monkeypatch):
+        """From now on, the offsets of the blocks each ``_blocks`` call is asked for."""
+        seen, original = [], TakagiFunction._blocks
+
+        def recording(self, level):
+            for block in original(self, level):
+                seen.append(block[0])
+                yield block
+
+        monkeypatch.setattr(TakagiFunction, "_blocks", recording)
+        return seen
+
+    @pytest.mark.parametrize("block,level", [(w, level) for w in (2, 8, 64, None) for level in (0, 1, 3, 7)]
+                             + [(None, 17)])
+    def test_joined_prefix_is_the_grid_up_to_end(self, monkeypatch, block, level):
+        if block is not None:
+            monkeypatch.setattr(takagi, "BLOCK", block)
+        w = min(takagi.BLOCK, 1 << level)
+        f = fn("alt_mk")
+        p, q = oracle_grid_pairs(f, level)
+        asked = self.asked(monkeypatch)
+        for end in self.ends(level):
+            for x in (f, (p, q), np.stack((p, q))):
+                asked.clear()
+                offsets, jp, jq = joined(grid_blocks(x, level, end))
+                assert offsets == list(range(0, max(end, 1), w))
+                assert np.array_equal(jp, p[: end + 1]) and np.array_equal(jq, q[: end + 1])
+                assert asked == (offsets if x is f else [])
+
+    def test_library_reads_stop_at_t(self, width, monkeypatch):
+        f, g = fn("bernoulli:1/3:5"), RationalPolynomial.parse("0,1,1")
+        asked = self.asked(monkeypatch)
+        for j in self.ends(6):
+            t = F(j, 1 << 6)
+            asked.clear()
+            follmer_sum(g, f, 6, t)
+            assert asked == list(range(0, max(j, 1), min(width, 1 << 6)))
+            # each class member is read on the coarsest grid carrying t, up to t
+            k = Dyadic.from_fraction(t).exp
+            end = j >> 6 - k
+            asked.clear()
+            qv_of_sum(f, fn("alt_mk"), 6, t)
+            assert sorted(asked) == sorted(2 * list(range(0, max(end, 1), min(width, 1 << k))))
+
+    def test_wrong_length_refused_when_called(self):
+        a = np.arange(5)
+        for end in (None, 0, 3):
+            with pytest.raises(ValueError, match="wrong length"):
+                grid_blocks((a, a), 3, end)
 
 
 class TestExtrema:
@@ -398,6 +462,33 @@ class TestInt64Guard:
         for call in self.calls(grid, 1):
             with pytest.raises(ValueError, match="overflow"):
                 call()
+
+    @pytest.mark.parametrize("wide", [1 << 40, 1 << 61])
+    def test_offender_after_t_inside_its_block_is_summed(self, monkeypatch, wide):
+        # blocks of 8 intervals; t = 3/32 ends inside the first, whose interval 5 is too wide
+        monkeypatch.setattr(takagi, "BLOCK", 8)
+        rng = np.random.default_rng(1)
+        p, q = rng.integers(-9, 10, 33), rng.integers(-9, 10, 33)
+        p[6] = wide
+        y = (rng.integers(-9, 10, 33), rng.integers(-9, 10, 33))
+        t = F(3, 32)
+        assert qv_approx((p, q), 5, t) == oracle_qv_approx((p, q), 5, t)
+        assert cov_approx((p, q), y, 5, t) == oracle_cov_approx((p, q), y, 5, t)
+        assert qv_of_sum(y, (p, q), 5, t) == oracle_qv_of_sum(y, (p, q), 5, t)
+        for call in self.calls((p, q), 5):
+            with pytest.raises(ValueError, match="overflow|2\\*\\*61"):
+                call()
+
+    def test_partly_read_block_keeps_its_width(self, monkeypatch):
+        # t = 3/32 reads 3 of the first block's 8 intervals; the bound is still 3 * 8 * d**2
+        monkeypatch.setattr(takagi, "BLOCK", 8)
+        d = isqrt(((1 << 63) - 1) // 24) + 1
+        p = np.zeros(33, dtype=np.int64)
+        p[1] = d
+        with pytest.raises(ValueError, match="overflow"):
+            qv_approx((p, np.zeros_like(p)), 5, F(3, 32))
+        p[1] = d - 1
+        assert qv_approx((p, np.zeros_like(p)), 5, F(3, 32)) == oracle_qv_approx((p, np.zeros_like(p)), 5, F(3, 32))
 
     def test_guard_is_per_block(self, width):
         # a wide increment in the last block refuses the sums that reach it

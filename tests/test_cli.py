@@ -3,10 +3,12 @@ import csv
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -357,6 +359,8 @@ MALFORMED = [
     ("counterexample --levels 4 --t 1/0", 2),
     ("counterexample --levels 40", 2),
     ("counterexample --levels -1", 2),
+    ("counterexample --levels 2 --t 1/8", 2),
+    ("counterexample --levels 0", 2),
     ("modulus --grid 4 --h 1/0", 2),
     ("modulus --grid 4 --h 2", 2),
     ("modulus --grid 27 --h 1/2", 2),
@@ -440,6 +444,21 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith(f"error: {option} must be in [0, 26], got ")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("cov --level 0", "--level 0 below the first level 1 carrying t=1"),
+            ("cov --level 2 --t 1/8", "--level 2 below the first level 3 carrying t=1/8"),
+            ("counterexample --levels 0", "--levels 0 below the first level 1 carrying t=1"),
+            ("counterexample --levels 2 --t 1/8", "--levels 2 below the first level 3 carrying t=1/8"),
+            ("ito --poly 0,0,1 --levels 0", "--levels 0 below the first level 1 carrying t=1"),
+            ("ito --poly 0,0,1 --levels 2 --t 1/8", "--levels 2 below the first level 3 carrying t=1/8"),
+        ],
+    )
+    def test_level_below_t_names_option(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv.split())
+        assert (code, err) == (2, f"error: {message}\n")
+
     def test_long_poly_exponent_exits_quickly(self, capsys):
         start = time.perf_counter()
         code, _, err = run(capsys, "ito", "--poly=0,1e4000000", "--level", "3")
@@ -498,6 +517,29 @@ class TestMalformedInput:
         )
         assert proc.returncode == expected
         _assert_one_error_line(proc.stderr)
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def smoke_lines() -> list:
+    """Each ``takagiqv`` line of the CI smoke step as (argv, exit code): 2 where the next
+    line tests for it, 0 otherwise."""
+    lines = [line.strip() for line in WORKFLOW.read_text().splitlines()]
+    return [pytest.param(shlex.split(line)[1:], 2 if after.startswith("test $? -eq 2") else 0, id=line[9:] if len(line) < 120 else line[9:40] + "...")
+            for line, after in zip(lines, lines[1:] + [""]) if line.startswith("takagiqv ")]
+
+
+class TestSmokeLines:
+    """The CI smoke step, run through ``main``, so that a stale line fails here too."""
+
+    @pytest.mark.parametrize("argv,expected", smoke_lines())
+    def test_exit_code(self, capsys, argv, expected):
+        assert main(argv) == expected
+        capsys.readouterr()
+
+    def test_both_outcomes_present(self):
+        assert {param.values[1] for param in smoke_lines()} == {0, 2}
 
 
 def _outcome(capsys, argv, path):

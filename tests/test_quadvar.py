@@ -391,6 +391,41 @@ class TestPolarization:
                 assert ints(qv_of_sum(x, y, level, t), level) == want
 
 
+class TestCrossKernel:
+    """``_cross`` of one increment pair with itself takes three int64 dot products."""
+
+    @staticmethod
+    def dots(monkeypatch):
+        seen, dot = [], np.dot
+        monkeypatch.setattr(np, "dot", lambda a, b: seen.append(1) or dot(a, b))
+        return seen
+
+    def test_self_pair(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        d, e = ((rng.integers(-99, 100, 50), rng.integers(-99, 100, 50)) for _ in range(2))
+        square, sum_square = oracle_square(d), oracle_sum_square(d, e)
+        dots = self.dots(monkeypatch)
+        assert _cross(d, d) == square
+        assert len(dots) == 3
+        # equal increments in another tuple take the general four
+        assert _cross(d, (d[0].copy(), d[1].copy())) == square
+        assert len(dots) == 3 + 4
+        dots.clear()
+        (ax, bx), (ay, by), (ac, bc) = _cross(d, d), _cross(e, e), _cross(d, e)
+        assert len(dots) == 10
+        assert (ax + ay + 2 * ac, bx + by + 2 * bc) == sum_square
+
+    def test_sums_per_block(self, monkeypatch):
+        x, y = fn("half_split").grid_pairs(5), fn("alt_mk").grid_pairs(5)
+        want = [oracle_level_sums(oracle_square, (x,), 5, 1, 5)[0],
+                oracle_level_sums(oracle_sum_square, (x, y), 5, 1, 5)[0]]
+        dots = self.dots(monkeypatch)
+        assert ints(qv_approx(x, 5, 1), 5) == want[0]
+        assert len(dots) == 3
+        assert ints(qv_of_sum(x, y, 5, 1), 5) == want[1]
+        assert len(dots) == 3 + 10
+
+
 class TestOneReadPerGrid:
     """A sum reads each grid it needs once, however many covariations it takes from it."""
 

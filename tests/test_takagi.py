@@ -15,7 +15,7 @@ from takagiqv.takagi import (
     thirds_value,
 )
 
-from conftest import oracle_grid_pairs, oracle_partial, oracle_partial_sum
+from conftest import oracle_approx_level, oracle_grid_pairs, oracle_partial, oracle_partial_sum
 
 ALL_SCHEMES = BUILTIN_NAMES + ("bernoulli:1/2:1",)
 
@@ -145,10 +145,23 @@ class TestApprox:
         tol = F(1, 1000)
         _, bound = f.approx(F(2, 3), tol)
         # one generation earlier the tail bound must still exceed tol
-        level = 0
-        while (TAIL_SUM * pow2_half(-(level + 2))).compare(tol) > 0:
-            level += 1
+        assert bound == TAIL_SUM * pow2_half(-(oracle_approx_level(tol) + 2))
+
+    #: Tolerances above 1, powers of ten down to the CLI's floor 1/10**1000, and rationals
+    #: just above and below the tail bounds of levels 0 .. 39.
+    TOLERANCES = [F(1), F(2), F(17, 10), F(3), F(12), F(1, 2), F(99, 100)] + [
+        F(1, 10**k) for k in (*range(1, 16), 50, 99, 100, 101, 333, 999, 1000)
+    ] + [
+        F(round((2 + 2**0.5) * 2 ** (-(n + 2) / 2) * 10**12) + e, 10**12) for n in range(40) for e in (-1, 1)
+    ]
+
+    @pytest.mark.parametrize("tol", TOLERANCES, ids=lambda tol: f"1/10**{len(str(tol.denominator)) - 1}"
+                             if tol.numerator == 1 and tol.denominator > 10**20 else str(tol))
+    def test_level_matches_bound_by_bound_search(self, tol):
+        value, bound = fn("half_split").approx(F(1, 2), tol)
+        level = oracle_approx_level(tol)
         assert bound == TAIL_SUM * pow2_half(-(level + 2))
+        assert value == fn("half_split").partial_sum(level, F(1, 2))
 
     def test_at_zero(self):
         value, bound = fn("alt_mk").approx(F(0), F(1, 50))
