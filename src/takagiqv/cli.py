@@ -9,7 +9,9 @@ stdout.  Rows of grid values and sums are written column by column from
 their integer pairs: reduced fractions from trailing zeros, decimals from
 a float screen with an exact fallback (``qfield.decimal_column``), and
 each CSV line from one format call.  The argument parser is built once
-per process.
+per process.  A command offers only the options it reads (``--seed`` goes
+with ``--scheme``), writes through one writer to ``--out`` or stdout, and
+checks each integer option's range with one helper that names the option.
 
 Exit codes: 0 success, 2 invalid configuration, 3 scheme depth exceeded.
 """
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 from itertools import repeat, starmap
@@ -141,16 +142,16 @@ def _scheme(args: argparse.Namespace, attr: str = "scheme") -> TakagiFunction:
     return TakagiFunction(parse_scheme(spec))
 
 
-def _level(args: argparse.Namespace, option: str) -> int:
-    """The grid level given as --option, refused outside [0, GRID_LEVEL_CAP].
+def _level(args: argparse.Namespace, option: str, lo: int = 0, hi: int = GRID_LEVEL_CAP) -> int:
+    """The integer given as --option, refused outside [lo, hi]: by default a grid level.
 
     Runs before any grid is built, so a profile whose last level has no
     grid fails before its first level.
     """
-    level = getattr(args, option)
-    if not 0 <= level <= GRID_LEVEL_CAP:
-        raise ValueError(f"--{option} must be in [0, {GRID_LEVEL_CAP}], got {level}")
-    return level
+    value = getattr(args, option)
+    if not lo <= value <= hi:
+        raise ValueError(f"--{option} must be in [{lo}, {hi}], got {value}")
+    return value
 
 
 def _level_range(args: argparse.Namespace, option: str, t: Dyadic) -> range:
@@ -166,8 +167,7 @@ def _is_dyadic(t: Fraction) -> bool:
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
-    if not 1 <= args.digits <= DIGITS_CAP:
-        raise ValueError(f"--digits must be in [1, {DIGITS_CAP}], got {args.digits}")
+    digits = _level(args, "digits", 1, DIGITS_CAP)
     tol = parse_exact_fraction(args.tol)
     # a tail bound finer than the most digits printed shows nothing, and its levels cost O(L**2)
     if tol < Fraction(1, 10**DIGITS_CAP):
@@ -187,11 +187,11 @@ def cmd_eval(args: argparse.Namespace) -> None:
         f"scheme: {fn.scheme.spec}",
         f"t: {t}",
         f"value: {v}" + ("" if bound is None else "  (truncated series)"),
-        f"decimal: {v.decimal(args.digits)}",
+        f"decimal: {v.decimal(digits)}",
     ]
     if bound is not None:
-        lines.append(f"tail_bound: {bound.decimal(args.digits)}")
-    print("\n".join(lines))
+        lines.append(f"tail_bound: {bound.decimal(digits)}")
+    _write("\n".join(lines) + "\n", args)
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
@@ -208,7 +208,7 @@ def cmd_sample(args: argparse.Namespace) -> None:
 
 
 def cmd_extrema(args: argparse.Namespace) -> None:
-    rep = grid_extrema(_scheme(args), _level(args, "grid"))
+    rep = grid_extrema(_scheme(args), _level(args, "grid", 1))
     record = {
         "level": rep.level,
         "max": str(rep.max),
@@ -226,13 +226,10 @@ def cmd_extrema(args: argparse.Namespace) -> None:
 def cmd_qv(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     n = _level(args, "level")
-    limit = None if args.t is None else parse_exact_fraction(args.t)
-    if limit is not None and not 0 <= limit <= 1:
-        raise ValueError(f"--t must be in [0, 1], got {limit}")
-    a, b = _profile_sums(fn, n, args.stride)  # validates the stride
-    # the rows at t = i * stride / 2**n <= limit
-    count = None if limit is None else math.floor(limit * (1 << n)) // args.stride + 1
-    a, b = a[:count], b[:count]
+    t = parse_exact_fraction(args.t)
+    if not 0 <= t <= 1:
+        raise ValueError(f"--t must be in [0, 1], got {t}")
+    a, b = _profile_sums(fn, n, args.stride, t)
     t_num = np.arange(len(a)) * args.stride
     _emit(_pair_rows(n, t_num, n, a, b, 2 * n), list(SERIES_FIELDS), args)
 
@@ -283,12 +280,11 @@ def cmd_modulus(args: argparse.Namespace) -> None:
 
 
 def cmd_witness(args: argparse.Namespace) -> None:
-    if not 1 <= args.levels <= WITNESS_LEVEL_CAP:
-        # a row count, not a grid level: witness rows use closed forms
-        raise ValueError(f"--levels must be in [1, {WITNESS_LEVEL_CAP}], got {args.levels}")
+    # a row count, not a grid level: witness rows use closed forms
+    levels = _level(args, "levels", 1, WITNESS_LEVEL_CAP)
     rows = []
     for kind in ("part_a", "part_b"):
-        for row in witness_ratios(kind, 1, args.levels):
+        for row in witness_ratios(kind, 1, levels):
             t_n, _ = witness_steps(row.n)
             t0 = Fraction(0) if kind == "part_a" else t_n
             rows.append(_value_row(row.n, t0, row.increment) + [kind, row.ratio_decimal])
@@ -320,18 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, scheme: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, scheme: bool = True, table: bool = True) -> None:
         if scheme:
             p.add_argument("--scheme", default="all_plus",
                            help="scheme spec, e.g. all_plus, alt_m, block:5, "
                                 "bernoulli:1/2:7, file:PATH")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed used when a bernoulli spec omits one")
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed used when a bernoulli spec omits one")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("eval", help="exact or certified value at one point")
-    common(p)
+    common(p, table=False)
     p.add_argument("--t", required=True, help="time as an exact fraction, e.g. 5/16")
     p.add_argument("--tol", default="1/1000000000000",
                    help="tail tolerance for non-closed-form points")
@@ -342,14 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, required=True, help="grid level N")
 
     p = sub.add_parser("extrema", help="exact grid extrema report (JSON)")
-    common(p)
+    common(p, table=False)
     p.add_argument("--grid", type=int, required=True)
 
     p = sub.add_parser("qv", help="running quadratic-variation profile")
     common(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--t", help="truncate rows after this time")
+    p.add_argument("--t", default="1", help="truncate rows after this time")
 
     p = sub.add_parser("cov", help="covariation of two schemes across levels")
     common(p)

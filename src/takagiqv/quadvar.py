@@ -189,36 +189,37 @@ def qv_of_sum(x: GridLike, y: GridLike, level: int, t: Dyadic | Rational) -> Qua
     return pair_value(*_polarized(x, y, level, t, level)[0][0], 2 * level)
 
 
-def _running_sums(x: GridLike, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """The running qv sums (a, b) at every point of the level grid, filled block by block: int64
-    for a class member (its level-n increments have parts below 2**(n/2 + 1), so |a|, |b| <
+def _running_sums(x: GridLike, level: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """The running qv sums (a, b) at the points 0 .. end of the level grid, filled block by block:
+    int64 for a class member (its level-n increments have parts below 2**(n/2 + 1), so |a|, |b| <
     2**(2n + 4)), Python ints for a pair grid, whose totals may pass 2**63 under the block guard."""
-    a = np.zeros((1 << level) + 1, dtype=np.int64 if isinstance(x, TakagiFunction) else object)
+    a = np.zeros(end + 1, dtype=np.int64 if isinstance(x, TakagiFunction) else object)
     b = np.zeros_like(a)
-    for off, dp, dq in _increments(x, level, 1 << level):
+    for off, dp, dq in _increments(x, level, end):
         cells = slice(off + 1, off + 1 + len(dp))
         a[cells] = dp * dp + 2 * dq * dq
         b[cells] = 2 * dp * dq
     return np.cumsum(a, out=a), np.cumsum(b, out=b)
 
 
-def _profile_sums(x: GridLike, level: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """The running qv along the level-n grid as integers: row i is the time i * stride / 2**level,
-    with value (a[i] + b[i]*sqrt(2)) / 4**level.
+def _profile_sums(x: GridLike, level: int, stride: int, t: Rational = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The running qv along the level-n grid as integers, up to t in [0, 1]: row i is the time
+    i * stride / 2**level <= t, with value (a[i] + b[i]*sqrt(2)) / 4**level.
 
     For a class member, with stride = 2**(level-k), the rows are the
     stride-1 profile of its level-k grid, mapped as in the module docstring
     (at stride 1, k = level and the map is the identity).  A caller's pair
-    grid is summed on its own grid and sliced.
+    grid is summed on its own grid and sliced.  No block past t is built.
     """
     _check_level(level)
     if stride < 1 or (1 << level) % stride:
         raise ValueError(f"stride {stride} must divide 2**{level}")
+    last = (t.numerator << level) // t.denominator // stride  # the last row at or before t
     if not isinstance(x, TakagiFunction):
-        a, b = _running_sums(x, level)
+        a, b = _running_sums(x, level, last * stride)
         return a[::stride], b[::stride]
     k = level - stride.bit_length() + 1
-    a, b = _running_sums(x, k)
+    a, b = _running_sums(x, k, last)
     # sum_{m=k}^{level-1} S_m(x, x) at t = 2**-k is 2**(level-k) - 1; both terms stay below 2**58
     step = sum(_agreement(x, x, m, 1 << m - k) for m in range(k, level)) << level
     # in place: at stride 1 the sums are a whole grid's size

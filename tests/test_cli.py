@@ -289,6 +289,14 @@ class TestFilesAndExitCodes:
         assert (code, out) == (0, "")
         assert target.read_bytes() == EXTREMA_GRID_6.encode()
 
+    def test_eval_out_writes_what_eval_prints(self, tmp_path, capsys):
+        target = tmp_path / "eval.txt"
+        code, printed, _ = run(capsys, "eval", "--t", "1/3")
+        assert code == 0 and printed.startswith("scheme: all_plus\n")
+        code, out, _ = run(capsys, "eval", "--t", "1/3", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text() == printed
+
     def test_out_file_golden(self, tmp_path, capsys):
         target = tmp_path / "a.csv"
         again = tmp_path / "b.csv"
@@ -336,11 +344,13 @@ MALFORMED = [
     ("eval --t 1/16 --scheme file:{short}", 3),
     ("eval --t 1/3 --digits 0", 2),
     ("eval --t 1/7 --digits -1", 2),
+    ("eval --t 1/3 --out {missing}", 2),
     ("sample --grid 40", 2),
     ("sample --grid -1", 2),
     ("sample --grid 3 --scheme file:{deep}", 2),
     ("sample --grid 5 --scheme file:{short}", 3),
     ("extrema --grid 27", 2),
+    ("extrema --grid 0", 2),
     ("extrema --grid -1", 2),
     ("extrema --grid 3 --scheme file:{bare}", 2),
     ("qv --level 4 --t 1/0", 2),
@@ -431,6 +441,7 @@ class TestMalformedInput:
         [
             ("sample --grid -1", "--grid"),
             ("extrema --grid 27", "--grid"),
+            ("extrema --grid 0", "--grid"),
             ("qv --level -1", "--level"),
             ("cov --level 27", "--level"),
             ("counterexample --levels -1", "--levels"),
@@ -442,7 +453,8 @@ class TestMalformedInput:
     def test_level_error_names_option_and_range(self, capsys, argv, option):
         code, _, err = run(capsys, *argv.split())
         assert code == 2
-        assert err.startswith(f"error: {option} must be in [0, 26], got ")
+        lo = 1 if argv.startswith("extrema") else 0  # the extrema search needs one grid interval
+        assert err.startswith(f"error: {option} must be in [{lo}, 26], got ")
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -465,7 +477,7 @@ class TestMalformedInput:
         assert code == 2 and "exponent" in err
         assert time.perf_counter() - start < 0.5
 
-    @pytest.mark.parametrize("levels", [WITNESS_LEVEL_CAP + 1, 100000])
+    @pytest.mark.parametrize("levels", [0, WITNESS_LEVEL_CAP + 1, 100000])
     def test_witness_levels_refused_quickly(self, capsys, levels):
         start = time.perf_counter()
         code, out, err = run(capsys, "witness", "--levels", str(levels))
@@ -485,7 +497,7 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "--h" in err and str(SWEEP_LEVEL_CAP) in err
 
-    @pytest.mark.parametrize("digits", [DIGITS_CAP + 1, 300000])
+    @pytest.mark.parametrize("digits", [0, DIGITS_CAP + 1, 300000])
     def test_eval_digits_refused_quickly(self, capsys, digits):
         start = time.perf_counter()
         code, out, err = run(capsys, "eval", "--t", "1/3", "--digits", str(digits))
@@ -596,3 +608,73 @@ class TestParseOnce:
         assert codes == [0, 0, 0, 2, 2, 0, 0]
         assert fresh[2][1] == "" and fresh[2][3].startswith(b"t,value_decimal")
         assert json.loads(fresh[0][1])[-1]["t_num"] == 1
+
+
+#: The options each subcommand offers, besides -h.
+OPTIONS = {
+    "eval": ["--scheme", "--seed", "--out", "--t", "--tol", "--digits"],
+    "sample": ["--scheme", "--seed", "--out", "--format", "--grid"],
+    "extrema": ["--scheme", "--seed", "--out", "--grid"],
+    "qv": ["--scheme", "--seed", "--out", "--format", "--level", "--stride", "--t"],
+    "cov": ["--scheme", "--seed", "--out", "--format", "--scheme-y", "--level", "--t"],
+    "counterexample": ["--out", "--format", "--levels", "--t"],
+    "modulus": ["--scheme", "--seed", "--out", "--format", "--grid", "--h"],
+    "witness": ["--out", "--format", "--levels"],
+    "ito": ["--scheme", "--seed", "--out", "--format", "--poly", "--level", "--levels", "--t"],
+}
+
+#: One command line per subcommand whose run reads every option it offers:
+#: a bernoulli spec without a seed reads --seed.
+EVERY_OPTION = {
+    "eval": "eval --scheme bernoulli:1/2 --t 1/5 --tol 1/1000 --digits 5",
+    "sample": "sample --scheme bernoulli:1/2 --grid 3",
+    "extrema": "extrema --scheme bernoulli:1/2 --grid 3",
+    "qv": "qv --scheme bernoulli:1/2 --level 4 --stride 2 --t 1/2",
+    "cov": "cov --scheme bernoulli:1/2 --scheme-y alt_m --level 4",
+    "counterexample": "counterexample --levels 3",
+    "modulus": "modulus --scheme bernoulli:1/2 --grid 3 --h 1/8",
+    "witness": "witness --levels 2",
+    "ito": "ito --scheme bernoulli:1/2 --poly 0,1 --levels 3",
+}
+
+
+class _Reads:
+    """A parsed command line that records the attributes a command reads."""
+
+    def __init__(self, args):
+        self.values, self.read = vars(args), set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self.values[name]
+
+
+def _subparsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
+class TestOptions:
+    def test_options_per_subcommand(self):
+        offered = {name: [opt for a in p._actions for opt in a.option_strings if opt not in ("-h", "--help")]
+                   for name, p in _subparsers().items()}
+        assert offered == OPTIONS
+        assert sum(map(len, offered.values())) == 50
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_every_option_is_read(self, capsys, command):
+        subparser = _subparsers()[command]
+        args = _Reads(build_parser().parse_args(EVERY_OPTION[command].split()))
+        getattr(cli, f"cmd_{command}")(args)
+        capsys.readouterr()
+        assert args.read == {a.dest for a in subparser._actions if a.option_strings and a.dest != "help"}
+
+    @pytest.mark.parametrize("argv", [
+        "eval --t 1/3 --format json",
+        "extrema --grid 3 --format csv",
+        "witness --levels 3 --seed 3",
+        "counterexample --levels 3 --seed 3",
+    ])
+    def test_unread_options_refused(self, capsys, tmp_path, argv):
+        code, out, err, _ = _outcome(capsys, argv.split(), tmp_path / "out")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: " in err

@@ -144,6 +144,61 @@ class TestProfile:
             assert abs(float(row.value) - float(row.t)) < 1e-3
 
 
+class TestProfileUpToT:
+    """``_profile_sums(x, level, stride, t)`` is the whole profile's rows at or before t,
+    read from the blocks that hold them only."""
+
+    LEVEL = 12
+
+    @staticmethod
+    def pair_grid():
+        rng = np.random.default_rng(5)
+        return tuple(rng.integers(-999, 1000, (1 << TestProfileUpToT.LEVEL) + 1) for _ in "pq")
+
+    @pytest.mark.parametrize("t", [F(0), F(1, 3), F(5, 8), F(1)])
+    @pytest.mark.parametrize("stride", [1, 64])
+    @pytest.mark.parametrize("spec", ["alt_mk", "bernoulli:1/3:7", "pair"])
+    def test_rows_are_the_whole_profile_sliced(self, monkeypatch, spec, stride, t):
+        monkeypatch.setattr(takagi, "BLOCK", 8)
+        x = self.pair_grid() if spec == "pair" else fn(spec)
+        count = int(t * (1 << self.LEVEL)) // stride + 1
+        whole = quadvar._profile_sums(x, self.LEVEL, stride)
+        got = quadvar._profile_sums(x, self.LEVEL, stride, t)
+        assert [a.tolist() for a in got] == [a[:count].tolist() for a in whole]
+
+    @pytest.mark.parametrize("t", [F(0), F(1, 3), F(5, 8), F(1)])
+    @pytest.mark.parametrize("stride", [1, 64])
+    def test_no_block_past_t_is_built(self, monkeypatch, stride, t):
+        monkeypatch.setattr(takagi, "BLOCK", 8)
+        f, offsets = fn("bernoulli:1/3:7"), []
+        streamed = f._blocks
+
+        def recording(level):
+            for block in streamed(level):
+                offsets.append(block[0])
+                yield block
+
+        monkeypatch.setattr(f, "_blocks", recording)
+        quadvar._profile_sums(f, self.LEVEL, stride, t)
+        k = self.LEVEL - stride.bit_length() + 1
+        end = int(t * (1 << k))
+        assert offsets == list(range(0, max(end, 1), 8))
+
+    def test_pair_grid_past_t_is_not_read(self, monkeypatch):
+        # a last increment too wide for int64 sums refuses the profile to 1, not one to t < 1
+        monkeypatch.setattr(takagi, "BLOCK", 8)
+        p, q = self.pair_grid()
+        p[-1] = 1 << 40
+        a, b = quadvar._profile_sums((p, q), self.LEVEL, 64, F(5, 8))
+        assert len(a) == 41
+        with pytest.raises(ValueError, match="overflow"):
+            quadvar._profile_sums((p, q), self.LEVEL, 64)
+
+    def test_stride_checked_before_t(self):
+        with pytest.raises(ValueError, match="stride 0 must divide"):
+            quadvar._profile_sums(fn("all_plus"), 3, 0, F(1, 2))
+
+
 class TestCounterexample:
     def test_even_cov_rows(self):
         study = counterexample_series(6, 1)
