@@ -13,7 +13,8 @@ per process.  A command offers only the options it reads (``--seed`` goes
 with ``--scheme``), writes through one writer to ``--out`` or stdout, and
 checks each integer option's range with one helper that names the option.
 
-Exit codes: 0 success, 2 invalid configuration, 3 scheme depth exceeded.
+Exit codes: 0 success, 2 invalid configuration (a command line argparse
+refuses too), 3 scheme depth exceeded; every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 from fractions import Fraction
 from itertools import repeat, starmap
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ DECIMAL_DIGITS = 12
 ROW_CHUNK = 1 << 14
 
 #: ``witness --levels`` above this is refused: the rows' exact arithmetic
-#: grows fast with the level (about 1.5 s at 1000, 15 s at 2400).
+#: grows fast with the level (about 2 s at 1000, 20 s at 2400).
 WITNESS_LEVEL_CAP = 1000
 
 #: ``eval --digits`` above this is refused: CPython converts at most 4300 int digits to str.
@@ -162,10 +163,6 @@ def _level_range(args: argparse.Namespace, option: str, t: Dyadic) -> range:
     return range(first, top + 1)
 
 
-def _is_dyadic(t: Fraction) -> bool:
-    return t.denominator & (t.denominator - 1) == 0
-
-
 def cmd_eval(args: argparse.Namespace) -> None:
     digits = _level(args, "digits", 1, DIGITS_CAP)
     tol = parse_exact_fraction(args.tol)
@@ -175,7 +172,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     t = parse_exact_fraction(args.t)
     bound = None
-    if _is_dyadic(t):
+    if t.denominator & (t.denominator - 1) == 0:  # a dyadic point
         v = fn.at_dyadic(t)
     else:
         try:
@@ -308,8 +305,15 @@ def cmd_ito(args: argparse.Namespace) -> None:
     _emit(rows, fields, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Refuse the command line with a ValueError naming the subcommand: main prints one error line."""
+        command = self.prog.partition(" ")[2]
+        raise ValueError(f"{command}: {message}" if command else message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="takagiqv",
         description="Exact analysis of +/-1 wedge-coefficient functions: "
         "evaluation, extrema, moduli of continuity, quadratic variation.",
@@ -387,11 +391,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    # looked up per call, so a cmd_* replaced after the parser was built still runs
-    command = globals()[f"cmd_{args.command}"]
     try:
-        command(args)
+        args, extra = _parser().parse_known_args(argv)
+        if extra:
+            raise ValueError(f"{args.command}: unrecognized arguments: {' '.join(extra)}")
+        # looked up per call, so a cmd_* replaced after the parser was built still runs
+        globals()[f"cmd_{args.command}"](args)
     except SchemeDepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -145,18 +145,18 @@ def _lag_scan(p: np.ndarray, q: np.ndarray, first: int, last: int) -> list[tuple
     of it, written into reused int64 scratch, and the same for q.  Once
     every lag of a range has at most BLOCK rows, a tile takes as many lags
     as fit, so a small grid sweeps all its steps in one tile; a single lag
-    is one row, block by block.  The last row tile of a multi-lag range
-    reads past the grid end, from zero-padded scratch, and its cells with
-    i + j past the end are set to -inf, so they never survive.
+    is one row, block by block.  The grid is followed by last - first
+    zeros: the last row tile of a multi-lag range reads into them, and its
+    cells with i + j past the grid end are set to -inf, so they never survive.
 
     |dp + dq*sqrt2| goes into one float64 buffer.  A cell survives when it
     is within a rigorous error bound of its lag's float maximum; the
     survivors are merged exactly in index order, keeping the first index
     of the largest value.
     """
-    n = len(p)
+    n = len(p) - (last - first)
     budget = min(takagi.BLOCK, n * (last + 1 - first))
-    dp_buf, dq_buf, pad_p, pad_q = np.empty((4, budget), dtype=np.int64)
+    dp_buf, dq_buf = np.empty((2, budget), dtype=np.int64)
     f_buf = np.empty(budget)
     out: list[tuple[int, int, int]] = []
     a = first
@@ -167,19 +167,13 @@ def _lag_scan(p: np.ndarray, q: np.ndarray, first: int, last: int) -> list[tuple
         for r0 in range(0, rows, budget // w):
             r = min(budget // w, rows - r0)
             lo, hi = r0 + a, r0 + a + r + w - 1
-            if hi <= n:
-                sp, sq = p[lo:hi], q[lo:hi]
-            else:  # one row tile, r = n - lo: lags a + k >= a + 1 lose their last k rows
-                sp, sq = pad_p[: r + w - 1], pad_q[: r + w - 1]
-                sp[:r], sp[r:] = p[lo:], 0
-                sq[:r], sq[r:] = q[lo:], 0
             shape = (w, r)
-            dp = np.subtract(_windows(sp, shape), p[r0 : r0 + r], out=dp_buf[: w * r].reshape(shape))
-            dq = np.subtract(_windows(sq, shape), q[r0 : r0 + r], out=dq_buf[: w * r].reshape(shape))
+            dp = np.subtract(_windows(p[lo:hi], shape), p[r0 : r0 + r], out=dp_buf[: w * r].reshape(shape))
+            dq = np.subtract(_windows(q[lo:hi], shape), q[r0 : r0 + r], out=dq_buf[: w * r].reshape(shape))
             f = np.multiply(dq, _SQRT2_F, out=f_buf[: w * r].reshape(shape))
             f += dp
             np.abs(f, out=f)
-            if hi > n:
+            if hi > n:  # one row tile, r = n - lo: lags a + k >= a + 1 lose their last k rows
                 for k in range(1, w):
                     f[k, r - k :] = -np.inf
             # |f - |x|| <= (|x| + 6|dq|) * 2**-53 in every cell; the cut is ten times wider than
@@ -219,7 +213,8 @@ def sweep_all_steps(fn: TakagiFunction, grid_level: int) -> list[ModulusReport]:
     if grid_level > SWEEP_LEVEL_CAP:
         raise ValueError(f"a sweep of every step is refused above grid {SWEEP_LEVEL_CAP}, got {grid_level}: "
                          f"scan single steps (--h)")
-    p, q = fn.grid_pairs(grid_level)
+    p, q = np.zeros((2, 2 << grid_level), dtype=np.int64)  # the grid, then 2**grid_level - 1 zeros
+    p[: (1 << grid_level) + 1], q[: (1 << grid_level) + 1] = fn.grid_pairs(grid_level)
     return [ModulusReport(grid_level, j, (mp, mq), tie)
             for j, (mp, mq, tie) in enumerate(_lag_scan(p, q, 1, 1 << grid_level), 1)]
 

@@ -3,17 +3,18 @@
 Every number produced by the wedge-basis machinery in this package --
 wedge heights 2**(-m/2), values on dyadic grids, moduli of continuity,
 quadratic-variation sums -- lies in the field {a + b*sqrt(2) : a, b rational}.
-:class:`QuadValue` stores the two rational components exactly and supports
-field arithmetic, a total order decided without floating point, and a
-correctly rounded decimal printer.  :class:`Dyadic` is the companion type
-for grid points j / 2**N.
+Every kernel returns such a value as integers (p, q, d), (p + q*sqrt(2)) / d;
+:class:`QuadValue` holds that triple in lowest terms and does field arithmetic,
+a total order without floating point and correctly rounded decimals on it in
+integers.  :class:`Dyadic` is the companion type for grid points j / 2**N.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import index
 from typing import Union
 
 import numpy as np
@@ -113,12 +114,8 @@ def decimal_column(p: np.ndarray, q: np.ndarray, bits: int, digits: int) -> list
     return text
 
 
-def decimal_ratio(x: tuple[int, int, int], y: tuple[int, int, int], digits: int) -> str:
-    """x / y rounded like ``decimal_pair``, for x, y given as (p, q, d): (p + q*sqrt(2)) / d.
-
-    x / y = x * conj(y) / norm(y), all in integers; a negative norm moves
-    its sign into the numerator pair.
-    """
+def _quotient(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """x / y = x * conj(y) / norm(y) in integers, as (p, q, d) with d > 0, for x, y given as (p, q, d)."""
     xp, xq, xd = x
     yp, yq, yd = y
     norm = yp * yp - 2 * yq * yq
@@ -126,84 +123,107 @@ def decimal_ratio(x: tuple[int, int, int], y: tuple[int, int, int], digits: int)
         raise ZeroDivisionError("division by zero in Q(sqrt(2))")
     if norm < 0:
         yd, norm = -yd, -norm
-    return decimal_pair((xp * yp - 2 * xq * yq) * yd, (xq * yp - xp * yq) * yd, xd * norm, digits)
+    return (xp * yp - 2 * xq * yq) * yd, (xq * yp - xp * yq) * yd, xd * norm
+
+
+def decimal_ratio(x: tuple[int, int, int], y: tuple[int, int, int], digits: int) -> str:
+    """x / y rounded like ``decimal_pair``, for x, y given as (p, q, d): (p + q*sqrt(2)) / d."""
+    return decimal_pair(*_quotient(x, y), digits)
+
+
+def _triple(x: object) -> tuple[int, int, int] | None:
+    """The (p, q, d) of a QuadValue, int or Fraction (a rational n/d is (n, 0, d)); None otherwise."""
+    if isinstance(x, QuadValue):
+        return x._pqd
+    return (x.numerator, 0, x.denominator) if isinstance(x, (int, Fraction)) else None
 
 
 @total_ordering
 class QuadValue:
-    """A number a + b*sqrt(2) with exact rational components."""
+    """A number a + b*sqrt(2) = (p + q*sqrt(2)) / d, held as the integer triple (p, q, d).
 
-    __slots__ = ("a", "b")
+    The triple is in lowest terms with d > 0, one per value since sqrt(2) is
+    irrational; the Fractions ``a`` and ``b`` are built only when read.
+    """
+
+    __slots__ = ("_pqd",)
 
     def __init__(self, a: Rational = 0, b: Rational = 0) -> None:
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+        a, b = _as_fraction(a), _as_fraction(b)
+        d = lcm(a.denominator, b.denominator)
+        object.__setattr__(self, "_pqd", (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadValue is immutable")
 
     @classmethod
     def from_pair(cls, p: int, q: int, d: int) -> QuadValue:
-        """(p + q*sqrt(2)) / d for integers p, q, d; the inverse of :meth:`pair`."""
-        return cls(Fraction(p, d), Fraction(q, d))
+        """(p + q*sqrt(2)) / d for integers p, q, d != 0 (numpy ints too); the inverse of :meth:`pair`."""
+        p, q, d = index(p), index(q), index(d)
+        if d == 0:
+            raise ZeroDivisionError("zero denominator in Q(sqrt(2))")
+        g = gcd(p, q, d) if d > 0 else -gcd(p, q, d)
+        v = object.__new__(cls)
+        object.__setattr__(v, "_pqd", (p // g, q // g, d // g))
+        return v
+
+    def pair(self) -> tuple[int, int, int]:
+        """(p, q, d) with self == (p + q*sqrt(2)) / d, in lowest terms with d > 0."""
+        return self._pqd
+
+    a = property(lambda self: Fraction(self._pqd[0], self._pqd[2]), doc="The rational part p/d.")
+    b = property(lambda self: Fraction(self._pqd[1], self._pqd[2]), doc="The coefficient q/d of sqrt(2).")
 
     def conjugate(self) -> QuadValue:
-        return QuadValue(self.a, -self.b)
+        return QuadValue.from_pair(self._pqd[0], -self._pqd[1], self._pqd[2])
 
     # -- field arithmetic ----------------------------------------------------
 
+    def _sum(self, other: object, sign: int) -> QuadValue:
+        """self + sign * other, or NotImplemented for an operand with no triple."""
+        y = _triple(other)
+        if y is None:
+            return NotImplemented
+        (p, q, d), (r, s, e) = self._pqd, y
+        return QuadValue.from_pair(p * e + sign * r * d, q * e + sign * s * d, d * e)
+
     def __add__(self, other: QuadValue | Rational) -> QuadValue:
-        if isinstance(other, QuadValue):
-            return QuadValue(self.a + other.a, self.b + other.b)
-        if isinstance(other, (int, Fraction)):
-            return QuadValue(self.a + other, self.b)
-        return NotImplemented
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadValue | Rational) -> QuadValue:
-        return self + (-other if isinstance(other, QuadValue) else QuadValue(-_as_fraction(other), 0))
+        return self._sum(other, -1)
 
     def __rsub__(self, other: Rational) -> QuadValue:
-        return (-self) + other
+        return (-self)._sum(other, 1)
 
     def __neg__(self) -> QuadValue:
-        return QuadValue(-self.a, -self.b)
+        return QuadValue.from_pair(-self._pqd[0], -self._pqd[1], self._pqd[2])
 
     def __mul__(self, other: QuadValue | Rational) -> QuadValue:
-        if isinstance(other, QuadValue):
-            return QuadValue(
-                self.a * other.a + 2 * self.b * other.b,
-                self.a * other.b + self.b * other.a,
-            )
-        if isinstance(other, (int, Fraction)):
-            return QuadValue(self.a * other, self.b * other)
-        return NotImplemented
+        y = _triple(other)
+        if y is None:
+            return NotImplemented
+        (p, q, d), (r, s, e) = self._pqd, y
+        return QuadValue.from_pair(p * r + 2 * q * s, p * s + q * r, d * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: QuadValue | Rational) -> QuadValue:
-        if isinstance(other, (int, Fraction)):
-            other = QuadValue(other, 0)
-        if not isinstance(other, QuadValue):
-            return NotImplemented
-        # 1/(a + b*sqrt(2)) = (a - b*sqrt(2)) / (a**2 - 2*b**2); the norm is
-        # nonzero for any nonzero value because sqrt(2) is irrational.
-        norm = other.a * other.a - 2 * other.b * other.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        return self * other.conjugate() * QuadValue(Fraction(1, 1) / norm, 0)
+        y = _triple(other)
+        return NotImplemented if y is None else QuadValue.from_pair(*_quotient(self._pqd, y))
 
     def __rtruediv__(self, other: Rational) -> QuadValue:
-        return QuadValue(other, 0) / self
+        x = _triple(other)
+        return NotImplemented if x is None else QuadValue.from_pair(*_quotient(x, self._pqd))
 
     def __pow__(self, n: int) -> QuadValue:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return QuadValue(1, 0) / self ** (-n)
-        out = QuadValue(1, 0)
-        base = self
+            return 1 / self ** (-n)
+        out, base = QuadValue(1, 0), self
         while n:
             if n & 1:
                 out = out * base
@@ -218,69 +238,53 @@ class QuadValue:
 
     def sign(self) -> int:
         """Exact sign, computed without floating point."""
-        return sign_pair(self.a, self.b)
+        return sign_pair(self._pqd[0], self._pqd[1])
 
     def compare(self, other: QuadValue | Rational) -> int:
         """-1, 0 or +1 according to the exact order of self vs other."""
-        if not isinstance(other, QuadValue):
-            other = QuadValue(other, 0)
         return (self - other).sign()
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QuadValue):
-            # sqrt(2) irrational => representation is unique
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
+        y = _triple(other)
+        return NotImplemented if y is None else self._pqd == y
 
     def __lt__(self, other: QuadValue | Rational) -> bool:
-        if isinstance(other, (QuadValue, int, Fraction)):
-            return self.compare(other) < 0
-        return NotImplemented
+        return NotImplemented if _triple(other) is None else self.compare(other) < 0
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        return hash(self._pqd)
 
     def __bool__(self) -> bool:
-        return bool(self.a or self.b)
+        return bool(self._pqd[0] or self._pqd[1])
 
     # -- output --------------------------------------------------------------
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * _SQRT2_F
 
-    def pair(self) -> tuple[int, int, int]:
-        """(p, q, d) with self == (p + q*sqrt(2)) / d and d > 0."""
-        a, b = self.a, self.b
-        d = lcm(a.denominator, b.denominator)
-        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
-
     def floor(self) -> int:
         """Exact floor, via integer square roots only."""
-        p, q, d = self.pair()
+        p, q, d = self._pqd
         return (p + _floor_sqrt2(q)) // d
 
     def decimal(self, digits: int) -> str:
         """Correctly rounded, half-to-even decimal with `digits` fractional digits."""
-        return decimal_pair(*self.pair(), digits)
+        return decimal_pair(*self._pqd, digits)
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        b = f"{self.b}*sqrt(2)" if self.b > 0 else f"-{-self.b}*sqrt(2)"
-        if self.a == 0:
-            return b
-        op = " + " if self.b > 0 else " - "
-        return f"{self.a}{op}{b.lstrip('-')}"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        text = f"{abs(b)}*sqrt(2)"
+        if a == 0:
+            return text if b > 0 else f"-{text}"
+        return f"{a} {'+' if b > 0 else '-'} {text}"
 
     def __repr__(self) -> str:
         return f"QuadValue({self.a!r}, {self.b!r})"
 
 
 SQRT2 = QuadValue(0, 1)
-ZERO = QuadValue(0, 0)
-ONE = QuadValue(1, 0)
 
 
 def pow2_half(e: int) -> QuadValue:
@@ -303,12 +307,8 @@ class Dyadic:
     def __init__(self, num: int, exp: int = 0) -> None:
         if exp < 0:
             raise ValueError("exponent must be >= 0")
-        if num == 0:
-            exp = 0
-        else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
+        shift = min(exp, (num & -num).bit_length() - 1) if num else exp  # the factors of two that cancel
+        num, exp = num >> shift, exp - shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 

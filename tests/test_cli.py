@@ -346,6 +346,7 @@ MALFORMED = [
     ("eval --t 1/7 --digits -1", 2),
     ("eval --t 1/3 --out {missing}", 2),
     ("sample --grid 40", 2),
+    ("sample", 2),
     ("sample --grid -1", 2),
     ("sample --grid 3 --scheme file:{deep}", 2),
     ("sample --grid 5 --scheme file:{short}", 3),
@@ -355,6 +356,7 @@ MALFORMED = [
     ("extrema --grid 3 --scheme file:{bare}", 2),
     ("qv --level 4 --t 1/0", 2),
     ("qv --level 27", 2),
+    ("qv --level x", 2),
     ("qv --level -1", 2),
     ("qv --level 4 --stride 3", 2),
     ("qv --level 3 --stride 0 --t 1/2", 2),
@@ -382,6 +384,7 @@ MALFORMED = [
     ("witness --levels 3 --out {missing}", 2),
     ("witness --levels -1", 2),
     ("witness --levels 100000", 2),
+    ("witness --seed 3", 2),
     ("ito --poly 1/0 --level 3", 2),
     ("ito --poly= --level 3", 2),
     ("ito --poly 1,x --level 3", 2),
@@ -471,6 +474,26 @@ class TestMalformedInput:
         code, _, err = run(capsys, *argv.split())
         assert (code, err) == (2, f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("witness --seed 3", "witness: unrecognized arguments: --seed 3"),
+            ("eval --t 1/3 --format json", "eval: unrecognized arguments: --format json"),
+            ("qv --level x", "qv: argument --level: invalid int value: 'x'"),
+            ("sample", "sample: the following arguments are required: --grid"),
+            ("", "the following arguments are required: command"),
+        ],
+    )
+    def test_argparse_refusal_names_subcommand(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: takagiqv witness [-h]")
+
     def test_long_poly_exponent_exits_quickly(self, capsys):
         start = time.perf_counter()
         code, _, err = run(capsys, "ito", "--poly=0,1e4000000", "--level", "3")
@@ -556,10 +579,7 @@ class TestSmokeLines:
 
 def _outcome(capsys, argv, path):
     """(exit code, stdout, stderr, bytes written to path) of one main call."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse refuses the command line itself
-        code = exc.code
+    code = main(argv)
     out = capsys.readouterr()
     written = path.read_bytes() if path.exists() else None
     path.unlink(missing_ok=True)

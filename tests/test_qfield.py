@@ -1,5 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
@@ -175,6 +176,95 @@ class TestDecimal:
         assert QuadValue(-3, 2).floor() == -1  # 2*sqrt2 - 3 = -0.17...
 
 
+wide_ints = st.integers(-(2 ** 80), 2 ** 80)
+nonzero_ints = wide_ints.filter(bool)
+# (p, q, d) with d > 0, some with a negative norm p**2 - 2*q**2
+triples = st.tuples(wide_ints, wide_ints, st.integers(1, 2 ** 80))
+
+
+class TestTriple:
+    """QuadValue holds (p, q, d) in lowest terms with d > 0: one triple per value."""
+
+    @given(wide_ints, wide_ints, nonzero_ints)
+    def test_from_pair_lowest_terms(self, p, q, d):
+        P, Q, D = QuadValue.from_pair(p, q, d).pair()
+        assert all(type(x) is int for x in (P, Q, D))
+        assert D > 0 and gcd(P, Q, D) == 1
+        assert (P * d, Q * d) == (p * D, q * D)
+
+    @given(wide_ints, wide_ints, nonzero_ints, nonzero_ints)
+    def test_scaled_triples_equal(self, p, q, d, k):
+        u, v = QuadValue.from_pair(p, q, d), QuadValue.from_pair(k * p, k * q, k * d)
+        assert u == v and hash(u) == hash(v) and u.pair() == v.pair()
+
+    @given(wide_ints, wide_ints, nonzero_ints)
+    def test_components(self, p, q, d):
+        u = QuadValue.from_pair(p, q, d)
+        assert (u.a, u.b) == (F(p, d), F(q, d))
+        assert QuadValue(u.a, u.b).pair() == u.pair()
+
+    @given(triples, triples.filter(lambda y: y[0] or y[1]), st.integers(1, 30))
+    def test_ratio_matches_division(self, x, y, digits):
+        want = (QuadValue.from_pair(*x) / QuadValue.from_pair(*y)).decimal(digits)
+        assert decimal_ratio(x, y, digits) == want
+
+    @given(quads, quads)
+    def test_arithmetic_matches_fractions(self, u, v):
+        (a, b), (c, d) = (u.a, u.b), (v.a, v.b)
+        assert ((u + v).a, (u + v).b) == (a + c, b + d)
+        assert ((u - v).a, (u - v).b) == (a - c, b - d)
+        assert ((u * v).a, (u * v).b) == (a * c + 2 * b * d, a * d + b * c)
+
+    @given(quads, fracs, st.integers(-20, 20))
+    def test_rational_operand_is_its_triple(self, u, r, n):
+        for x in (r, n):
+            w = QuadValue(x, 0)
+            assert (u + x, x + u, u - x, x - u, u * x, x * u) == (u + w, w + u, u - w, w - u, u * w, w * u)
+            assert (u == x) == (u == w) == (u.b == 0 and u.a == x)
+            assert u.compare(x) == u.compare(w) and (u < x) == (u < w)
+            if x:
+                assert u / x == u / w
+            if u:
+                assert x / u == w / u
+
+    def test_zero_denominator(self):
+        for p, q in ((1, 0), (0, 1), (0, 0)):
+            with pytest.raises(ZeroDivisionError):
+                QuadValue.from_pair(p, q, 0)
+
+    def test_numpy_ints_become_python_ints(self):
+        u = QuadValue.from_pair(np.int64(2 ** 62), np.int64(0), np.int64(1))
+        assert all(type(x) is int for x in u.pair())
+        assert (u * u).pair() == (2 ** 124, 0, 1)
+
+    def test_constructor_reduces(self):
+        assert QuadValue(F(1, 6), F(-1, 4)).pair() == (2, -3, 12)
+        assert QuadValue(F(4, 6), 0).pair() == (2, 0, 3)
+        assert QuadValue().pair() == (0, 0, 1)
+
+    def test_other_operands(self):
+        u = QuadValue(1, 1)
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__", "__rtruediv__", "__eq__", "__lt__"):
+            assert getattr(u, op)(0.5) is NotImplemented
+        assert (QuadValue(1, 0) == "1") is False
+        with pytest.raises(TypeError):
+            u < 0.5
+        with pytest.raises(TypeError):
+            u.compare(0.5)
+
+    @pytest.mark.parametrize("u,text,rep", [
+        (QuadValue(0, 0), "0", "QuadValue(Fraction(0, 1), Fraction(0, 1))"),
+        (QuadValue(F(-7, 3), 0), "-7/3", "QuadValue(Fraction(-7, 3), Fraction(0, 1))"),
+        (QuadValue(0, -1), "-1*sqrt(2)", "QuadValue(Fraction(0, 1), Fraction(-1, 1))"),
+        (QuadValue(0, F(3, 2)), "3/2*sqrt(2)", "QuadValue(Fraction(0, 1), Fraction(3, 2))"),
+        (QuadValue(F(1, 2), F(-3, 4)), "1/2 - 3/4*sqrt(2)", "QuadValue(Fraction(1, 2), Fraction(-3, 4))"),
+        (QuadValue(-2, 1), "-2 + 1*sqrt(2)", "QuadValue(Fraction(-2, 1), Fraction(1, 1))"),
+    ])
+    def test_str_and_repr(self, u, text, rep):
+        assert (str(u), repr(u)) == (text, rep)
+
+
 # int64 entries of every bit length, so that rows of every magnitude come up
 int64s = st.integers(0, 63).flatmap(lambda k: st.integers(-(1 << k), (1 << k) - 1))
 # exact ties of 12-digit decimals: q = 0 and p an odd multiple of 2**(bits - 13)
@@ -293,3 +383,9 @@ class TestDyadic:
         assert Dyadic(1, 1) < Dyadic(3, 2)
         assert str(Dyadic(5, 4)) == "5/16"
         assert str(Dyadic(3, 0)) == "3"
+
+    @given(st.integers(-(2 ** 70), 2 ** 70), st.integers(0, 80))
+    def test_normalized(self, num, exp):
+        d = Dyadic(num, exp)
+        assert d.as_fraction() == F(num, 1 << exp)
+        assert d.num % 2 == 1 or d.exp == 0
