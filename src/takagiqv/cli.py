@@ -25,6 +25,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import repeat, starmap
+from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -33,7 +34,7 @@ import numpy as np
 from .extrema import grid_extrema
 from .follmer import RationalPolynomial, _residual_and_sum
 from .modulus import _omega_pair, modulus_scan, sweep_all_steps, witness_ratios, witness_steps
-from .qfield import Dyadic, QuadValue, decimal_column, decimal_pair, decimal_ratio
+from .qfield import Dyadic, decimal_column, decimal_pair, decimal_ratio
 from .quadvar import QVSeries, _first_level, _profile_sums, counterexample_series, cov_profile
 from .schemes import SchemeDepthError, parse_exact_fraction, parse_scheme
 from .takagi import GRID_LEVEL_CAP, TakagiFunction, thirds_value
@@ -107,11 +108,11 @@ def _pair_rows(level: int, t_num: Sequence[int] | np.ndarray, t_bits: int,
     return _chunked_rows(len(p), columns)
 
 
-def _value_row(level: int, t: Fraction, value: QuadValue) -> list:
-    """SERIES_FIELDS cells of an exact value at t."""
-    a, b = value.a, value.b
-    return [level, t.numerator, t.denominator, a.numerator, a.denominator,
-            b.numerator, b.denominator, value.decimal(DECIMAL_DIGITS)]
+def _value_row(level: int, t: Fraction, p: int, q: int, d: int) -> list:
+    """SERIES_FIELDS cells of the exact value (p + q*sqrt(2)) / d, d > 0, at t."""
+    ga, gb = gcd(p, d), gcd(q, d)
+    return [level, t.numerator, t.denominator, p // ga, d // ga, q // gb, d // gb,
+            decimal_pair(p, q, d, DECIMAL_DIGITS)]
 
 
 def _emit(rows: Iterable[Sequence], fields: list[str], args: argparse.Namespace) -> None:
@@ -235,7 +236,7 @@ def _series_rows(series: QVSeries, *extra: str) -> list[list]:
     """Cells of a series' rows, then the extra cells, then the distance if the rows carry one."""
     rows = []
     for r in series.rows:
-        row = _value_row(r.level, r.t.as_fraction(), r.value) + list(extra)
+        row = _value_row(r.level, r.t.as_fraction(), *r.value.pair()) + list(extra)
         if r.distance is not None:
             row.append(r.distance.decimal(DECIMAL_DIGITS))
         rows.append(row)
@@ -282,9 +283,8 @@ def cmd_witness(args: argparse.Namespace) -> None:
     rows = []
     for kind in ("part_a", "part_b"):
         for row in witness_ratios(kind, 1, levels):
-            t_n, _ = witness_steps(row.n)
-            t0 = Fraction(0) if kind == "part_a" else t_n
-            rows.append(_value_row(row.n, t0, row.increment) + [kind, row.ratio_decimal])
+            t0 = witness_steps(row.n)[0] if kind == "part_b" else Fraction(0)
+            rows.append(_value_row(row.n, t0, *row.increment.pair()) + [kind, row.ratio_decimal])
     fields = list(SERIES_FIELDS) + ["kind", "ratio_decimal"]
     _emit(rows, fields, args)
 
@@ -299,8 +299,7 @@ def cmd_ito(args: argparse.Namespace) -> None:
     rows = []
     for n in levels:
         res, rsum = _residual_and_sum(poly, fn, n, t)
-        rows.append(_value_row(n, t.as_fraction(), res)
-                    + ["ito_residual", rsum.decimal(DECIMAL_DIGITS)])
+        rows.append(_value_row(n, t.as_fraction(), *res) + ["ito_residual", decimal_pair(*rsum, DECIMAL_DIGITS)])
     fields = list(SERIES_FIELDS) + ["kind", "riemann_sum_decimal"]
     _emit(rows, fields, args)
 

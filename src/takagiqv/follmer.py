@@ -1,10 +1,7 @@
 """Pathwise left-endpoint Riemann sums and the second-order residual check.
 
 For an integrand g and integrator x, the level-n Riemann sum along the
-dyadic partition is
-
-    sum over [s, s'] in [0, t] of g(x(s)) * (x(s') - x(s))
-
+dyadic partition is the sum over [s, s'] in [0, t] of g(x(s)) * (x(s') - x(s)).
 With rational-coefficient polynomial integrands every term stays in
 Q(sqrt(2)), so convergence questions reduce to exact arithmetic.  The
 residual of the second-order expansion
@@ -15,26 +12,29 @@ uses s' - s in place of the quadratic-variation increment (their limits
 agree: the qv of every member of this class is t) and measures how fast
 the two discretizations converge jointly.
 
-Both sums run through one multi-modular kernel.  With g = (1/D) sum a_i u**i
-and the grid point x_j = u_j/2**n, u_j = p_j + q_j sqrt2, the level-n sum is
+Every sum comes from one multi-modular kernel.  Write f = (1/D) sum a_i u**i,
+the grid point x_j = u_j/2**n with u_j = p_j + q_j sqrt2, S_i = sum_j u_j**i
+(u_{j+1} - u_j) and T_i = sum_j u_j**i.  The sums of f(x) dx and f(x) ds are
+sum_i a_i S_i and sum_i a_i T_i over D * 2**(n*(i+1)).  As x_j**k = u_j**k /
+2**(n*k) and s' - s = 2**-n, expanding f, f' and f'' in the same sums gives
+sum f'(x) dx and R_n as sum_i a_i c_i / (D * 2**(n*i)), one power of 2**n up:
 
-    sum_j g(x_j) w_j/2**n = sum_i a_i 2**(n*(deg-i)) S_i / (D * 2**(n*(deg+1)))
-    with S_i = sum_j u_j**i w_j,
+    c_i = i S_(i-1)  and  c_i = u(t)**i - u(0)**i - i S_(i-1) - C(i, 2) 2**n T_(i-2).
 
-where w_j is the increment u_{j+1} - u_j for the Riemann sum and 1 for the
-dt-sum.  S_0 telescopes or counts the intervals; the kernel computes the
-other S_i as exact integer pairs (the coefficients never enter it) in one
-pass over the grid up to t, ``takagi.grid_blocks(x, level, t 2**level)``,
-in chunks of at most _CHUNK intervals that carry their right endpoint, one
-chain of powers for both sums.  The size |a| + 2|b| of a + b sqrt2 bounds
-both parts and is submultiplicative, so with X = max|p| + 2 max|q| and W =
-(max p - min p) + 2 (max q - min q) over a chunk of C intervals, a part of
-its sums is at most C * X**deg * W, or C * X**deg for the dt-sum.  Each
-chunk takes the fewest primes below 2**30 whose product exceeds twice its
-bound, raises u to its powers and weights them in int64 modulo each prime
-(a product of two residues stays below 2**60), rebuilds each chunk sum by
-the Chinese remainder theorem as the symmetric residue (Knuth, TAOCP vol.
-2, 4.3.2), and adds the chunks and the coefficients up in Python ints.
+One Horner pass in 2**n sums each exactly.  S_0 = u(t) - u(0) makes c_0 =
+c_1 = 0, and T_0 = 2**n t; the kernel computes the other S_i and T_i as exact
+integer pairs (the coefficients never enter it) in one pass over the grid up
+to t, ``takagi.grid_blocks(x, level, t 2**level)``, in chunks of at most
+_CHUNK intervals that carry their right endpoint, one chain of powers for
+both sums.  The size |a| + 2|b| of a + b sqrt2 bounds both parts and is
+submultiplicative, so with X = max|p| + 2 max|q| and W = (max p - min p) +
+2 (max q - min q) over a chunk of C intervals, a part of its sums is at most
+C * X**deg * W, or C * X**deg for the dt-sum.  Each chunk takes the fewest
+primes below 2**30 whose product exceeds twice its bound, raises u to its
+powers and weights them in int64 modulo each prime (a product of two
+residues stays below 2**60), rebuilds each chunk sum by the Chinese
+remainder theorem as the symmetric residue (Knuth, TAOCP vol. 2, 4.3.2),
+and adds the chunks and the coefficients up in Python ints.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from .qfield import QuadValue, Rational, _as_fraction, Dyadic
-from .takagi import GridLike, PairGrid, _grid_index, grid_blocks, pair_value
+from .takagi import GridLike, PairGrid, _grid_index, grid_blocks
 
 
 #: Largest exponent size taken in a coefficient such as 1e3000.
@@ -109,7 +109,7 @@ def _scaled_coeffs(g: RationalPolynomial) -> tuple[list[int], int]:
     if not g.coeffs:
         return [0], 1
     den = lcm(*(c.denominator for c in g.coeffs))
-    return [int(c * den) for c in g.coeffs], den
+    return [c.numerator * (den // c.denominator) for c in g.coeffs], den
 
 
 def _is_prime(n: int) -> bool:
@@ -217,40 +217,44 @@ def _power_sums(
     return x0, xt, [[xt[0] - x0[0], xt[1] - x0[1]], *dx], [[n, 0], *dt]
 
 
-def _riemann_value(g: RationalPolynomial, sums: list[list[int]], level: int) -> QuadValue:
-    """The level sum of g(x(s)) * w over [s, s'] in [0, t] from [S_0, ..., S_deg]."""
+def _riemann_value(g: RationalPolynomial, sums: list[list[int]], level: int) -> tuple[int, int, int]:
+    """The level sum of g(x(s)) * w over [s, s'] in [0, t] from [S_0, ..., S_deg], as (p, q, d)."""
     a, den = _scaled_coeffs(g)
     sp = sq = 0
     for ai, (s_p, s_q) in zip(a, sums):  # Horner in 2**level
         sp, sq = (sp << level) + ai * s_p, (sq << level) + ai * s_q
-    return QuadValue.from_pair(sp, sq, den << (level * len(a)))
+    return sp, sq, den << (level * len(a))
 
 
 def follmer_sum(g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """Exact left-endpoint Riemann sum of g(x) dx over [0, t] at level n."""
-    return _riemann_value(g, _power_sums(x, level, t, g.degree, 0)[2], level)
+    return QuadValue.from_pair(*_riemann_value(g, _power_sums(x, level, t, g.degree, 0)[2], level))
 
 
 def time_sum(g: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """sum of g(x(s)) * (s' - s) over [s, s'] in [0, t]: the dt-discretization."""
-    return _riemann_value(g, _power_sums(x, level, t, 0, g.degree)[3], level)
+    return QuadValue.from_pair(*_riemann_value(g, _power_sums(x, level, t, 0, g.degree)[3], level))
 
 
 def _residual_and_sum(
     f: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational
-) -> tuple[QuadValue, QuadValue]:
-    """The level-n residual and the Riemann sum of f'(x) dx inside it, from one pass."""
-    f1, f2 = f.derivative(), f.derivative().derivative()
-    x0, xt, dx, dt = _power_sums(x, level, t, f1.degree, f2.degree)
-    rsum = _riemann_value(f1, dx, level)
-    residual = (f(pair_value(*xt, level)) - f(pair_value(*x0, level)) - rsum
-                - _riemann_value(f2, dt, level) * Fraction(1, 2))
-    return residual, rsum
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The level-n residual and the Riemann sum of f'(x) dx inside it, as (p, q, d), from one pass."""
+    x0, xt, dx, dt = _power_sums(x, level, t, max(f.degree - 1, 0), max(f.degree - 2, 0))
+    c, e, u0, ut = [], [], (1, 0), (1, 0)  # c_i, i S_(i-1), U(0)**i and U(t)**i
+    for i, (sp, sq), (tp, tq) in zip(range(f.degree + 1), [(0, 0), *dx], [(0, 0), (0, 0), *dt]):
+        k = i * (i - 1) // 2 << level
+        c.append((ut[0] - u0[0] - i * sp - k * tp, ut[1] - u0[1] - i * sq - k * tq))
+        e.append((i * sp, i * sq))
+        u0, ut = [(p * r + 2 * q * s, p * s + q * r) for (p, q), (r, s) in ((u0, x0), (ut, xt))]
+    # both are sum_i a_i c_i / (D 2**(level*i)): a Riemann sum's denominator over 2**level
+    (p, q, d), (r, s, _) = (_riemann_value(f, v, level) for v in (c, e))
+    return (p, q, d >> level), (r, s, d >> level)
 
 
 def ito_residual(f: RationalPolynomial, x: GridLike, level: int, t: Dyadic | Rational) -> QuadValue:
     """Second-order expansion residual at level n; tends to zero in n."""
-    return _residual_and_sum(f, x, level, t)[0]
+    return QuadValue.from_pair(*_residual_and_sum(f, x, level, t)[0])
 
 
 def residual_profile(

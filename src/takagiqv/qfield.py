@@ -251,8 +251,8 @@ class QuadValue:
     def __lt__(self, other: QuadValue | Rational) -> bool:
         return NotImplemented if _triple(other) is None else self.compare(other) < 0
 
-    def __hash__(self) -> int:
-        return hash(self._pqd)
+    def __hash__(self) -> int:  # a rational value hashes as its Fraction, as == compares it
+        return hash(Fraction(self._pqd[0], self._pqd[2]) if self._pqd[1] == 0 else self._pqd)
 
     def __bool__(self) -> bool:
         return bool(self._pqd[0] or self._pqd[1])

@@ -128,7 +128,8 @@ def assert_stream_matches_oracles(g, x, grid, level, t):
     pair grid grid) at t, against the per-point oracles on grid."""
     assert follmer_sum(g, x, level, t) == oracle_follmer_sum(g, grid, level, t)
     assert time_sum(g, x, level, t) == oracle_time_sum(g, grid, level, t)
-    assert follmer._residual_and_sum(g, x, level, t) == oracle_residual_and_sum(g, grid, level, t)
+    residual, rsum = follmer._residual_and_sum(g, x, level, t)
+    assert (QuadValue.from_pair(*residual), QuadValue.from_pair(*rsum)) == oracle_residual_and_sum(g, grid, level, t)
 
 
 class TestKernel:
@@ -240,6 +241,36 @@ class TestKernel:
             g = P(coeffs)
             for t in (F(1, 4), F(3, 4), F(1)):
                 assert_stream_matches_oracles(g, (p, q), (p, q), 2, t)
+
+
+# every builtin scheme and bernoulli:1/3:7 as functions, and bernoulli:1/3:7 as a caller's pair grid
+INTEGRATORS = [*((spec, False) for spec in (*BUILTIN_NAMES, "bernoulli:1/3:7")), ("bernoulli:1/3:7", True)]
+# rationals with numerators and denominators up to 10**6 in size
+wide_fractions = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+class TestResidualAndSum:
+    """The residual and its Riemann sum as integer triples, against the per-point oracles."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(INTEGRATORS),
+        st.integers(0, 12),
+        st.integers(0, 1 << 12),
+        st.lists(wide_fractions, min_size=1, max_size=7),
+    )
+    def test_triples_match_oracle(self, integrator, level, j, coeffs):
+        (spec, pairs), t = integrator, F(j % ((1 << level) + 1), 1 << level)
+        grid = _grid(spec, level)
+        x = grid if pairs else fn(spec)
+        g = RationalPolynomial.of(*coeffs)
+        residual, rsum = follmer._residual_and_sum(g, x, level, t)
+        assert all(type(v) is int for v in (*residual, *rsum)) and residual[2] > 0 and rsum[2] > 0
+        assert (QuadValue.from_pair(*residual), QuadValue.from_pair(*rsum)) == oracle_residual_and_sum(
+            g, grid, level, t
+        )
+        # a polynomial of degree <= 1 has no residual: S_0 telescopes
+        assert follmer._residual_and_sum(RationalPolynomial.of(*coeffs[:2]), x, level, t)[0][:2] == (0, 0)
 
 
 class TestResidual:

@@ -197,6 +197,21 @@ class TestTriple:
         u, v = QuadValue.from_pair(p, q, d), QuadValue.from_pair(k * p, k * q, k * d)
         assert u == v and hash(u) == hash(v) and u.pair() == v.pair()
 
+    @given(wide_ints, nonzero_ints)
+    def test_rational_value_hashes_as_its_fraction(self, p, d):
+        # equal keys of any type are one key: a rational QuadValue hashes as its Fraction
+        u, r = QuadValue.from_pair(p, 0, d), F(p, d)
+        assert u == r and hash(u) == hash(r)
+        assert len({r, u}) == 1 and {r: "fraction", u: "quad"} == {r: "quad"}
+
+    def test_mixed_keys_in_a_set_and_a_dict(self):
+        keys = [1, F(1), QuadValue(1, 0), F(1, 2), QuadValue(F(1, 2), 0), QuadValue.from_pair(2, 0, 4),
+                -3, QuadValue(-3), QuadValue(0, 1), QuadValue(F(1, 2), 1), QuadValue.from_pair(1, 2, 2)]
+        assert len(set(keys)) == 5
+        table = {k: i for i, k in enumerate(keys)}  # a later equal key keeps the first key, takes the new value
+        assert table == {1: 2, F(1, 2): 5, -3: 7, QuadValue(0, 1): 8, QuadValue(F(1, 2), 1): 10}
+        assert table[QuadValue(1, 0)] == table[1] and table[F(-6, 2)] == 7
+
     @given(wide_ints, wide_ints, nonzero_ints)
     def test_components(self, p, q, d):
         u = QuadValue.from_pair(p, q, d)
