@@ -22,31 +22,45 @@ reaches it.  nu, omega and the ratio x / omega are computed from them
 when read, the ratio as x * conj(omega) / norm(omega)
 (``qfield.decimal_ratio``), as are the witness ratios.
 
-One kernel serves a single step and a sweep of every step: the increments
-x(t + h) - x(t) are screened in lag tiles of at most ``takagi.BLOCK``
-cells, many steps per tile when the grid is small, then merged exactly
-(``_lag_scan``).  A sweep of grid N screens about 2**(2N - 1) increments,
-so it is refused above SWEEP_LEVEL_CAP before any grid is built; single
-steps run at every grid level.
+A single step h = j/2**N never builds the level-N grid.  The paper's
+uniform modulus bounds how much the generations below any level can add
+to an increment, so ``_search`` refines, one generation at a time, only
+the cells of t that could still hold the largest |increment|, as
+``extrema.grid_extrema`` does for values.  For a small step every cell
+stays alive down to a width of about j, so ``_searched`` sends the steps
+below a measured cost rule to ``_stream``, which screens the increments
+in each of the grid's blocks in place, in lag tiles (``_lag_scan``), and
+those that cross into a block in a seam of under 2j points.  A sweep of
+every step runs ``_lag_scan`` on the whole grid, many steps per tile; it
+screens about 2**(2N - 1) increments, so it is refused above
+SWEEP_LEVEL_CAP before any grid is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import takagi
+from .extrema import SEED_LEVEL, _max_float
 from .qfield import _SQRT2_F, SQRT2, Dyadic, QuadValue, Rational, _as_fraction, decimal_ratio, sign_pair
 from .schemes import AllPlus, NegHalfSplit
-from .takagi import TakagiFunction, pair_value, thirds_value
+from .takagi import TakagiFunction, _check_level, pair_value, thirds_value
 
 #: Sweeps of every step are refused above this grid level.  The work grows
 #: fourfold a level: grid 14 sweeps in about 1.6 s in process (2.3 s from a
 #: fresh CLI) on a 2-vCPU x86-64 machine, so grid 15 would take 6 s or more.
 SWEEP_LEVEL_CAP = 14
+
+#: Cells ``_search`` refines at once, 88 bytes each.  The search descends
+#: one chunk to the grid level before it takes the next, so at most one
+#: pending chunk per level is held: grid 22 at j = 21 peaks at 6 MB traced.
+#: 2**12 and 2**13 cells run equally fast; 2**11 is slower.
+SEARCH_CHUNK = 1 << 12
 
 
 def _nu(a: int, d: int) -> int:
@@ -195,14 +209,199 @@ def _lag_scan(p: np.ndarray, q: np.ndarray, first: int, last: int) -> list[tuple
 
 
 def modulus_scan(fn: TakagiFunction, grid_level: int, h: Dyadic | Rational) -> ModulusReport:
-    """Exact max of |x(t + h) - x(t)| over grid t with t + h <= 1."""
+    """Exact max of |x(t + h) - x(t)| over grid t with t + h <= 1, and the first t reaching it."""
+    _check_level(grid_level)
     h = Dyadic.coerce(h)
     j = h.numerator_at(grid_level) if h.exp <= grid_level else 0
     if not 0 < j <= 1 << grid_level:
         raise ValueError(f"h={h} is not a positive step on the level-{grid_level} grid")
-    p, q = fn.grid_pairs(grid_level)
-    (mp, mq, tie), = _lag_scan(p, q, j, j)
+    mp, mq, tie = (_search if _searched(grid_level, j) else _stream)(fn, grid_level, j)
     return ModulusReport(grid_level, j, (mp, mq), tie)
+
+
+def _searched(level: int, j: int) -> bool:
+    """Whether step j of the level grid is searched, not streamed: the cheaper by one cost estimate.
+
+    The stream reads all 2**level points.  The search costs about as much as
+    40 * 2**SEED_LEVEL streamed points for its seed and its passes per level,
+    and visits about 4 * 2**level / j cells below the seed at about five
+    points each.  Measured in process on a 2-vCPU x86-64 machine, mean over
+    seven schemes: the stream reads a point in 10-11 ns at grids 16 to 26,
+    the search's fixed cost is about 0.45 ms, and the two paths cost the
+    same near j = 20 at grids 20 to 26 and between j = 64 and 256 at grid
+    16, where the rule starts to search at j = 54; below grid 16 every step
+    streams.
+    """
+    return 40 * (1 << SEED_LEVEL) + 20 * (1 << level) // j < 1 << level
+
+
+def _first_largest(cands: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """(|p|, |q|, i) of the largest |p + q*sqrt2| over candidates (i, p, q) given in increasing i,
+    with the first i that reaches it."""
+    top = None
+    for i, p, q in cands:
+        if sign_pair(p, q) < 0:
+            p, q = -p, -q
+        if top is None or sign_pair(p - top[0], q - top[1]) > 0:
+            top = (p, q, i)
+    return top
+
+
+def _stream(fn: TakagiFunction, level: int, j: int) -> tuple[int, int, int]:
+    """``_lag_scan`` of lag j over the grid's blocks, in place: t and t + h in one block.
+    The steps from the j - 1 points before a block into it are scanned in a seam of at
+    most 2j - 1 points, so every t is scanned once and no more than a block and 2j
+    points are held."""
+    seam = np.empty((2, 2 * j), dtype=np.int64)
+    held = 0  # points before the block at the seam's front
+    tops = []
+    for off, p, q in fn._blocks(level):
+        end = held + min(j, len(p))
+        seam[0, held:end], seam[1, held:end] = p[: end - held], q[: end - held]
+        for base, sp, sq in ((off - held, seam[0, :end], seam[1, :end]), (off, p, q)):
+            if len(sp) > j:
+                (mp, mq, i), = _lag_scan(sp, sq, j, j)
+                tops.append((base + i, mp, mq))
+        # hold the j - 1 points before the block's last one, which starts the next block
+        new = min(j - 1, len(p) - 1)
+        old = min(j - 1 - new, held)
+        seam[:, :old] = seam[:, held - old : held]
+        seam[0, old : old + new], seam[1, old : old + new] = p[len(p) - 1 - new : -1], q[len(q) - 1 - new : -1]
+        held = old + new
+    return _first_largest(tops)
+
+
+def _search(fn: TakagiFunction, level: int, j: int) -> tuple[int, int, int]:
+    """Branch and bound for the largest |g(t)|, g(t) = x(t + h) - x(t), h = j/2**N (N = level).
+
+    Values are integer pairs at the level-N scale, as in ``extrema.grid_extrema``,
+    and t runs over the grid points i = 0 .. L, L = 2**N - j.  The search starts
+    from the full grid of level s = min(N, SEED_LEVEL) and refines one
+    generation at a time.  A level-n cell [a, a + w], a = k*w, w = 2**(N-n),
+    carries five level-n points: its ends a and a + w and its partners
+    (k+J)w, (k+J+1)w and (k+J+2)w, J = j // w, between which t + h runs.
+    Partners past t = 1 hold junk, read only with weight 0 or by candidates
+    left out below.
+    A split computes the cell's midpoint and those of the two partner cells,
+    each by the midpoint recursion; with r = j mod w and b = j // (w/2) - 2J,
+    the left child's partners are points b, b+1, b+2 of the five level-(n+1)
+    points (k+J)w, ..., (k+J+2)w, and the right child's b+1, b+2, b+3.
+
+    Why a dropped cell holds no largest |g|.  Write x = c + e, with c the
+    generations below n and e the tail, generations n .. N-1.
+
+    * Chord.  c is linear on every level-n cell, so c(t + h) - c(t) is
+      piecewise linear on the cell, with one break where t + h crosses the
+      partner point (k+J+1)w, at t = a + w - r.  Its size is largest at a,
+      at that break or at a + w; each is a combination of the five points.
+      Where the cell reaches past L, the candidates past L are left out: the
+      last cell ends at its break (r > 0) or at a (r = 0), both at L.
+    * Tail modulus.  On a level-n cell, e(t) = 2**(-n/2) y(2**n t - k) for a
+      member y of the class, whose coefficients are those of the cell's
+      subtree.  By the paper's uniform modulus, |y(u') - y(u)| <= sqrt2
+      omega(|u' - u|), so two points in one cell differ in e by at most
+      2**(-n/2) sqrt2 omega(2**n h), for h <= w.
+    * Edge crossing.  When t and t + h lie in neighbouring cells, e vanishes
+      at the level-n point between them, which splits the increment into two
+      within-cell increments of steps at most h each.  omega is nondecreasing
+      on (0, 1] (it jumps up at each 2**-n), so each is at most the bound
+      above, and the tail increment is at most twice it.
+    * Level-N points.  e at a level-N point is 2**(-n/2) times the
+      (N-n)-generation partial sum of y, at most M_(N-n) in size, so for any
+      h the tail increment is at most 2 * 2**(-n/2) M_(N-n), and e at one
+      point at most R = 2**(N - n/2) M_(N-n) on this scale.
+
+    So every |g| on the cell is at most its largest chord candidate plus
+    2**(N - n/2) min(2 sqrt2 omega(2**n h), 2 M_(N-n)), the omega term only
+    for h <= w.  And each chord candidate minus R is below a |g| of the grid,
+    since at each candidate one of t, t + h is a level-n point, where e
+    vanishes: the largest such difference seen is a lower bound, as is every
+    exact |g| at level N, where w = 1, r = 0, the chord is g and both tail
+    terms are 0.  A cell is kept while its bound reaches the best lower bound.
+
+    Floats and ties.  |p|, |q| <= 2**(N+2), so each float value is within
+    2**(N-48) of its pair, and the chords, bounds and their sums round by
+    less than 2**(N-45); a cell is dropped only when its bound falls short by
+    more than the margin 2**(N-40), and every level-N point within the margin
+    of the best lower bound is merged exactly by ``_first_largest``.  Every
+    grid point that reaches the largest |g| lies in a kept cell at every
+    level, so the first one is among the merged points.  The cells go down
+    in chunks of at most SEARCH_CHUNK, each to level N before the next, the
+    lower bound shared; chunks are taken left to right, so the level-N points
+    come in increasing t.
+    """
+    N, seed = level, min(level, SEED_LEVEL)
+    last = (1 << N) - j
+    x = np.zeros((2, (1 << seed) + 3), dtype=np.int64)
+    for off, p, q in fn._blocks(seed):
+        x[0, off : off + len(p)], x[1, off : off + len(q)] = p, q
+    x <<= N - seed
+    k = np.arange((last >> (N - seed)) + 1)
+    J = j >> (N - seed)
+    # each cell's points as X[point, p or q, cell]: a, a + w, then the partners
+    stack = [(seed, k, x[:, np.stack((k, k + 1, k + J, k + J + 1, k + J + 2))].transpose(1, 0, 2))]
+    margin = math.ldexp(1.0, N - 40)
+    best = -math.inf
+    found = []
+    while stack:
+        n, k, X = stack.pop()
+        if n == N:
+            d = X[2] - X[0]  # g at the cells' left ends, exactly
+            f = np.abs(d[1] * _SQRT2_F + d[0])
+            best = max(best, float(f.max()))
+            keep = np.flatnonzero(f >= best - margin)
+            found.append((k[keep], d[:, keep]))
+            continue
+        w = 1 << (N - n)
+        J, r = j >> (N - n), j & (w - 1)
+        F = X[:, 1] * _SQRT2_F
+        F += X[:, 0]
+        fa, fb, f0, f1, f2 = F
+        u = r / w
+        chord = np.abs((f1 - f0) * u + (f0 - fa))  # at t = a
+        brk = np.abs((fb - fa) * u + (f1 - fb))  # at t = a + w - r
+        right = np.abs((f2 - f1) * u + (f1 - fb))  # at t = a + w
+        if k[-1] == last >> (N - n):  # the last cell, cut at L
+            right[-1] = 0.0
+            if not r:
+                brk[-1] = 0.0
+        np.maximum(chord, brk, out=chord)
+        np.maximum(chord, right, out=chord)
+        scale = math.ldexp(_SQRT2_F if n % 2 else 1.0, N - (n + 1) // 2)  # 2**(N - n/2)
+        tail = _max_float(N - n) * scale
+        reach = 2 * tail
+        if j <= w:
+            op, oq, od = _omega_pair(j, w)
+            reach = min(reach, 2 * _SQRT2_F * (op + oq * _SQRT2_F) / od * scale)
+        best = max(best, float(chord.max()) - tail)
+        keep = np.flatnonzero(chord >= best - reach - margin)
+        if len(keep) < len(k):
+            k, X = k[keep], X[:, :, keep]
+        if not len(k):
+            continue
+        S = X[:-1] + X[1:]  # midpoints of [a, a + w] and of the partner cells at 0, 2, 3
+        S >>= 1
+        theta = fn.scheme.constant(n)
+        if theta is None:
+            cells = np.minimum(np.concatenate((k, k + J, k + J + 1)), (1 << n) - 1)
+            theta = fn.scheme.thetas(n, cells).reshape(3, -1)
+        S[[0, 2, 3], n % 2] += theta << (N - 1 - n + n // 2)
+        b = (j >> (N - n - 1)) - 2 * J
+        partners = (X[2], S[2], X[3], S[3], X[4])
+        C = np.empty((5, 2, len(k), 2), dtype=np.int64)  # the children 2k and 2k + 1, interleaved
+        C[0, :, :, 0], C[1, :, :, 0], C[0, :, :, 1], C[1, :, :, 1] = X[0], S[0], S[0], X[1]
+        for i in range(3):
+            C[2 + i, :, :, 0], C[2 + i, :, :, 1] = partners[b + i], partners[b + i + 1]
+        kids = np.stack((2 * k, 2 * k + 1), axis=1).reshape(-1)
+        C = C.reshape(5, 2, -1)
+        if kids[-1] > last >> (N - n - 1):  # the last cell's right half starts past L
+            kids, C = kids[:-1], C[:, :, :-1]
+        for lo in reversed(range(0, len(kids), SEARCH_CHUNK)):
+            stack.append((n + 1, kids[lo : lo + SEARCH_CHUNK], C[:, :, lo : lo + SEARCH_CHUNK]))
+    idx = np.concatenate([c[0] for c in found])
+    d = np.concatenate([c[1] for c in found], axis=1)
+    sel = np.flatnonzero(np.abs(d[1] * _SQRT2_F + d[0]) >= best - margin)
+    return _first_largest(zip(idx[sel].tolist(), d[0, sel].tolist(), d[1, sel].tolist()))
 
 
 def sweep_all_steps(fn: TakagiFunction, grid_level: int) -> list[ModulusReport]:

@@ -94,19 +94,22 @@ def _increments(x: GridLike, level: int, end: int) -> Iterator[Block]:
     below _ENTRY_LIMIT, and with d the largest increment size read from a
     block of w intervals, every int64 sum below (a dot product, or p.p +
     2 q.q per interval) is at most 3 * w * d**2, so ValueError is raised
-    before one could reach 2**63.
+    before one could reach 2**63.  With e the largest entry size, d <= 2e,
+    so the increments are measured only when 3 * w * (2e)**2 could reach it.
     """
     pair = not isinstance(x, TakagiFunction)
     buf = np.empty((2, 1 << block_bits(level)), dtype=np.int64)
     for off, p, q in grid_blocks(x, level, end):
-        if pair and max(_size(p), _size(q)) >= _ENTRY_LIMIT:
+        e = max(_size(p), _size(q)) if pair else 0
+        if e >= _ENTRY_LIMIT:
             raise ValueError("pair grid entries must be below 2**61 in size")
         dp, dq = buf[:, : len(p) - 1]
         np.subtract(p[1:], p[:-1], out=dp)
         np.subtract(q[1:], q[:-1], out=dq)
-        d = max(_size(dp), _size(dq)) if pair else 0
-        if 3 * buf.shape[1] * d * d >= 1 << 63:
-            raise ValueError(f"pair grid increments up to {d} would overflow int64 sums")
+        if 12 * buf.shape[1] * e * e >= 1 << 63:
+            d = max(_size(dp), _size(dq))
+            if 3 * buf.shape[1] * d * d >= 1 << 63:
+                raise ValueError(f"pair grid increments up to {d} would overflow int64 sums")
         yield off, dp, dq
 
 

@@ -203,12 +203,13 @@ def oracle_grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
     )
 
 
-def oracle_modulus_scan(fn: TakagiFunction, level: int, h) -> ModulusReport:
+def oracle_modulus_scan(fn: TakagiFunction, level: int, h, grid=None) -> ModulusReport:
     """The full-size increments x(t + h) - x(t) of one full grid, screened once
-    for their maximum and once, negated, for the maximum of their negation."""
+    for their maximum and once, negated, for the maximum of their negation.
+    grid, when given, is fn's ``oracle_grid_pairs`` at level, built once for many steps."""
     h = Fraction(h)
     j = int(h * (1 << level))
-    p, q = oracle_grid_pairs(fn, level)
+    p, q = oracle_grid_pairs(fn, level) if grid is None else grid
     dp, dq = p[j:] - p[:-j], q[j:] - q[:-j]
     hi_p, hi_q, hi_ties = _oracle_argmax(dp, dq)
     lo_p, lo_q, lo_ties = _oracle_argmax(-dp, -dq)  # minus the minimum
@@ -220,6 +221,26 @@ def oracle_modulus_scan(fn: TakagiFunction, level: int, h) -> ModulusReport:
     else:
         mp, mq, ties = hi_p, hi_q, sorted(set(hi_ties) | set(lo_ties))
     return ModulusReport(level, j, (mp, mq), ties[0])
+
+
+def oracle_class_increments(level: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum over m < level and every k of |e(m,k)(t + h) - e(m,k)(t)|, h = j/2**level, at each grid t
+    with t + h <= 1, as integer pairs over 2**level: the largest |x(t + h) - x(t)| of any member of
+    the class there, each coefficient taking the sign of its own wedges' difference.
+
+    At t = i/2**level the generation-m wedge over t's cell is 2**(m/2) * min(r, w - r) / 2**level,
+    w = 2**(level - m), r = i mod w.  When t and t + h share that cell the two values are one
+    wedge's and their difference counts; otherwise they are two wedges' and their sum counts.
+    """
+    i = np.arange((1 << level) - j + 1, dtype=np.int64)
+    p, q = np.zeros((2, len(i)), dtype=np.int64)
+    for m in range(level):
+        w = 1 << (level - m)
+        e0, e1 = (np.minimum(t % w, w - t % w) for t in (i, i + j))
+        d = np.where(i // w == (i + j) // w, np.abs(e1 - e0), e0 + e1)
+        # 2**(m/2) is 2**(m//2) for even m and 2**(m//2) * sqrt2 for odd m
+        (q if m % 2 else p)[:] += d << (m // 2)
+    return p, q
 
 
 def _oracle_sum_value(a: int, b: int, level: int) -> QuadValue:

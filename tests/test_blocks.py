@@ -3,9 +3,10 @@
 The block width is forced down to 2, 8 and 64 intervals so that grids of
 level <= 12 run through many blocks: strides wider than a block, times
 inside a block, coefficient sums over several block-wide chunks,
-modulus lags inside, equal to and wider than a block, modulus sweeps
-whose lag tiles (at most one block of increments) split around the block
-width, and ties on the endpoint two blocks share.
+modulus lags inside, equal to and wider than a block, streamed or
+searched from a seed grid of several blocks, modulus sweeps whose lag tiles
+(at most one block of increments) split around the block width, and ties
+on the endpoint two blocks share.
 """
 
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from takagiqv import takagi
+from takagiqv import modulus, quadvar, takagi
 from takagiqv.extrema import grid_extrema
 from takagiqv.gridscan import block_extrema, exact_argmax, exact_argmin
 from takagiqv.modulus import modulus_scan, nu, sweep_all_steps
@@ -349,6 +350,28 @@ class TestModulus:
         for j, rep in enumerate(sweep_all_steps(f, level), 1):
             assert_same_scan(rep, oracle_modulus_scan(f, level, F(j, 1 << level)), j)
 
+    @staticmethod
+    def assert_every_step(monkeypatch, level, searched):
+        # forced for every step: the search from a seed below the grid in chunks of 5 cells,
+        # or the block stream; each level takes another scheme
+        monkeypatch.setattr(modulus, "_searched", lambda level, j: searched)
+        monkeypatch.setattr(modulus, "SEED_LEVEL", level // 3)
+        monkeypatch.setattr(modulus, "SEARCH_CHUNK", 5)
+        f = fn(SCHEMES[level % len(SCHEMES)])
+        grid = oracle_grid_pairs(f, level)
+        for j in range(1, (1 << level) + 1):
+            h = F(j, 1 << level)
+            assert modulus_scan(f, level, h) == oracle_modulus_scan(f, level, h, grid), j
+
+    @pytest.mark.parametrize("level", range(1, 11))
+    def test_search_matches_oracle_at_every_step(self, width, monkeypatch, level):
+        self.assert_every_step(monkeypatch, level, True)
+
+    @pytest.mark.parametrize("level", range(1, 8))
+    def test_stream_matches_oracle_at_every_step(self, width, monkeypatch, level):
+        # a step wider than a block is scanned from the points held before it
+        self.assert_every_step(monkeypatch, level, False)
+
     def test_default_width_lags_across_blocks(self):
         f = fn("alt_mk")
         for j in (1, 3, (1 << 16) - 1, 1 << 16, (1 << 16) + 3, (1 << 17) - 1, 1 << 17):
@@ -462,6 +485,19 @@ class TestInt64Guard:
         for call in self.calls(grid, 1):
             with pytest.raises(ValueError, match="overflow"):
                 call()
+
+    def test_increments_measured_only_when_the_entries_allow_an_overflow(self, monkeypatch):
+        # |d| <= 2e for entries up to e: with w = 2 intervals, 12 * w * e**2 < 2**63 reads only the
+        # entries' sizes; one more and the increments are measured too, and still accepted
+        sizes = []
+        size = quadvar._size
+        monkeypatch.setattr(quadvar, "_size", lambda a: sizes.append(len(a)) or size(a))
+        e = isqrt(((1 << 63) - 1) // 24)
+        for entry, read in ((e, [3, 3]), (e + 1, [3, 3, 2, 2])):
+            p = np.array([0, entry, 0], dtype=np.int64)
+            sizes.clear()
+            assert qv_approx((p, np.zeros_like(p)), 1, 1).a == F(entry * entry, 2)
+            assert sizes == read
 
     @pytest.mark.parametrize("wide", [1 << 40, 1 << 61])
     def test_offender_after_t_inside_its_block_is_summed(self, monkeypatch, wide):

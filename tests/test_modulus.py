@@ -1,15 +1,19 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from takagiqv import modulus
 from takagiqv.modulus import (
     SWEEP_LEVEL_CAP,
     ModulusReport,
     _nu,
     _omega_pair,
+    _searched,
     modulus_scan,
     nu,
     omega,
@@ -17,11 +21,11 @@ from takagiqv.modulus import (
     witness_ratios,
     witness_steps,
 )
-from takagiqv.qfield import QuadValue, SQRT2, pow2_half
+from takagiqv.qfield import QuadValue, SQRT2, pow2_half, sign_pair
 from takagiqv.schemes import BUILTIN_NAMES, parse_scheme
-from takagiqv.takagi import TakagiFunction, thirds_value
+from takagiqv.takagi import TakagiFunction, pair_value, thirds_value
 
-from conftest import oracle_omega
+from conftest import _oracle_argmax, oracle_class_increments, oracle_grid_pairs, oracle_modulus_scan, oracle_omega
 
 
 def fn(spec):
@@ -212,6 +216,83 @@ class TestScan:
         for spec in ("all_plus", "neg_half_split", "bernoulli:1/2:1"):
             for rep in sweep_all_steps(fn(spec), 6):
                 assert (rep.scan_max * rep.scan_max).compare(25 * rep.h) <= 0
+
+
+class TestSearchPremise:
+    """The two facts the step search's tail bound rests on, checked exhaustively on small grids."""
+
+    @pytest.mark.parametrize("level", range(1, 11))
+    def test_whole_class_increments_within_sqrt2_omega(self, level):
+        for j in range(1, (1 << level) + 1):
+            mp, mq, _ = _oracle_argmax(*oracle_class_increments(level, j))
+            assert pair_value(mp, mq, level).compare(SQRT2 * oracle_omega(F(j, 1 << level))) <= 0, j
+
+    @pytest.mark.parametrize("level", range(13))
+    def test_omega_nondecreasing_over_grid_steps(self, level):
+        steps = [_omega_pair(j, 1 << level) for j in range(1, (1 << level) + 1)]
+        for j, ((p0, q0, d0), (p1, q1, d1)) in enumerate(zip(steps, steps[1:]), 1):
+            assert sign_pair(p1 * d0 - p0 * d1, q1 * d0 - q0 * d1) >= 0, j
+
+
+def first_searched(level):
+    return next(j for j in count(1) if _searched(level, j))
+
+
+class TestStepPaths:
+    """Single steps at large grids, searched or streamed as ``_searched`` rules."""
+
+    def test_rule(self):
+        # below grid 16 every step streams; from grid 16 on, the small steps do
+        assert not any(_searched(level, j) for level in range(16) for j in range(1, (1 << level) + 1))
+        for level, first in ((16, 54), (17, 30), (20, 21), (22, 21), (24, 21), (26, 21)):
+            assert first_searched(level) == first
+            assert all(_searched(level, j) for j in (first, first + 1, 4095, 1 << level))
+
+    @pytest.mark.parametrize("level,spec", [(17, "alt_mk"), (18, "bernoulli:1/3:5"), (19, "half_split"),
+                                            (20, "neg_half_split")])
+    def test_sampled_steps_match_oracle(self, level, spec):
+        f, n = fn(spec), 1 << level
+        grid = oracle_grid_pairs(f, level)
+        rng = random.Random(level)
+        js = {1, 2, first_searched(level) - 1, first_searched(level), 37, 300, 4095, round(n / 3),
+              n - 1, n, *rng.sample(range(1, n), 3)}
+        for j in sorted(js):
+            assert modulus_scan(f, level, F(j, n)) == oracle_modulus_scan(f, level, F(j, n), grid), j
+
+    @pytest.mark.parametrize("searched", [False, True])
+    def test_ties_keep_the_first_t(self, monkeypatch, searched):
+        # x(1 - t) = x(t) for all_plus, so |g| ties at t and 1 - t - h for every step
+        monkeypatch.setattr(modulus, "_searched", lambda level, j: searched)
+        f = fn("all_plus")
+        grid = oracle_grid_pairs(f, 12)
+        for j in (1, 5, 37, 300, 1365, 4095):
+            h = F(j, 4096)
+            rep = modulus_scan(f, 12, h)
+            dp, dq = grid[0][j:] - grid[0][:-j], grid[1][j:] - grid[1][:-j]
+            size = abs(pair_value(*rep.pair, 12))
+            ties = [i for i in range(len(dp)) if abs(pair_value(int(dp[i]), int(dq[i]), 12)) == size]
+            assert len(ties) >= 2 and rep.tie == ties[0] <= (4096 - j) // 2, j
+            assert rep == oracle_modulus_scan(f, 12, h, grid), j
+
+    @pytest.mark.parametrize("which", ["streamed", "first searched", "37", "12345"])
+    def test_grid_22_step_holds_no_grid(self, monkeypatch, which):
+        j = {"streamed": first_searched(22) - 1, "first searched": first_searched(22)}.get(which) or int(which)
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(TakagiFunction, "grid_pairs", no_grid)
+        f = fn("alt_mk")
+        tracemalloc.start()
+        try:
+            rep = modulus_scan(f, 22, F(j, 1 << 22))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+        # the reported t reaches the reported size
+        inc = f.at_dyadic(rep.witness_t + rep.h) - f.at_dyadic(rep.witness_t)
+        assert abs(inc) == rep.scan_max
 
 
 class TestWitnesses:
