@@ -5,12 +5,14 @@ decimal input is rejected so no precision is lost at the boundary.  All
 output is deterministic for a fixed command line, including bernoulli
 schemes (the seed is part of the scheme spec).  Every value is computed
 before the first line is written, so a failing command prints nothing to
-stdout.  Rows of grid values and sums are written column by column from
-their integer pairs: reduced fractions from trailing zeros, decimals from
-a float screen with an exact fallback (``qfield.decimal_column``), and
-each CSV line from one format call.  The argument parser is built once
+stdout.  Every table goes through one writer, ``_emit``: its fields make
+one ``%`` template (a CSV line, or a record as ``json.dumps(..., indent=2)``
+prints it), and a row is one ``template % cells`` over int columns and
+float decimals from a screen with an exact fallback (``qfield.decimal_column``,
+for the sweep's omega and ratio columns too).  Tables over ROW_BUDGET rows
+are refused before any grid is built.  The argument parser is built once
 per process.  A command offers only the options it reads (``--seed`` goes
-with ``--scheme``), writes through one writer to ``--out`` or stdout, and
+with ``--scheme``), writes through ``_write`` to ``--out`` or stdout, and
 checks each integer option's range with one helper that names the option.
 
 Exit codes: 0 success, 2 invalid configuration (a command line argparse
@@ -22,27 +24,33 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
-from itertools import repeat, starmap
 from math import gcd
-from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
 from .extrema import grid_extrema
 from .follmer import RationalPolynomial, _residual_and_sum
 from .modulus import _omega_pair, modulus_scan, sweep_all_steps, witness_ratios, witness_steps
-from .qfield import Dyadic, decimal_column, decimal_pair, decimal_ratio
+from .qfield import Dyadic, decimal_column, decimal_pair
 from .quadvar import QVSeries, _first_level, _profile_sums, counterexample_series, cov_profile
 from .schemes import SchemeDepthError, parse_exact_fraction, parse_scheme
 from .takagi import GRID_LEVEL_CAP, TakagiFunction, thirds_value
 
 DECIMAL_DIGITS = 12
 
+#: The cell format of a screened decimal column of DECIMAL_DIGITS places.
+DECIMAL = f"%.{DECIMAL_DIGITS}f"
+
 #: Rows of a long table are built this many at a time.
 ROW_CHUNK = 1 << 14
+
+#: A table of more rows is refused before any grid is built: ``sample --grid``
+#: and stride-1 ``qv --level`` up to 22 are accepted.
+ROW_BUDGET = (1 << 22) + 1
 
 #: ``witness --levels`` above this is refused: the rows' exact arithmetic
 #: grows fast with the level (about 2 s at 1000, 20 s at 2400).
@@ -51,61 +59,28 @@ WITNESS_LEVEL_CAP = 1000
 #: ``eval --digits`` above this is refused: CPython converts at most 4300 int digits to str.
 DIGITS_CAP = 1000
 
-#: Base CSV schema for series rows; some commands append extra columns.
-SERIES_FIELDS = (
-    "level",
-    "t_num",
-    "t_den",
-    "value_a_num",
-    "value_a_den",
-    "value_b_num",
-    "value_b_den",
-    "value_decimal",
-)
+#: The int fields of a series row, then the value's decimal; some commands append extra fields.
+SERIES_FIELDS = ("level", "t_num", "t_den", "value_a_num", "value_a_den", "value_b_num", "value_b_den", "value_decimal")
 
 
-def _reduced(num: Sequence[int] | np.ndarray, bits: int) -> tuple[list[int], list[int]]:
-    """Numerators and denominators of num / 2**bits in lowest terms, elementwise.
+def _reduced(num: Sequence[int] | np.ndarray, bits: int, suffix: bool = False) -> tuple[list[int], list]:
+    """Numerators and denominators of num / 2**bits in lowest terms, elementwise, for int64 num;
+    with suffix, each denominator as the "/den" of a ``%d%s`` fraction ("" for 1), as Fraction prints it.
 
-    From the trailing zeros of num (``num & -num``), in int64: every entry
-    and 2**bits must fit, as GRID_LEVEL_CAP ensures for grid values and sums.
+    num is shifted right by its trailing zeros, the exponent of the float of ``num & -num``.
     """
     num = np.asarray(num, dtype=np.int64)
-    den = 1 << bits
-    low = np.minimum(num & -num, den)  # the power of two that cancels
-    low[num == 0] = den
-    return (num // low).tolist(), (den // low).tolist()
+    low = (num & -num).astype(np.float64)  # a power of two, -2**63 or 0: exact
+    zeros = np.where(num == 0, bits, np.minimum(np.frexp(low)[1] - 1, bits))
+    k = bits - zeros
+    dens = np.array([""] + [f"/{1 << i}" for i in range(1, bits + 1)], dtype=object)[k] if suffix else np.int64(1) << k
+    return (num >> zeros).tolist(), dens.tolist()
 
 
-def _fraction_column(num: Sequence[int] | np.ndarray, bits: int) -> list[str]:
-    """str(Fraction(num[i], 2**bits)) for every i."""
-    return [f"{n}/{d}" if d != 1 else str(n) for n, d in zip(*_reduced(num, bits))]
-
-
-def _chunked_rows(length: int, columns: Callable[[slice], Iterable[Iterable]]) -> Iterator[tuple]:
-    """Rows zipped from the columns of each slice of ROW_CHUNK rows.
-
-    Nothing is built before the first row is asked for, and a long table
-    never holds all its columns at once.
-    """
-    for lo in range(0, length, ROW_CHUNK):
-        yield from zip(*columns(slice(lo, lo + ROW_CHUNK)))
-
-
-def _pair_rows(level: int, t_num: Sequence[int] | np.ndarray, t_bits: int,
-               p: Sequence[int] | np.ndarray, q: Sequence[int] | np.ndarray,
-               bits: int, *extra: Sequence) -> Iterator[tuple]:
-    """SERIES_FIELDS cells of the values (p + q*sqrt(2)) / 2**bits at the times t_num / 2**t_bits,
-    then one cell from each extra column."""
-    t_num = np.asarray(t_num, dtype=np.int64)
-    p, q = np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64)
-
-    def columns(part: slice) -> list[Iterable]:
-        return [repeat(level), *_reduced(t_num[part], t_bits), *_reduced(p[part], bits),
-                *_reduced(q[part], bits), decimal_column(p[part], q[part], bits, DECIMAL_DIGITS),
-                *(column[part] for column in extra)]
-
-    return _chunked_rows(len(p), columns)
+def _pair_columns(level: int, t_num: np.ndarray, t_bits: int, p: np.ndarray, q: np.ndarray, bits: int) -> list:
+    """SERIES_FIELDS columns of the values (p + q*sqrt(2)) / 2**bits at the times t_num / 2**t_bits."""
+    return [[level] * len(p), *_reduced(t_num, t_bits), *_reduced(p, bits), *_reduced(q, bits),
+            decimal_column(p, q, 1 << bits, DECIMAL_DIGITS)]
 
 
 def _value_row(level: int, t: Fraction, p: int, q: int, d: int) -> list:
@@ -115,25 +90,55 @@ def _value_row(level: int, t: Fraction, p: int, q: int, d: int) -> list:
             decimal_pair(p, q, d, DECIMAL_DIGITS)]
 
 
-def _emit(rows: Iterable[Sequence], fields: list[str], args: argparse.Namespace) -> None:
-    """Rows of cells in field order, as CSV lines or a JSON list of records.
+def _series(decimal: str, *extra: tuple[str, str]) -> list[tuple[str, str]]:
+    """SERIES_FIELDS with their cell formats, the value's decimal as `decimal`, then the extra fields."""
+    return [*((name, "%d") for name in SERIES_FIELDS[:-1]), (SERIES_FIELDS[-1], decimal), *extra]
 
-    A row has one int or str cell per field; a CSV line is one format call.
+
+def _rows(count: int, option: str) -> None:
+    """Refuse a table of more than ROW_BUDGET rows, naming the option that sets its size."""
+    if count > ROW_BUDGET:
+        raise ValueError(f"{count} rows exceed the table budget of {ROW_BUDGET}: lower --{option}")
+
+
+def _emit(fields: Sequence[tuple[str, str]], chunks: Iterable[list], args: argparse.Namespace) -> None:
+    """A table as CSV lines, or as the JSON list of records ``json.dumps(..., indent=2)`` prints.
+
+    The (name, format) fields make one row template: ``%d`` an int (a JSON
+    number), ``%s`` a text, ``%d%s`` a fraction from ``_reduced(..., suffix=True)``
+    and ``%.Nf`` a ``decimal_column``.  A chunk holds its rows' cells column
+    by column.  A row is one ``template % cells``; a row with an exact decimal
+    is formatted again with ``%s`` for every ``%.Nf``.
     """
-    if args.format == "json":
-        text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
+    json_ = args.format == "json"
+    specs = (f'    "{name}": ' + (fmt if fmt == "%d" else f'"{fmt}"') if json_ else fmt for name, fmt in fields)
+    row = "  {\n" + ",\n".join(specs) + "\n  }" if json_ else ",".join(specs)
+    again = re.sub(r"%\.\d+f", "%s", row)
+    formats = re.findall(r"%(?:\.\d+f|[ds])", row)
+    screened = [k for k, fmt in enumerate(formats) if fmt.endswith("f")]
+    sep, texts = ",\n" if json_ else "\n", []
+    for columns in chunks:
+        cells = [column[0] if k in screened else column for k, column in enumerate(columns)]
+        lines = list(map(row.__mod__, zip(*cells)))
+        for i in set().union(*(columns[k][1] for k in screened)):
+            cell = [column[i] for column in cells]
+            for k in screened:
+                cell[k] = columns[k][1].get(i) or formats[k] % cell[k]
+            lines[i] = again % tuple(cell)
+        texts += [sep, sep.join(lines)] if lines else []
+    if json_:
+        _write(["[\n", *texts[1:], "\n]\n"] if texts else ["[]\n"], args)
     else:
-        line = ",".join(["{}"] * len(fields)).format
-        text = "\n".join([",".join(fields), *starmap(line, rows), ""])
-    _write(text, args)
+        _write([",".join(name for name, _ in fields), *texts, "\n"], args)
 
 
-def _write(text: str, args: argparse.Namespace) -> None:
-    """Write text to the --out path, or to stdout without one."""
+def _write(texts: list[str], args: argparse.Namespace) -> None:
+    """Write the texts in order to the --out path, or to stdout without one."""
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as out:
+            out.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _scheme(args: argparse.Namespace, attr: str = "scheme") -> TakagiFunction:
@@ -189,20 +194,23 @@ def cmd_eval(args: argparse.Namespace) -> None:
     ]
     if bound is not None:
         lines.append(f"tail_bound: {bound.decimal(digits)}")
-    _write("\n".join(lines) + "\n", args)
+    _write(["\n".join(lines) + "\n"], args)
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     n = _level(args, "grid")
+    _rows((1 << n) + 1, "grid")
     p, q = fn.grid_pairs(n)
 
-    def columns(part: slice) -> list[list[str]]:
-        t_num = np.arange(*part.indices(len(p)))
-        return [_fraction_column(t_num, n), decimal_column(p[part], q[part], n, DECIMAL_DIGITS),
-                _fraction_column(p[part], n), _fraction_column(q[part], n)]
+    def columns(lo: int) -> list:
+        part = slice(lo, lo + ROW_CHUNK)
+        return [*_reduced(np.arange(*part.indices(len(p))), n, True),
+                decimal_column(p[part], q[part], 1 << n, DECIMAL_DIGITS),
+                *_reduced(p[part], n, True), *_reduced(q[part], n, True)]
 
-    _emit(_chunked_rows(len(p), columns), ["t", "value_decimal", "value_a", "value_b"], args)
+    fields = [("t", "%d%s"), ("value_decimal", DECIMAL), ("value_a", "%d%s"), ("value_b", "%d%s")]
+    _emit(fields, map(columns, range(0, len(p), ROW_CHUNK)), args)
 
 
 def cmd_extrema(args: argparse.Namespace) -> None:
@@ -218,7 +226,7 @@ def cmd_extrema(args: argparse.Namespace) -> None:
         "oscillation": str(rep.oscillation),
         "oscillation_decimal": rep.oscillation.decimal(DECIMAL_DIGITS),
     }
-    _write(json.dumps(record, indent=2) + "\n", args)
+    _write([json.dumps(record, indent=2) + "\n"], args)
 
 
 def cmd_qv(args: argparse.Namespace) -> None:
@@ -227,9 +235,15 @@ def cmd_qv(args: argparse.Namespace) -> None:
     t = parse_exact_fraction(args.t)
     if not 0 <= t <= 1:
         raise ValueError(f"--t must be in [0, 1], got {t}")
+    if args.stride > 0 and not (1 << n) % args.stride:  # _profile_sums refuses the other strides
+        _rows((t.numerator << n) // t.denominator // args.stride + 1, "level")
     a, b = _profile_sums(fn, n, args.stride, t)
-    t_num = np.arange(len(a)) * args.stride
-    _emit(_pair_rows(n, t_num, n, a, b, 2 * n), list(SERIES_FIELDS), args)
+
+    def columns(lo: int) -> list:
+        part = slice(lo, lo + ROW_CHUNK)
+        return _pair_columns(n, np.arange(*part.indices(len(a))) * args.stride, n, a[part], b[part], 2 * n)
+
+    _emit(_series(DECIMAL), map(columns, range(0, len(a), ROW_CHUNK)), args)
 
 
 def _series_rows(series: QVSeries, *extra: str) -> list[list]:
@@ -248,7 +262,7 @@ def cmd_cov(args: argparse.Namespace) -> None:
     fy = _scheme(args, "scheme_y")
     t = Dyadic.from_fraction(parse_exact_fraction(args.t))
     series = cov_profile(fx, fy, _level_range(args, "level", t)[-1], t)
-    _emit(_series_rows(series), list(SERIES_FIELDS), args)
+    _emit(_series("%s"), [list(zip(*_series_rows(series)))], args)
 
 
 def cmd_counterexample(args: argparse.Namespace) -> None:
@@ -257,8 +271,7 @@ def cmd_counterexample(args: argparse.Namespace) -> None:
     rows = []
     for name in ("even_qv", "odd_qv", "even_cov", "odd_cov"):
         rows += _series_rows(getattr(study, name), name)
-    fields = list(SERIES_FIELDS) + ["series", "distance_decimal"]
-    _emit(rows, fields, args)
+    _emit(_series("%s", ("series", "%s"), ("distance_decimal", "%s")), [list(zip(*rows))], args)
 
 
 def cmd_modulus(args: argparse.Namespace) -> None:
@@ -268,13 +281,14 @@ def cmd_modulus(args: argparse.Namespace) -> None:
         reports = [modulus_scan(fn, grid, parse_exact_fraction(args.h))]
     else:
         reports = sweep_all_steps(fn, grid)
-    ties, mp, mq, js, nus = zip(*[(rep.tie, *rep.pair, rep.j, rep.nu) for rep in reports])
-    omegas = [_omega_pair(j, 1 << grid) for j in js]
-    rows = _pair_rows(grid, ties, grid, mp, mq, grid, ["modulus"] * len(reports), *_reduced(js, grid), nus,
-                      [decimal_pair(*om, DECIMAL_DIGITS) for om in omegas],
-                      [decimal_ratio((p, q, 1 << grid), om, 8) for p, q, om in zip(mp, mq, omegas)])
-    fields = list(SERIES_FIELDS) + ["kind", "h_num", "h_den", "nu", "omega_decimal", "ratio_decimal"]
-    _emit(rows, fields, args)
+    ties, mp, mq, js = np.array([(rep.tie, *rep.pair, rep.j) for rep in reports], dtype=np.int64).T
+    omega = np.array([_omega_pair(j, 1 << grid) for j in js.tolist()], dtype=np.int64).T
+    columns = [*_pair_columns(grid, ties, grid, mp, mq, grid), ["modulus"] * len(js), *_reduced(js, grid),
+               [rep.nu for rep in reports], decimal_column(*omega, DECIMAL_DIGITS),
+               decimal_column(mp, mq, 1 << grid, 8, over=omega)]
+    fields = _series(DECIMAL, ("kind", "%s"), ("h_num", "%d"), ("h_den", "%d"), ("nu", "%d"),
+                     ("omega_decimal", DECIMAL), ("ratio_decimal", "%.8f"))
+    _emit(fields, [columns], args)
 
 
 def cmd_witness(args: argparse.Namespace) -> None:
@@ -285,8 +299,7 @@ def cmd_witness(args: argparse.Namespace) -> None:
         for row in witness_ratios(kind, 1, levels):
             t0 = witness_steps(row.n)[0] if kind == "part_b" else Fraction(0)
             rows.append(_value_row(row.n, t0, *row.increment.pair()) + [kind, row.ratio_decimal])
-    fields = list(SERIES_FIELDS) + ["kind", "ratio_decimal"]
-    _emit(rows, fields, args)
+    _emit(_series("%s", ("kind", "%s"), ("ratio_decimal", "%s")), [list(zip(*rows))], args)
 
 
 def cmd_ito(args: argparse.Namespace) -> None:
@@ -300,8 +313,7 @@ def cmd_ito(args: argparse.Namespace) -> None:
     for n in levels:
         res, rsum = _residual_and_sum(poly, fn, n, t)
         rows.append(_value_row(n, t.as_fraction(), *res) + ["ito_residual", decimal_pair(*rsum, DECIMAL_DIGITS)])
-    fields = list(SERIES_FIELDS) + ["kind", "riemann_sum_decimal"]
-    _emit(rows, fields, args)
+    _emit(_series("%s", ("kind", "%s"), ("riemann_sum_decimal", "%s")), [list(zip(*rows))], args)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -76,42 +76,58 @@ def decimal_pair(p: int, q: int, den: int, digits: int) -> str:
     return f"{sign}{whole}.{part:0{digits}d}"
 
 
-def decimal_column(p: np.ndarray, q: np.ndarray, bits: int, digits: int) -> list[str]:
-    """decimal_pair(p[i], q[i], 2**bits, digits) for every i, for int64 arrays p and q.
+def _float_pair(p: np.ndarray, q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p + q*sqrt(2)) / d in float64, and (|p| + 2|q|) / d * 2**-50, for int64 arrays."""
+    fp, fq, fd = p.astype(np.float64), q.astype(np.float64), d.astype(np.float64)
+    tol = (np.abs(fp) + 2.0 * np.abs(fq)) / (fd * 2.0 ** 50)
+    return (fq * _SQRT2_F + fp) / fd, tol
 
-    A float screen with an exact fallback (Ziv's strategy for correctly
-    rounded results, ACM TOMS 17(3), 1991).  x = value * 10**digits is
-    computed in float64, and tol = (|p| + 2|q|) * 10**digits / 2**bits *
-    2**-50 is at least twice its rounding error, (3|p| + 5*sqrt(2)*|q|) *
-    2**-53 in the same units.  A row whose x lies farther than tol from every rounding
-    half rounds to n = rint(x), and n prints exactly as ``%.{digits}f`` of
-    n / 10**digits, since |n| < 2**52.  decimal_pair decides the other
-    rows: exact ties (q == 0 at a dyadic half), near ties, and every
-    |x| >= 2**49, where tol reaches 1/2.
+
+def decimal_column(p: np.ndarray, q: np.ndarray, d: int | np.ndarray, digits: int,
+                   over: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> tuple[list[float], dict[int, str]]:
+    """Screened decimal_pair(p[i], q[i], d[i], digits) for int64 arrays p, q and d > 0 (or one d);
+    with ``over`` = (p2, q2, d2), decimal_ratio((p[i], q[i], d[i]), (p2[i], q2[i], d2[i]), digits).
+
+    Returns the values rounded to `digits` places as floats, which print as
+    their decimals with ``%.{digits}f``, and the decimals the exact path
+    gives for the other rows, by index.  Ziv's strategy for correctly rounded
+    results (ACM TOMS 17(3), 1991): v = ((q * sqrt2) + p) / d and x = v *
+    10**digits are computed in float64 to within (5|p| + 7*sqrt(2)*|q|) *
+    10**digits / d * 2**-53 (eight roundings; d and the quotient are exact for
+    d a power of two), and tol = (|p| + 2|q|) * 10**digits / d * 2**-50 is
+    at least 1.6 times that.  A quotient V/W of floats with such bounds T
+    and U is within (12/11) (T + |V/W| U) / |W| plus two roundings where 8U
+    < |W|, and tol = 10**digits (T + |V/W| U) / |W| + |x| * 2**-50 is at
+    least 1.4 times that; the other rows fall back.  A row whose x lies
+    farther than tol from every rounding half rounds to n = rint(x), and n /
+    10**digits prints as n, since |n| < 2**49.  The exact path decides exact
+    ties (q == 0 at a half), near ties, and every |x| >= 2**49, where tol
+    reaches 1/2.
     """
     if not 1 <= digits <= 22:
         raise ValueError("digits must be in [1, 22]")
     s = float(10 ** digits)  # exact up to 10**22
-    scale = s * 2.0 ** -bits
-    x = q.astype(np.float64)
-    tol = np.abs(x)
-    tol *= 2.0
-    x *= _SQRT2_F
-    fp = p.astype(np.float64)
-    x += fp
-    x *= scale
-    tol += np.abs(fp, out=fp)
-    tol *= scale * 2.0 ** -50
+    d = np.broadcast_to(d, p.shape)
+    x, tol = _float_pair(p, q, d)
+    if over is not None:
+        w, u = _float_pair(*over)
+        size = np.abs(w)
+        with np.errstate(divide="ignore", invalid="ignore"):  # w == 0 falls back
+            x /= w
+            tol = (tol + u * np.abs(x)) / size + np.abs(x) * 2.0 ** -50
+        fallback = u * 8.0 >= size
+        x[fallback], tol[fallback] = 0.0, 1.0
+    x *= s
+    tol *= s
     n = np.rint(x)
     x -= n  # exact: x and its nearest integer are within a factor of two (or n == 0)
-    near = np.abs(x, out=x) >= np.subtract(0.5, tol, out=tol)
+    near = np.flatnonzero(np.abs(x, out=x) >= np.subtract(0.5, tol, out=tol)).tolist()
     n /= s
     n += 0.0  # -0.0 -> 0.0: a negative value that rounds to zero prints unsigned
-    text = list(map(f"%.{digits}f".__mod__, n.tolist()))
-    den = 1 << bits
-    for i in np.flatnonzero(near).tolist():
-        text[i] = decimal_pair(int(p[i]), int(q[i]), den, digits)
-    return text
+    if over is None:
+        return n.tolist(), {i: decimal_pair(int(p[i]), int(q[i]), int(d[i]), digits) for i in near}
+    return n.tolist(), {i: decimal_ratio((int(p[i]), int(q[i]), int(d[i])), tuple(int(c[i]) for c in over), digits)
+                        for i in near}
 
 
 def _quotient(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:

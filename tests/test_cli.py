@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -10,13 +11,19 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from takagiqv import cli
-from takagiqv.cli import DIGITS_CAP, SERIES_FIELDS, WITNESS_LEVEL_CAP, _emit, _pair_rows, _reduced, build_parser, main
+from takagiqv import qfield
+from takagiqv.cli import (
+    DECIMAL, DIGITS_CAP, ROW_BUDGET, SERIES_FIELDS, WITNESS_LEVEL_CAP, _emit, _pair_columns, _reduced, _series,
+    build_parser, main,
+)
 from takagiqv.follmer import RationalPolynomial, follmer_sum, ito_residual
-from takagiqv.modulus import SWEEP_LEVEL_CAP
-from takagiqv.qfield import QuadValue
+from takagiqv.modulus import SWEEP_LEVEL_CAP, _omega_pair, sweep_all_steps
+from takagiqv.qfield import QuadValue, decimal_column, decimal_pair, decimal_ratio
 from takagiqv.schemes import parse_scheme
 from takagiqv.takagi import TakagiFunction
 
@@ -240,7 +247,7 @@ class TestRowWriter:
         q = NUMERATORS[::-1]
         t_num = list(range(len(p)))
         args = argparse.Namespace(format=fmt, out=None)
-        _emit(_pair_rows(7, t_num, 4, p, q, bits), list(SERIES_FIELDS), args)
+        _emit(_series(DECIMAL), [_pair_columns(7, np.array(t_num), 4, np.array(p), np.array(q), bits)], args)
         out = capsys.readouterr().out
         records = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
         assert len(records) == len(p)
@@ -255,6 +262,101 @@ class TestRowWriter:
             assert rec["value_decimal"] == value.decimal(12)
         if fmt == "json":
             assert all(type(rec["value_a_num"]) is int for rec in records)
+
+
+# int64 entries of every bit length, and the rows the writer treats apart: zero, whole numbers
+# (denominator 1), exact 12-digit ties (q == 0, p an odd multiple of 2**(bits - 13)) and |x| >= 2**49
+int64s = st.integers(0, 63).flatmap(lambda k: st.integers(-(1 << k), (1 << k) - 1))
+
+
+def _table_rows(bits):
+    whole = st.integers(-(1 << (63 - bits)), (1 << (63 - bits)) - 1).map(lambda m: m << bits)
+    large = st.integers(min(1 << (bits + 9), (1 << 63) - 1), (1 << 63) - 1).flatmap(lambda p: st.sampled_from([p, -p]))
+    rows = [st.tuples(int64s, int64s), st.tuples(whole, whole), st.just((0, 0)), st.tuples(large, int64s)]
+    if bits >= 13:
+        half = 1 << (bits - 13)
+        rows.append(st.integers(-(1 << (61 - bits + 13)), (1 << (61 - bits + 13)) - 1).map(lambda m: ((2 * m + 1) * half, 0)))
+    return st.lists(st.one_of(rows), max_size=30)
+
+
+tables = st.integers(0, 62).flatmap(lambda bits: st.tuples(st.just(bits), _table_rows(bits), st.integers(0, 30)))
+
+
+def _emitted(fields, chunks, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(fields, chunks, argparse.Namespace(format=fmt, out=None))
+    return out.getvalue()
+
+
+def _reference(names, rows, fmt):
+    """The table as the per-row writer printed it: CSV lines of str cells, or json.dumps of the records."""
+    if fmt == "json":
+        return json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+    return "\n".join([",".join(names), *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+class TestTemplateWriter:
+    """The one-template writer against a per-row reference, in both formats and across chunk splits."""
+
+    @given(tables)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_series_rows(self, fmt, table):
+        bits, rows, cut = table
+        p, q = (np.array([r[i] for r in rows], dtype=np.int64) for i in (0, 1))
+        t_num = np.arange(len(rows), dtype=np.int64)
+        want = [[9, F(j, 32).numerator, F(j, 32).denominator, F(a, 1 << bits).numerator, F(a, 1 << bits).denominator,
+                 F(b, 1 << bits).numerator, F(b, 1 << bits).denominator, decimal_pair(a, b, 1 << bits, 12), f"row_{j}"]
+                for j, (a, b) in enumerate(rows)]
+        chunks = [_pair_columns(9, t_num[part], 5, p[part], q[part], bits) + [[f"row_{j}" for j in t_num[part]]]
+                  for part in (slice(0, cut), slice(cut, None))]
+        fields = _series(DECIMAL, ("kind", "%s"))
+        assert _emitted(fields, chunks, fmt) == _reference([*SERIES_FIELDS, "kind"], want, fmt)
+
+    @given(tables)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fraction_rows(self, fmt, table):
+        bits, rows, cut = table
+        p, q = (np.array([r[i] for r in rows], dtype=np.int64) for i in (0, 1))
+        t_num = np.arange(len(rows), dtype=np.int64) << max(bits - 5, 0)
+        want = [[str(F(int(j), 1 << bits)), decimal_pair(a, b, 1 << bits, 12), str(F(a, 1 << bits)), str(F(b, 1 << bits))]
+                for j, (a, b) in zip(t_num, rows)]
+        chunks = [[*_reduced(t_num[part], bits, True), decimal_column(p[part], q[part], 1 << bits, 12),
+                   *_reduced(p[part], bits, True), *_reduced(q[part], bits, True)] for part in (slice(0, cut), slice(cut, None))]
+        fields = [("t", "%d%s"), ("value_decimal", DECIMAL), ("value_a", "%d%s"), ("value_b", "%d%s")]
+        assert _emitted(fields, chunks, fmt) == _reference([name for name, _ in fields], want, fmt)
+
+    @pytest.mark.parametrize("fmt,text", [("csv", "a,b\n"), ("json", "[]\n")])
+    def test_empty_table(self, fmt, text):
+        assert _emitted([("a", "%d"), ("b", DECIMAL)], [], fmt) == text
+        assert _emitted([("a", "%d"), ("b", DECIMAL)], [[[], ([], {})]], fmt) == text
+
+
+NAMED_SCHEMES = ["all_plus", "alt_m", "alt_mk", "block:5", "half_split", "neg_half_split"]
+
+
+class TestSweepColumns:
+    @pytest.mark.parametrize("spec", NAMED_SCHEMES + ["bernoulli:1/3:7"])
+    def test_omega_and_ratio_are_exact(self, capsys, spec):
+        fn = TakagiFunction(parse_scheme(spec))
+        for grid in range(1, 13):
+            code, out, _ = run(capsys, "modulus", "--scheme", spec, "--grid", str(grid))
+            records = list(csv.DictReader(io.StringIO(out)))
+            reports = sweep_all_steps(fn, grid)
+            assert code == 0 and len(records) == len(reports) == 1 << grid
+            for rec, rep in zip(records, reports):
+                om = _omega_pair(rep.j, 1 << grid)
+                assert rec["omega_decimal"] == decimal_pair(*om, 12)
+                assert rec["ratio_decimal"] == decimal_ratio((*rep.pair, 1 << grid), om, 8)
+
+    @pytest.mark.parametrize("spec", NAMED_SCHEMES + ["bernoulli:1/3:7"])
+    def test_sweep_rows_mostly_screened(self, capsys, monkeypatch, spec):
+        calls = []
+        monkeypatch.setattr(qfield, "decimal_pair", lambda *args: calls.append(args) or decimal_pair(*args))
+        code, out, _ = run(capsys, "modulus", "--scheme", spec, "--grid", "12")
+        assert code == 0 and out.count("\n") == 1 + 4096
+        # every exact decimal of the three screened columns, ratios included, goes through decimal_pair
+        assert len(calls) < 4096 // 100
 
 
 #: ``extrema --grid 6``, byte for byte: the maximum is attained twice and
@@ -346,6 +448,7 @@ MALFORMED = [
     ("eval --t 1/7 --digits -1", 2),
     ("eval --t 1/3 --out {missing}", 2),
     ("sample --grid 40", 2),
+    ("sample --grid 26", 2),
     ("sample", 2),
     ("sample --grid -1", 2),
     ("sample --grid 3 --scheme file:{deep}", 2),
@@ -356,6 +459,7 @@ MALFORMED = [
     ("extrema --grid 3 --scheme file:{bare}", 2),
     ("qv --level 4 --t 1/0", 2),
     ("qv --level 27", 2),
+    ("qv --level 26", 2),
     ("qv --level x", 2),
     ("qv --level -1", 2),
     ("qv --level 4 --stride 3", 2),
@@ -519,6 +623,39 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "--h" in err and str(SWEEP_LEVEL_CAP) in err
+
+    @pytest.mark.parametrize("argv,rows,option", [
+        ("sample --grid 26", (1 << 26) + 1, "--grid"),
+        ("sample --grid 23", (1 << 23) + 1, "--grid"),
+        ("qv --level 26", (1 << 26) + 1, "--level"),
+        ("qv --level 24 --stride 2", (1 << 23) + 1, "--level"),
+        ("qv --level 26 --t 1/8", (1 << 23) + 1, "--level"),
+    ])
+    def test_row_budget_refused_quickly(self, capsys, monkeypatch, argv, rows, option):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(TakagiFunction, "grid_pairs", no_grid)
+        monkeypatch.setattr(cli, "_profile_sums", no_grid)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: {rows} rows exceed the table budget of {ROW_BUDGET}: lower {option}\n"
+
+    @pytest.mark.parametrize("argv", [
+        "sample --grid 22", "qv --level 22", "qv --level 26 --stride 16", "qv --level 26 --t 1/16",
+        "qv --level 22 --t 1/1024", "qv --level 24 --stride 65536",
+        # a stride that does not divide 2**level is refused by the profile, not the budget
+        "qv --level 26 --stride 3", "qv --level 26 --stride 0", "qv --level 26 --stride -1",
+    ])
+    def test_row_budget_at_the_limit(self, capsys, monkeypatch, argv):
+        def reached(*args):
+            raise ValueError("reached the grid")
+
+        monkeypatch.setattr(TakagiFunction, "grid_pairs", reached)
+        monkeypatch.setattr(cli, "_profile_sums", reached)
+        assert run(capsys, *argv.split()) == (2, "", "error: reached the grid\n")
 
     @pytest.mark.parametrize("digits", [0, DIGITS_CAP + 1, 300000])
     def test_eval_digits_refused_quickly(self, capsys, digits):

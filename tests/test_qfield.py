@@ -290,7 +290,21 @@ tie_pairs = st.integers(13, 62).flatmap(
 
 def _column(pairs, bits, digits=12):
     p, q = (np.array(c, dtype=np.int64) for c in zip(*pairs))
-    return decimal_column(p, q, bits, digits)
+    return _texts(decimal_column(p, q, 1 << bits, digits), digits)
+
+
+# (p, q, d) with int64 entries and any positive int64 denominator
+triples = st.tuples(int64s, int64s, st.integers(1, (1 << 63) - 1))
+
+
+def _arrays(rows):
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*rows))
+
+
+def _texts(column, digits=12):
+    """The decimals of a screened column: its floats, printed, and its exact rows."""
+    values, exact = column
+    return [exact.get(i, "%.*f" % (digits, v)) for i, v in enumerate(values)]
 
 
 @pytest.mark.filterwarnings("error")
@@ -353,9 +367,32 @@ class TestDecimalColumn:
         calls = []
         monkeypatch.setattr(qfield, "decimal_pair", lambda *args: calls.append(args) or decimal_pair(*args))
         p, q = TakagiFunction(parse_scheme("bernoulli:1/2:7")).grid_pairs(12)
-        got = decimal_column(p, q, 12, 12)
+        got = _texts(decimal_column(p, q, 1 << 12, 12))
         assert len(calls) < len(p) // 100
         assert got == [decimal_pair(a, b, 1 << 12, 12) for a, b in zip(p.tolist(), q.tolist())]
+
+    @given(st.lists(triples, min_size=1, max_size=20), st.integers(1, 22))
+    def test_any_denominator(self, rows, digits):
+        assert _texts(decimal_column(*_arrays(rows), digits), digits) == [decimal_pair(*x, digits) for x in rows]
+
+    @given(st.lists(st.tuples(triples, triples.filter(lambda y: y[:2] != (0, 0))), min_size=1, max_size=20),
+           st.integers(1, 22))
+    def test_quotients(self, rows, digits):
+        x, y = (_arrays(side) for side in zip(*rows))
+        assert _texts(decimal_column(*x, digits, over=y), digits) == [decimal_ratio(a, b, digits) for a, b in rows]
+
+    @pytest.mark.parametrize("bits", [0, 13, 40])
+    def test_quotients_near_ties_and_small_divisors(self, bits):
+        # Pell pairs make numerators just off a tie and divisors a*a - 2*b*b = +-1 that float64 cannot resolve
+        pell = [(1, 1)]
+        while pell[-1][0] < 1 << 40:
+            a, b = pell[-1]
+            pell.append((a + 2 * b, a + b))
+        xs = [(s * ((t << bits) - a), s * b, 1 << bits) for a, b in pell for t in (1, 3) for s in (1, -1)]
+        ys = [(3, 0, 2), (1, 0, 1), (-7, 5, 9)] + [(a, -b, 1) for a, b in pell]
+        rows = [(x, y) for x in xs for y in ys]
+        x, y = (_arrays(side) for side in zip(*rows))
+        assert _texts(decimal_column(*x, 8, over=y), 8) == [decimal_ratio(a, b, 8) for a, b in rows]
 
     @pytest.mark.parametrize("digits", [0, 23])
     def test_digits_range(self, digits):
