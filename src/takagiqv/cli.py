@@ -56,6 +56,10 @@ ROW_BUDGET = (1 << 22) + 1
 #: grows fast with the level (about 2 s at 1000, 20 s at 2400).
 WITNESS_LEVEL_CAP = 1000
 
+#: ``ito`` is refused above this ``_ito_work``: a unit took 0.2-0.6 ns on a 2-vCPU x86-64 machine
+#: (``--poly 0,0,0,1 --level 26``, 5-6 s, is 2.1e10 units), so the budget is about 10-30 s.
+ITO_BUDGET = 5 * 10**10
+
 #: ``eval --digits`` above this is refused: CPython converts at most 4300 int digits to str.
 DIGITS_CAP = 1000
 
@@ -201,16 +205,16 @@ def cmd_sample(args: argparse.Namespace) -> None:
     fn = _scheme(args)
     n = _level(args, "grid")
     _rows((1 << n) + 1, "grid")
-    p, q = fn.grid_pairs(n)
 
-    def columns(lo: int) -> list:
-        part = slice(lo, lo + ROW_CHUNK)
-        return [*_reduced(np.arange(*part.indices(len(p))), n, True),
-                decimal_column(p[part], q[part], 1 << n, DECIMAL_DIGITS),
-                *_reduced(p[part], n, True), *_reduced(q[part], n, True)]
+    def chunks() -> Iterable[list]:
+        for off, p, q in fn._blocks(n):  # a block's first point ends the block before it
+            for lo in range(1 if off else 0, len(p), ROW_CHUNK):
+                part = slice(lo, lo + ROW_CHUNK)
+                yield [*_reduced(off + np.arange(*part.indices(len(p))), n, True),
+                       decimal_column(p[part], q[part], 1 << n, DECIMAL_DIGITS),
+                       *_reduced(p[part], n, True), *_reduced(q[part], n, True)]
 
-    fields = [("t", "%d%s"), ("value_decimal", DECIMAL), ("value_a", "%d%s"), ("value_b", "%d%s")]
-    _emit(fields, map(columns, range(0, len(p), ROW_CHUNK)), args)
+    _emit([("t", "%d%s"), ("value_decimal", DECIMAL), ("value_a", "%d%s"), ("value_b", "%d%s")], chunks(), args)
 
 
 def cmd_extrema(args: argparse.Namespace) -> None:
@@ -302,6 +306,13 @@ def cmd_witness(args: argparse.Namespace) -> None:
     _emit(_series("%s", ("kind", "%s"), ("ratio_decimal", "%s")), [list(zip(*rows))], args)
 
 
+def _ito_work(degree: int, levels: Iterable[int], t: Fraction) -> int:
+    """Estimated work of ``ito``'s power sums: per level n, the grid points read to t times the
+    degree + 1 powers times P (P + 16), P the kernel's primes for values of about degree (n + 4) bits."""
+    primes = [(degree * (n + 4) + n) // 30 + 1 for n in levels]
+    return sum(((t.numerator << n) // t.denominator + 1) * (degree + 1) * P * (P + 16) for n, P in zip(levels, primes))
+
+
 def cmd_ito(args: argparse.Namespace) -> None:
     if (args.level is None) == (args.levels is None):
         raise ValueError("ito needs exactly one of --level and --levels")
@@ -309,6 +320,8 @@ def cmd_ito(args: argparse.Namespace) -> None:
     poly = RationalPolynomial.parse(args.poly)
     t = Dyadic.from_fraction(parse_exact_fraction(args.t))
     levels = [_level(args, "level")] if args.levels is None else _level_range(args, "levels", t)
+    if _ito_work(poly.degree, levels, t.as_fraction()) > ITO_BUDGET:
+        raise ValueError(f"ito exceeds its work budget: lower --poly or --level{'' if args.levels is None else 's'}")
     rows = []
     for n in levels:
         res, rsum = _residual_and_sum(poly, fn, n, t)

@@ -3,11 +3,11 @@
 The all-plus partial sum at level n is maximized at exactly two points,
 J_n/2**n and 1 - J_n/2**n with J_n the Jacobsthal numbers, and the maximum
 has the closed form M_n below.  M_n also bounds every n-generation ±1
-partial sum in size, which is what lets ``grid_extrema`` find the exact
-extrema of any scheme on a fine grid by branch and bound, refining only
-the few cells that could still hold one.  Every search starts from a full
-seed grid, the whole grid up to level ``SEED_LEVEL``, and ends in one
-exact merge of its float candidates, ``_merge``.
+partial sum in size, so ``grid_extrema`` finds the exact extrema of any
+scheme on a fine grid by branch and bound from the whole grid up to level
+``SEED_LEVEL``, refining only the few cells that could still hold one.  The
+cell split, tail bound and float margin (``_split``, ``_tail``, ``_margin``)
+are stated once here for it and for ``modulus._search``.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ class ExtremaReport:
     oscillation: QuadValue
 
 
-@cache
-def _max_float(n: int) -> float:
-    return float(max_value(n))
-
-
 def grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
     """Exact max/min over the grid j/2**level by branch and bound; ties listed in order.
 
@@ -76,31 +71,17 @@ def grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
     s = min(N, SEED_LEVEL), the whole grid when N <= SEED_LEVEL, and refines
     one generation at a time.  At level n it keeps the alive cells [k/2**n,
     (k+1)/2**n] as their endpoint pairs, drops the cells that cannot hold an
-    extremum, and splits the rest at their midpoints, which the midpoint
-    recursion gives as (left + right)/2 plus theta(n, k) times the wedge
-    height 2**(N - 1 - n + n//2) on p (n even) or q (n odd).
+    extremum, and splits the rest at their midpoints (``_split``).
 
     Why a dropped cell holds no maximum (the minimum is symmetric).  On a
     level-n cell the generations below n add up to the chord between the
-    cell's endpoints, at most the larger endpoint value.  The generations
-    n .. N-1 add sum theta(m, k) * e(m, k)(t), and since every wedge is
-    nonnegative this is at most the all-plus sum of the same wedges in size.
-    The wedges are self-similar, e(m, k)(t) = 2**(-m/2) * e(0, 0)(2**m t - k),
-    so on the cell that sum is 2**(-n/2) times the all-plus (N-n)-generation
-    partial sum at the rescaled point, at most 2**(-n/2) * M_(N-n).  At the
-    level-N scale every grid point of the cell is therefore at most
-    max(endpoints) + R_n, R_n = 2**(N - n/2) * M_(N-n).  Every value the
+    cell's endpoints, at most the larger endpoint value, and the generations
+    n .. N-1 add at most R_n (``_tail``) at a grid point.  Every value the
     search has seen is the exact value at a grid point, so a cell with
-    max(endpoints) + R_n below the largest value seen holds only points
-    below the maximum.
-
-    Floats.  |p|, |q| <= 2**(N+2), so f = p + q*sqrt2 in float64 is within
-    2**(N-48) of the exact value; the float R_n (M_(N-n) converted once,
-    times ldexp of 1 or float sqrt2) is within 2**(N-46) of R_n, and the
-    sums of a few such floats round by less than 2**(N-47).  A cell is
-    dropped only when its float bound falls short of the float maximum by
-    more than the margin 2**(N-40), and the exact merge takes every seen
-    point within the margin of the float maximum or minimum.
+    max(endpoints) + R_n below the largest value seen holds only points below
+    the maximum.  In floats (``_margin``) a cell is dropped only when it falls
+    short by more than the margin, and every seen point within the margin of
+    the float maximum or minimum is merged exactly.
 
     No tie is lost: every grid point of a surviving cell is created, and
     screened, at its own level, as a seed point or as the midpoint of an
@@ -127,19 +108,18 @@ def grid_extrema(fn: TakagiFunction, level: int) -> ExtremaReport:
 def _search(fn: TakagiFunction, level: int) -> tuple[Extremum, Extremum]:
     """The branch and bound of ``grid_extrema`` from the seed grid."""
     seed = min(level, SEED_LEVEL)
-    pts = np.stack(fn.grid_pairs(seed)) << (level - seed)
+    pts = fn._grid(seed, level - seed)
     f = pts[1] * _SQRT2_F + pts[0]
     found = [(np.arange(0, (1 << level) + 1, 1 << (level - seed)), pts, f)]
     hi, lo = f.max(), f.min()
-    margin = math.ldexp(1.0, level - 40)
+    margin = _margin(level)
     # alive cells: left and right endpoint pairs, their floats, their index k
     a, b, fa, fb, k = pts[:, :-1], pts[:, 1:], f[:-1], f[1:], np.arange(1 << seed)
     for n in range(seed, level):
-        r = _max_float(level - n) * math.ldexp(_SQRT2_F if n % 2 else 1.0, level - (n + 1) // 2) + margin
+        r = _tail(level, n)[0] + margin
         keep = np.flatnonzero((np.maximum(fa, fb) + r >= hi) | (np.minimum(fa, fb) - r <= lo))
         a, b, fa, fb, k = a[:, keep], b[:, keep], fa[keep], fb[keep], k[keep]
-        mid = (a + b) >> 1
-        mid[n % 2] += fn.scheme.thetas(n, k) << (level - 1 - n + n // 2)
+        mid = _split(fn, level, n, k, a, b)
         fm = mid[1] * _SQRT2_F + mid[0]
         found.append(((2 * k + 1) << (level - 1 - n), mid, fm))
         hi, lo = max(hi, fm.max()), min(lo, fm.min())
@@ -148,6 +128,38 @@ def _search(fn: TakagiFunction, level: int) -> tuple[Extremum, Extremum]:
     idx, pts, f = (np.concatenate(part, axis=-1) for part in zip(*found))
     cand = np.flatnonzero((f >= hi - margin) | (f <= lo + margin))
     return _merge(idx[cand].tolist(), pts[0, cand].tolist(), pts[1, cand].tolist())
+
+
+def _split(fn: TakagiFunction, level: int, n: int, k: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Midpoints at the level scale of the level-n cells k, (..., m), with end pairs a, b, (..., 2, m): by the
+    midpoint recursion, (a + b)/2 plus theta(n, k) times 2**(level - 1 - n + n//2) on p (n even) or q (n odd)."""
+    mid = a + b
+    mid >>= 1
+    theta = fn.scheme.constant(n)
+    if theta is None:
+        theta = fn.scheme.thetas(n, k.reshape(-1)).reshape(k.shape)
+    mid[..., n % 2, :] += theta << (level - 1 - n + n // 2)
+    return mid
+
+
+def _margin(level: int) -> float:
+    """The float margin 2**(N - 40) of both searches, N = level, over pairs (p, q) at the level-N scale:
+    |p|, |q| <= 2**(N + 2) <= 2**28, so pairs, their sums and midpoints are exact in int64; p + q*sqrt2 in
+    float64 is within 2**(N - 48) of its value, ``_tail``'s R_n within 2**(N - 46), and sums of a few such
+    floats round by less than 2**(N - 45), so a cell whose float bound falls short of the float extreme by
+    more than the margin holds no extreme."""
+    return math.ldexp(1.0, level - 40)
+
+
+@cache
+def _tail(level: int, n: int) -> tuple[float, float]:
+    """(R_n, s) in float64, s = 2**(N - n/2), N = level: R_n = s * M_(N-n) bounds the generations n .. N-1
+    at a grid point of a level-n cell on the level-N scale, as by self-similarity, e(m, k)(t) = 2**(-m/2)
+    e(0, 0)(2**m t - k), they add 2**(-n/2) times an (N-n)-generation partial sum, at most M_(N-n) in size.
+    M_(N-n) is converted once and s is a power of two, times float sqrt2 for odd n, so the float R_n is
+    within 2**(N - 46) of R_n."""
+    s = math.ldexp(_SQRT2_F if n % 2 else 1.0, level - (n + 1) // 2)
+    return float(max_value(level - n)) * s, s
 
 
 def _merge(idx: list[int], cp: list[int], cq: list[int]) -> tuple[Extremum, Extremum]:

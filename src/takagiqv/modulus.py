@@ -24,16 +24,16 @@ when read, the ratio as x * conj(omega) / norm(omega)
 
 A single step h = j/2**N never builds the level-N grid.  The paper's
 uniform modulus bounds how much the generations below any level can add
-to an increment, so ``_search`` refines, one generation at a time, only
-the cells of t that could still hold the largest |increment|, as
-``extrema.grid_extrema`` does for values.  For a small step every cell
-stays alive down to a width of about j, so ``_searched`` sends the steps
-below a measured cost rule to ``_stream``, which screens the increments
-in each of the grid's blocks in place, in lag tiles (``_lag_scan``), and
-those that cross into a block in a seam of under 2j points.  A sweep of
-every step runs ``_lag_scan`` on the whole grid, many steps per tile; it
-screens about 2**(2N - 1) increments, so it is refused above
-SWEEP_LEVEL_CAP before any grid is built.
+to an increment, so ``_search`` refines only the cells of t that could
+still hold the largest |increment|, as ``extrema.grid_extrema`` does for
+values, with its cell split, tail bound and float margin.  For a small
+step every cell stays alive down to a width of about j, so ``_searched``
+sends the steps below a measured cost rule to ``_stream``, which screens
+the increments in each of the grid's blocks in place, in lag tiles
+(``_lag_scan``), and those that cross into a block in a seam of under 2j
+points.  A sweep of every step runs ``_lag_scan`` on the whole grid, many
+steps per tile; it screens about 2**(2N - 1) increments, so it is refused
+above SWEEP_LEVEL_CAP before any grid is built.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import takagi
-from .extrema import SEED_LEVEL, _max_float
+from .extrema import SEED_LEVEL, _margin, _split, _tail
 from .qfield import _SQRT2_F, SQRT2, Dyadic, QuadValue, Rational, _as_fraction, decimal_ratio, sign_pair
 from .schemes import AllPlus, NegHalfSplit
 from .takagi import TakagiFunction, _check_level, pair_value, thirds_value
@@ -281,11 +281,10 @@ def _search(fn: TakagiFunction, level: int, j: int) -> tuple[int, int, int]:
     carries five level-n points: its ends a and a + w and its partners
     (k+J)w, (k+J+1)w and (k+J+2)w, J = j // w, between which t + h runs.
     Partners past t = 1 hold junk, read only with weight 0 or by candidates
-    left out below.
-    A split computes the cell's midpoint and those of the two partner cells,
-    each by the midpoint recursion; with r = j mod w and b = j // (w/2) - 2J,
-    the left child's partners are points b, b+1, b+2 of the five level-(n+1)
-    points (k+J)w, ..., (k+J+2)w, and the right child's b+1, b+2, b+3.
+    left out below.  A split computes the midpoints of the cell and of the
+    two partner cells (``extrema._split``); with r = j mod w and b = j //
+    (w/2) - 2J, the left child's partners are points b, b+1, b+2 of the five
+    level-(n+1) points (k+J)w, ..., (k+J+2)w, and the right child's b+1, b+2, b+3.
 
     Why a dropped cell holds no largest |g|.  Write x = c + e, with c the
     generations below n and e the tail, generations n .. N-1.
@@ -306,41 +305,35 @@ def _search(fn: TakagiFunction, level: int, j: int) -> tuple[int, int, int]:
       within-cell increments of steps at most h each.  omega is nondecreasing
       on (0, 1] (it jumps up at each 2**-n), so each is at most the bound
       above, and the tail increment is at most twice it.
-    * Level-N points.  e at a level-N point is 2**(-n/2) times the
-      (N-n)-generation partial sum of y, at most M_(N-n) in size, so for any
-      h the tail increment is at most 2 * 2**(-n/2) M_(N-n), and e at one
-      point at most R = 2**(N - n/2) M_(N-n) on this scale.
+    * Level-N points.  e at one level-N point is at most R_n = 2**(N - n/2)
+      M_(N-n) on this scale (``extrema._tail``), so for any h the tail
+      increment is at most 2 R_n.
 
     So every |g| on the cell is at most its largest chord candidate plus
-    2**(N - n/2) min(2 sqrt2 omega(2**n h), 2 M_(N-n)), the omega term only
-    for h <= w.  And each chord candidate minus R is below a |g| of the grid,
+    min(2**(N - n/2) 2 sqrt2 omega(2**n h), 2 R_n), the omega term only for
+    h <= w.  And each chord candidate minus R_n is below a |g| of the grid,
     since at each candidate one of t, t + h is a level-n point, where e
     vanishes: the largest such difference seen is a lower bound, as is every
     exact |g| at level N, where w = 1, r = 0, the chord is g and both tail
     terms are 0.  A cell is kept while its bound reaches the best lower bound.
 
-    Floats and ties.  |p|, |q| <= 2**(N+2), so each float value is within
-    2**(N-48) of its pair, and the chords, bounds and their sums round by
-    less than 2**(N-45); a cell is dropped only when its bound falls short by
-    more than the margin 2**(N-40), and every level-N point within the margin
-    of the best lower bound is merged exactly by ``_first_largest``.  Every
-    grid point that reaches the largest |g| lies in a kept cell at every
-    level, so the first one is among the merged points.  The cells go down
+    Floats and ties.  In floats (``extrema._margin``) a cell is dropped only
+    when its bound falls short by more than the margin, and every level-N
+    point within the margin of the best lower bound is merged exactly by
+    ``_first_largest``.  Every grid point that reaches the largest |g| lies
+    in a kept cell at every level, so the first one is among the merged points.  The cells go down
     in chunks of at most SEARCH_CHUNK, each to level N before the next, the
     lower bound shared; chunks are taken left to right, so the level-N points
     come in increasing t.
     """
     N, seed = level, min(level, SEED_LEVEL)
     last = (1 << N) - j
-    x = np.zeros((2, (1 << seed) + 3), dtype=np.int64)
-    for off, p, q in fn._blocks(seed):
-        x[0, off : off + len(p)], x[1, off : off + len(q)] = p, q
-    x <<= N - seed
+    x = fn._grid(seed, N - seed, 2)
     k = np.arange((last >> (N - seed)) + 1)
     J = j >> (N - seed)
     # each cell's points as X[point, p or q, cell]: a, a + w, then the partners
     stack = [(seed, k, x[:, np.stack((k, k + 1, k + J, k + J + 1, k + J + 2))].transpose(1, 0, 2))]
-    margin = math.ldexp(1.0, N - 40)
+    margin = _margin(N)
     best = -math.inf
     found = []
     while stack:
@@ -367,8 +360,7 @@ def _search(fn: TakagiFunction, level: int, j: int) -> tuple[int, int, int]:
                 brk[-1] = 0.0
         np.maximum(chord, brk, out=chord)
         np.maximum(chord, right, out=chord)
-        scale = math.ldexp(_SQRT2_F if n % 2 else 1.0, N - (n + 1) // 2)  # 2**(N - n/2)
-        tail = _max_float(N - n) * scale
+        tail, scale = _tail(N, n)
         reach = 2 * tail
         if j <= w:
             op, oq, od = _omega_pair(j, w)
@@ -379,17 +371,13 @@ def _search(fn: TakagiFunction, level: int, j: int) -> tuple[int, int, int]:
             k, X = k[keep], X[:, :, keep]
         if not len(k):
             continue
-        S = X[:-1] + X[1:]  # midpoints of [a, a + w] and of the partner cells at 0, 2, 3
-        S >>= 1
-        theta = fn.scheme.constant(n)
-        if theta is None:
-            cells = np.minimum(np.concatenate((k, k + J, k + J + 1)), (1 << n) - 1)
-            theta = fn.scheme.thetas(n, cells).reshape(3, -1)
-        S[[0, 2, 3], n % 2] += theta << (N - 1 - n + n // 2)
+        mid = _split(fn, N, n, k, X[0], X[1])
+        # the partner cells k + J and k + J + 1; one past t = 1 takes the last cell's thetas, for junk
+        S = _split(fn, N, n, np.minimum(k + np.array([[J], [J + 1]]), (1 << n) - 1), X[2:4], X[3:5])
         b = (j >> (N - n - 1)) - 2 * J
-        partners = (X[2], S[2], X[3], S[3], X[4])
+        partners = (X[2], S[0], X[3], S[1], X[4])
         C = np.empty((5, 2, len(k), 2), dtype=np.int64)  # the children 2k and 2k + 1, interleaved
-        C[0, :, :, 0], C[1, :, :, 0], C[0, :, :, 1], C[1, :, :, 1] = X[0], S[0], S[0], X[1]
+        C[0, :, :, 0], C[1, :, :, 0], C[0, :, :, 1], C[1, :, :, 1] = X[0], mid, mid, X[1]
         for i in range(3):
             C[2 + i, :, :, 0], C[2 + i, :, :, 1] = partners[b + i], partners[b + i + 1]
         kids = np.stack((2 * k, 2 * k + 1), axis=1).reshape(-1)
@@ -412,8 +400,7 @@ def sweep_all_steps(fn: TakagiFunction, grid_level: int) -> list[ModulusReport]:
     if grid_level > SWEEP_LEVEL_CAP:
         raise ValueError(f"a sweep of every step is refused above grid {SWEEP_LEVEL_CAP}, got {grid_level}: "
                          f"scan single steps (--h)")
-    p, q = np.zeros((2, 2 << grid_level), dtype=np.int64)  # the grid, then 2**grid_level - 1 zeros
-    p[: (1 << grid_level) + 1], q[: (1 << grid_level) + 1] = fn.grid_pairs(grid_level)
+    p, q = fn._grid(grid_level, 0, (1 << grid_level) - 1)  # the grid, then 2**grid_level - 1 zeros
     return [ModulusReport(grid_level, j, (mp, mq), tie)
             for j, (mp, mq, tie) in enumerate(_lag_scan(p, q, 1, 1 << grid_level), 1)]
 

@@ -19,13 +19,14 @@ Evaluation surfaces:
   local, so each cell of a coarse grid refines on its own, and a
   reduction never holds more than one block.  A block asks the scheme for
   its own coefficients, so a function holds nothing but its scheme.  It
-  is the only grid builder (``extrema.grid_extrema`` refines single cells
-  of a coarse grid by the same recursion); ``grid_blocks(x, level, end)``,
-  the one grid reader of the sums, reads it or a caller's pair grid in its
-  layout up to point end: it alone knows the block layout and where a
-  prefix read stops;
-* ``grid_pairs`` -- the same grid at once, its blocks copied into one
-  array;
+  is the only grid builder (the searches split single cells of a coarse
+  grid by the same recursion, ``extrema._split``); ``grid_blocks(x, level,
+  end)``, the one grid reader of the sums, reads it or a caller's pair grid
+  in its layout up to point end: it alone knows the block layout and where
+  a prefix read stops;
+* ``_grid`` -- its blocks copied into one array, the seed grid of both
+  searches and of the ``modulus`` sweep; ``grid_pairs``, its rows, is the
+  whole-grid copy that only ``recover_rows`` reads in the package;
 * ``approx`` -- truncated series with a certified geometric tail bound,
   its level from a bit-length estimate and exact integer sign tests;
 * ``thirds_value`` -- closed-form exact values at points with denominator
@@ -183,16 +184,18 @@ class TakagiFunction:
         return p, q
 
     def grid_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Integer pairs for all grid values: x(j/2**level) = (p_j + q_j*sqrt2)/2**level.
+        """Integer pairs for all grid values, x(j/2**level) = (p_j + q_j*sqrt2)/2**level: the rows of ``_grid``."""
+        return tuple(self._grid(level))
 
-        The blocks of ``_blocks`` copied into one array each.
-        """
+    def _grid(self, level: int, shift: int = 0, pad: int = 0) -> np.ndarray:
+        """The level grid shifted left by shift bits, then pad zeros, as one (2, 2**level + 1 + pad) int64
+        array of p and q rows, copied block by block from ``_blocks``: also the seed of both searches."""
         _check_level(level)
-        p, q = np.empty((2, (1 << level) + 1), dtype=np.int64)
-        for off, bp, bq in self._blocks(level):
-            p[off : off + len(bp)] = bp
-            q[off : off + len(bq)] = bq
-        return p, q
+        x = np.zeros((2, (1 << level) + 1 + pad), dtype=np.int64)
+        for off, p, q in self._blocks(level):
+            x[0, off : off + len(p)], x[1, off : off + len(q)] = p, q
+        x <<= shift
+        return x
 
     def _blocks(self, level: int) -> Iterator[Block]:
         """The level grid as (offset, p, q) blocks, left to right: the one grid builder.

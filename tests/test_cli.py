@@ -13,13 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from takagiqv import cli
+from takagiqv import modulus
 from takagiqv import qfield
+from takagiqv import takagi
 from takagiqv.cli import (
-    DECIMAL, DIGITS_CAP, ROW_BUDGET, SERIES_FIELDS, WITNESS_LEVEL_CAP, _emit, _pair_columns, _reduced, _series,
-    build_parser, main,
+    DECIMAL, DIGITS_CAP, ITO_BUDGET, ROW_BUDGET, SERIES_FIELDS, WITNESS_LEVEL_CAP, _emit, _ito_work, _pair_columns,
+    _reduced, _series, build_parser, main,
 )
 from takagiqv.follmer import RationalPolynomial, follmer_sum, ito_residual
 from takagiqv.modulus import SWEEP_LEVEL_CAP, _omega_pair, sweep_all_steps
@@ -27,7 +29,7 @@ from takagiqv.qfield import QuadValue, decimal_column, decimal_pair, decimal_rat
 from takagiqv.schemes import parse_scheme
 from takagiqv.takagi import TakagiFunction
 
-from conftest import oracle_omega
+from conftest import oracle_grid_pairs, oracle_omega
 
 
 def run(capsys, *argv):
@@ -106,6 +108,34 @@ class TestSample:
         _, with_flag, _ = run(capsys, "sample", "--scheme", "bernoulli:1/2", "--seed", "9", "--grid", "4")
         _, inline, _ = run(capsys, "sample", "--scheme", "bernoulli:1/2:9", "--grid", "4")
         assert with_flag == inline
+
+    @staticmethod
+    def assert_streamed(capsys, spec, level):
+        """sample in both formats against rows built one by one from the oracle grid: 2**level + 1
+        rows, so the endpoint two blocks share is written once."""
+        p, q = oracle_grid_pairs(TakagiFunction(parse_scheme(spec)), level)
+        d = 1 << level
+        names = ("t", "value_decimal", "value_a", "value_b")
+        rows = [(str(F(j, d)), decimal_pair(a, b, d, 12), str(F(a, d)), str(F(b, d)))
+                for j, (a, b) in enumerate(zip(p.tolist(), q.tolist()))]
+        csv_text = ",".join(names) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+        json_text = json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+        for fmt, expected in (("csv", csv_text), ("json", json_text)):
+            code, out, err = run(capsys, "sample", "--scheme", spec, "--grid", str(level), "--format", fmt)
+            assert (code, err, out.count("\n")) == (0, "", expected.count("\n"))
+            # compared line by line: a failing comparison of the whole texts takes pytest minutes to explain
+            diff = next((i for i, (a, b) in enumerate(zip(out.split("\n"), expected.split("\n"))) if a != b), None)
+            assert diff is None, (fmt, diff, out.split("\n")[diff], expected.split("\n")[diff])
+
+    def test_streams_two_blocks(self, capsys):
+        assert takagi.block_bits(17) == 16
+        self.assert_streamed(capsys, "alt_mk", 17)
+
+    @pytest.mark.parametrize("block", [2, 8])
+    def test_streams_small_blocks(self, capsys, monkeypatch, block):
+        monkeypatch.setattr(takagi, "BLOCK", block)
+        for level in range(9):
+            self.assert_streamed(capsys, ["half_split", "bernoulli:1/3:7", "alt_mk"][level % 3], level)
 
 
 class TestSeriesCommands:
@@ -503,6 +533,21 @@ MALFORMED = [
     ("ito --poly 0,1 --level 3 --levels 4", 2),
     ("ito --poly 0,0,1 --levels 2 --t 1/8", 2),
     ("ito --poly 0,0,1 --levels 0", 2),
+    ("ito --poly " + ",".join(["1"] * 2000) + " --level 10", 2),
+]
+
+
+def _short_id(value):
+    """A parameter id: the long --poly of MALFORMED cut short, every other value as pytest names it."""
+    return value[:40] + "..." if isinstance(value, str) and len(value) > 120 else None
+
+#: Every subcommand at small sizes: sample in both formats, a modulus sweep, a
+#: searched step and a streamed step.
+NO_GRID_COPY = [
+    "eval --t 5/16", "eval --t 1/5", "sample --grid 5", "sample --grid 5 --format json",
+    "extrema --scheme alt_m --grid 14", "modulus --grid 6", "modulus --scheme half_split --grid 16 --h 255/65536",
+    "modulus --grid 12 --h 3/4096", "qv --level 6", "cov --level 5", "counterexample --levels 4",
+    "witness --levels 3", "ito --poly 0,0,1 --levels 4",
 ]
 
 #: One case per subcommand, run in a fresh interpreter.
@@ -536,7 +581,7 @@ def _assert_one_error_line(err):
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("argv,expected", MALFORMED)
+    @pytest.mark.parametrize("argv,expected", MALFORMED, ids=_short_id)
     def test_exit_code_and_one_error_line(self, capsys, scheme_files, argv, expected):
         code, out, err = run(capsys, *argv.format(**scheme_files).split())
         assert code == expected
@@ -617,7 +662,7 @@ class TestMalformedInput:
         def no_grid(*args):
             raise AssertionError("a grid was built")
 
-        monkeypatch.setattr(TakagiFunction, "grid_pairs", no_grid)
+        monkeypatch.setattr(TakagiFunction, "_blocks", no_grid)
         start = time.perf_counter()
         code, out, err = run(capsys, "modulus", "--grid", str(grid))
         assert time.perf_counter() - start < 0.5
@@ -635,7 +680,7 @@ class TestMalformedInput:
         def no_grid(*args):
             raise AssertionError("a grid was built")
 
-        monkeypatch.setattr(TakagiFunction, "grid_pairs", no_grid)
+        monkeypatch.setattr(TakagiFunction, "_blocks", no_grid)
         monkeypatch.setattr(cli, "_profile_sums", no_grid)
         start = time.perf_counter()
         code, out, err = run(capsys, *argv.split())
@@ -653,9 +698,37 @@ class TestMalformedInput:
         def reached(*args):
             raise ValueError("reached the grid")
 
-        monkeypatch.setattr(TakagiFunction, "grid_pairs", reached)
+        monkeypatch.setattr(TakagiFunction, "_blocks", reached)
         monkeypatch.setattr(cli, "_profile_sums", reached)
         assert run(capsys, *argv.split()) == (2, "", "error: reached the grid\n")
+
+    @pytest.mark.parametrize("flag", ["--level", "--levels"])
+    def test_ito_work_refused_quickly(self, capsys, monkeypatch, flag):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(TakagiFunction, "_blocks", no_grid)
+        monkeypatch.setattr(cli, "_residual_and_sum", no_grid)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ito", "--poly", ",".join(["1"] * 2000), flag, "10")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: ito exceeds its work budget: lower --poly or {flag}\n"
+
+    @pytest.mark.parametrize("argv", [
+        "ito --poly 0,0,0,1 --level 26", "ito --poly 0,0,0,1 --levels 26", "ito --poly 0,0,0,1 --levels 22",
+        "ito --poly " + ",".join(["1"] * 200) + " --level 10", "ito --poly " + ",".join(["1"] * 100) + " --level 16",
+    ], ids=_short_id)
+    def test_ito_work_at_the_limit(self, capsys, monkeypatch, argv):
+        def reached(*args):
+            raise ValueError("reached the kernel")
+
+        monkeypatch.setattr(cli, "_residual_and_sum", reached)
+        assert run(capsys, *argv.split()) == (2, "", "error: reached the kernel\n")
+
+    def test_ito_work_counts_points_to_t_and_every_level(self):
+        assert _ito_work(3, [26], F(1)) < ITO_BUDGET < _ito_work(1999, [10], F(1))
+        assert _ito_work(3, [20], F(1, 4)) < _ito_work(3, [20], F(1)) < _ito_work(3, range(1, 21), F(1))
 
     @pytest.mark.parametrize("digits", [0, DIGITS_CAP + 1, 300000])
     def test_eval_digits_refused_quickly(self, capsys, digits):
@@ -674,6 +747,19 @@ class TestMalformedInput:
         code, out, _ = run(capsys, "eval", "--t", "1/3", "--digits", str(DIGITS_CAP))
         assert code == 0
         assert len(out.split("decimal: ")[1].split("\n")[0].split(".")[1]) == DIGITS_CAP
+
+    @pytest.mark.parametrize("argv", NO_GRID_COPY)
+    def test_no_command_copies_a_whole_grid(self, capsys, monkeypatch, argv):
+        def no_copy(*args):
+            raise AssertionError("a whole grid was copied")
+
+        monkeypatch.setattr(TakagiFunction, "grid_pairs", no_copy)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "") and out
+
+    def test_no_grid_copy_covers_every_command_and_modulus_path(self):
+        assert {argv.split()[0] for argv in NO_GRID_COPY} == set(OPTIONS)
+        assert modulus._searched(16, 255) and not modulus._searched(12, 3)
 
     def test_every_subcommand_covered(self):
         commands = set(build_parser()._subparsers._group_actions[0].choices)
@@ -793,6 +879,55 @@ EVERY_OPTION = {
     "witness": "witness --levels 2",
     "ito": "ito --scheme bernoulli:1/2 --poly 0,1 --levels 3",
 }
+
+
+_LEVELS = st.integers(-3, 40).map(str) | st.sampled_from(["1000", "100000", "x", "2.5", ""])
+_TIMES = st.sampled_from(["1", "0", "1/2", "5/16", "1/3", "1/5", "3/2", "-1", "1/0", "0.5", "x", f"1/{1 << 40}"])
+_SCHEMES = st.sampled_from(["all_plus", "alt_mk", "block:5", "bernoulli:1/2", "bernoulli:1/3:7", "bernoulli:1/0:3",
+                            "block:0", "nonsense", "file:/no/such/scheme.txt"])
+
+#: Values for each option, inside and outside its range.
+OPTION_VALUES = {
+    "--scheme": _SCHEMES, "--scheme-y": _SCHEMES, "--seed": st.integers(-3, 10**6).map(str) | st.just("x"),
+    "--format": st.sampled_from(["csv", "json", "xml"]), "--grid": _LEVELS, "--level": _LEVELS, "--levels": _LEVELS,
+    "--stride": _LEVELS, "--digits": _LEVELS, "--t": _TIMES, "--h": _TIMES, "--tol": _TIMES,
+    "--poly": st.sampled_from(["0,1", "0,0,0,1", "-3,1/2,7/13", "1/0", "", "1,x", "0,1e4000000", ",".join(["1"] * 2000)])
+    | st.lists(st.integers(-9, 9), min_size=1, max_size=300).map(lambda c: ",".join(map(str, c))),
+}
+
+#: The options a command line needs, which the property test gives first.
+REQUIRED = {"eval": ["--t"], "sample": ["--grid"], "extrema": ["--grid"], "qv": ["--level"], "cov": ["--level"],
+            "counterexample": ["--levels"], "modulus": ["--grid"], "witness": [], "ito": ["--poly", "--level"]}
+
+
+class TestArgvProperty:
+    """Any command line of offered options: exit 0, 2 or 3, nothing on stdout after a failure, and one
+    error line.  The grid builder and the kernels raise a sentinel, so nothing large runs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes_and_one_error_line(self, tmp_path_factory, data):
+        def sentinel(*args):
+            raise ValueError("sentinel")
+
+        command = data.draw(st.sampled_from(sorted(OPTIONS)))
+        options = REQUIRED[command] + data.draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=4))
+        argv = [command]
+        for option in options:
+            value = str(tmp_path_factory.mktemp("out") / "table") if option == "--out" else data.draw(OPTION_VALUES[option])
+            argv.append(f"{option}={value}")
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            for owner, name in [(TakagiFunction, "_blocks"), (TakagiFunction, "_partial_pair"),
+                                (cli, "_residual_and_sum"), (cli, "_profile_sums"), (cli, "witness_ratios")]:
+                mp.setattr(owner, name, sentinel)
+            code = main(argv)
+        assert code in (0, 2, 3), argv
+        if code:
+            assert out.getvalue() == "", argv
+            _assert_one_error_line(err.getvalue())
+        else:
+            assert err.getvalue() == "", argv
 
 
 class _Reads:

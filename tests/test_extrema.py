@@ -1,16 +1,20 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from takagiqv import gridscan
-from takagiqv.extrema import SEED_LEVEL, grid_extrema, grid_oscillation, jacobsthal, max_value, maximizers
-from takagiqv.qfield import Dyadic, QuadValue
+from takagiqv.extrema import (
+    SEED_LEVEL, _margin, _split, _tail, grid_extrema, grid_oscillation, jacobsthal, max_value, maximizers,
+)
+from takagiqv.qfield import Dyadic, QuadValue, pow2_half
 from takagiqv.schemes import BUILTIN_NAMES, Explicit, SchemeDepthError, parse_scheme
-from takagiqv.takagi import TakagiFunction
+from takagiqv.takagi import GRID_LEVEL_CAP, TakagiFunction
 
-from conftest import oracle_grid_extrema, oracle_partial, thetas_reads
+from conftest import oracle_grid_extrema, oracle_grid_pairs, oracle_partial, thetas_reads
 
 
 def fn(spec):
@@ -145,3 +149,41 @@ class TestGridScan:
         table = {(m, k): 1 for m in range(depth) for k in range(1 << m)}
         with pytest.raises(SchemeDepthError, match=f"generation {depth} beyond explicit depth {depth}"):
             grid_extrema(TakagiFunction(Explicit(table, depth)), 12)
+
+
+def explicit(depth, seed=5):
+    rng = random.Random(seed)
+    return TakagiFunction(Explicit({(m, k): rng.choice((1, -1)) for m in range(depth) for k in range(1 << m)}, depth))
+
+
+class TestSharedBounds:
+    """The split, tail bound and margin that both branch-and-bound searches use."""
+
+    @pytest.mark.parametrize("spec", [*BUILTIN_NAMES, "bernoulli:1/3:7", "explicit"])
+    def test_split_of_every_cell_is_the_next_grid(self, spec):
+        f = explicit(12) if spec == "explicit" else fn(spec)
+        grids = [np.stack(oracle_grid_pairs(f, n)) for n in range(13)]
+        for N in range(1, 13):
+            for n in range(N):
+                g = grids[n] << (N - n)
+                mid = _split(f, N, n, np.arange(1 << n), g[:, :-1], g[:, 1:])
+                assert np.array_equal(mid, grids[n + 1][:, 1::2] << (N - n - 1)), (N, n)
+                # stacked cells, as the modulus search splits a cell with its partners
+                k = np.stack((np.arange(1 << n), np.arange(1 << n)[::-1]))
+                both = _split(f, N, n, k, np.stack((g[:, :-1], g[:, -2::-1])), np.stack((g[:, 1:], g[:, :0:-1])))
+                assert np.array_equal(both[0], mid) and np.array_equal(both[1], mid[:, ::-1])
+
+    @pytest.mark.parametrize("depth", [3, 11])
+    def test_split_past_explicit_depth_raises(self, depth):
+        f = explicit(depth)
+        g = np.stack(oracle_grid_pairs(f, depth)) << 1
+        _split(f, depth + 1, depth - 1, np.arange(1 << (depth - 1)), g[:, :-2:2], g[:, 2::2])
+        with pytest.raises(SchemeDepthError, match=f"generation {depth} beyond explicit depth {depth}"):
+            _split(f, depth + 1, depth, np.arange(1 << depth), g[:, :-1], g[:, 1:])
+
+    def test_float_tail_within_its_bound(self):
+        for N in range(1, GRID_LEVEL_CAP + 1):
+            assert _margin(N) == 2.0 ** (N - 40)
+            for n in range(N):
+                exact = pow2_half(2 * N - n) * max_value(N - n)
+                assert abs(QuadValue(F(_tail(N, n)[0]), 0) - exact).compare(F(2) ** (N - 46)) <= 0, (N, n)

@@ -190,7 +190,7 @@ class TestScan:
         def no_grid(*args):
             raise AssertionError("a grid was built")
 
-        monkeypatch.setattr(f, "grid_pairs", no_grid)
+        monkeypatch.setattr(f, "_blocks", no_grid)
         with pytest.raises(ValueError, match=f"above grid {SWEEP_LEVEL_CAP}"):
             sweep_all_steps(f, level)
 

@@ -67,5 +67,6 @@ class TestTracerNames:
             restore()
         spans, counts = tracer.take()
         assert code == 0
-        assert {"request", "report", "takagi.grid_pairs", "cli.emit"} <= set(spans.name)
+        # sample streams its grid's blocks: no whole-grid copy is made
+        assert {"request", "report", "cli.emit"} <= set(spans.name) and "takagi.grid_pairs" not in set(spans.name)
         assert counts["cli.emit.bytes"] == len(out.getvalue()) > 0
