@@ -34,7 +34,7 @@ import numpy as np
 
 from .extrema import grid_extrema
 from .follmer import RationalPolynomial, _residual_and_sum
-from .modulus import _omega_pair, modulus_scan, sweep_all_steps, witness_ratios, witness_steps
+from .modulus import _omega_pair, modulus_scan, sweep_all_steps, witness_ratios
 from .qfield import Dyadic, decimal_column, decimal_pair
 from .quadvar import QVSeries, _first_level, _profile_sums, counterexample_series, cov_profile
 from .schemes import SchemeDepthError, parse_exact_fraction, parse_scheme
@@ -52,8 +52,10 @@ ROW_CHUNK = 1 << 14
 #: and stride-1 ``qv --level`` up to 22 are accepted.
 ROW_BUDGET = (1 << 22) + 1
 
-#: ``witness --levels`` above this is refused: the rows' exact arithmetic
-#: grows fast with the level (about 2 s at 1000, 20 s at 2400).
+#: ``witness --levels`` above this is refused: row n's integers have about n
+#: bits, so the table grows quadratically (1.3 MB of CSV at 1000, 7.2 MB at
+#: 2400) and its time too: 0.2 s at 1000, 0.6 s at 2400 and 3 s at 5000 in a
+#: fresh process on a 2-vCPU x86-64 machine.
 WITNESS_LEVEL_CAP = 1000
 
 #: ``ito`` is refused above this ``_ito_work``: a unit took 0.2-0.6 ns on a 2-vCPU x86-64 machine
@@ -301,7 +303,8 @@ def cmd_witness(args: argparse.Namespace) -> None:
     rows = []
     for kind in ("part_a", "part_b"):
         for row in witness_ratios(kind, 1, levels):
-            t0 = witness_steps(row.n)[0] if kind == "part_b" else Fraction(0)
+            # t_n = 1/2 - (1/3) 2**-n for part_b
+            t0 = Fraction((3 << row.n) - 2, 3 << (row.n + 1)) if kind == "part_b" else Fraction(0)
             rows.append(_value_row(row.n, t0, *row.increment.pair()) + [kind, row.ratio_decimal])
     _emit(_series("%s", ("kind", "%s"), ("ratio_decimal", "%s")), [list(zip(*rows))], args)
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
 from math import isqrt, lcm, prod
 from typing import Iterator
 
@@ -131,14 +130,28 @@ _PRIMES = (
 _CHUNK = 1 << 14
 
 
+#: _PRIMES, then every prime below them that ``_moduli`` has needed so far,
+#: descending.  A longer tuple replaces it, so a concurrent call reads a whole one.
+_found = _PRIMES
+
+
 def _moduli(bound: int) -> list[int]:
     """The fewest primes, _PRIMES first and then the next ones down, whose
-    product exceeds 2 * bound."""
-    primes: list[int] = []
-    for pr in chain(_PRIMES, (c for c in count(_PRIMES[-1] - 2, -2) if _is_prime(c))):
-        if prod(primes) > 2 * bound:
-            return primes
-        primes.append(pr)
+    product exceeds 2 * bound.  Each prime past _PRIMES is found by trial
+    division once a process and kept in _found."""
+    global _found
+    primes, product, i = _found, 1, 0
+    while product <= 2 * bound:
+        if i == len(primes):
+            c = primes[-1] - 2
+            while not _is_prime(c):
+                c -= 2
+            primes += (c,)
+        product *= primes[i]
+        i += 1
+    if len(primes) > len(_found):
+        _found = primes
+    return list(primes[:i])
 
 
 def _times(a: np.ndarray, b: np.ndarray, r: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:

@@ -47,9 +47,8 @@ import numpy as np
 
 from . import takagi
 from .extrema import SEED_LEVEL, _margin, _split, _tail
-from .qfield import _SQRT2_F, SQRT2, Dyadic, QuadValue, Rational, _as_fraction, decimal_ratio, sign_pair
-from .schemes import AllPlus, NegHalfSplit
-from .takagi import TakagiFunction, _check_level, pair_value, thirds_value
+from .qfield import _SQRT2_F, Dyadic, QuadValue, Rational, _as_fraction, decimal_ratio, sign_pair
+from .takagi import TakagiFunction, _check_level, pair_value
 
 #: Sweeps of every step are refused above this grid level.  The work grows
 #: fourfold a level: grid 14 sweeps in about 1.6 s in process (2.3 s from a
@@ -418,6 +417,22 @@ def witness_steps(n: int) -> tuple[Fraction, Fraction]:
     return Fraction(1, 2) - Fraction(1, 3 * (1 << n)), Fraction(2, 3 * (1 << n))
 
 
+def _powers(n: int) -> tuple[int, int]:
+    """sum_{m<n} 2**(m/2) = e + o*sqrt2: the even m give e = 2**ceil(n/2) - 1, the odd o = 2**floor(n/2) - 1."""
+    return (1 << (n + 1) // 2) - 1, (1 << n // 2) - 1
+
+
+def _peak_tail(n: int) -> tuple[int, int]:
+    """3 * 2**n * 2**(-n/2) (2 + sqrt2)/3 = 2**(n/2) (2 + sqrt2), as the pair (p, q) of p + q*sqrt2."""
+    return 2 << n // 2, 1 << (n + 1) // 2
+
+
+def _hat(n: int) -> tuple[int, int]:
+    """3 * 2**n * A(h_n) as a pair: 2 sum_{m<n} 2**(m/2) plus the peak tail."""
+    (e, o), (tp, tq) = _powers(n), _peak_tail(n)
+    return 2 * e + tp, 2 * o + tq
+
+
 def witness_ratios(kind: str, n_lo: int = 1, n_hi: int = 12) -> list[WitnessRow]:
     """Exact sharpness witnesses for the two envelope bounds.
 
@@ -426,23 +441,50 @@ def witness_ratios(kind: str, n_lo: int = 1, n_hi: int = 12) -> list[WitnessRow]
     part_b: the negated-half-split increment across [t_n, t_n + h_n] equals
             sqrt2 omega(h_n) - (sqrt2 + 2) h_n; the ratio tends to sqrt2.
 
-    Both identities are verified exactly for every row; a mismatch raises.
+    Each increment is a closed form in n over the integers, O(1) big-int
+    operations a row.  With A the all-plus function, A(t) = sum_m 2**(-m/2)
+    dist(2**m t, Z), and A(1/3) = A(2/3) = (2 + sqrt2)/3 since dist(2**m/3, Z)
+    = 1/3 for every m.  The binary digits of h_n = (2/3) 2**-n and of
+    t_n = 1/2 - delta, delta = (1/3) 2**-n = h_(n+1), end in the period-2
+    tail of 1/3, so:
+
+    * part_a.  For m < n, 2**m h_n <= 1/3, so generation m adds
+      2**(-m/2) 2**m h_n; from n on the tail is 2**(-n/2) A(2/3):
+
+          A(h_n) = h_n sum_{m<n} 2**(m/2) + 2**(-n/2) (2 + sqrt2)/3,
+
+      and the geometric sum splits by the parity of m into
+      (2**ceil(n/2) - 1) + sqrt2 (2**floor(n/2) - 1).
+    * part_b.  The negated half-split function is -A on [0, 1/2] and
+      A(t - 1/2) - 1/2 on [1/2, 1], so the increment across t_n is
+      A(1/2 - delta) + A(delta) - 1/2.  Generation 0 adds 1/2 - delta at
+      1/2 - delta, each 1 <= m < n adds 2**(-m/2) 2**m delta, and from n on
+      the tail is 2**(-n/2) A(2/3):
+
+          A(1/2 - delta) = 1/2 - delta + delta sum_{1<=m<n} 2**(m/2) + 2**(-n/2) (2 + sqrt2)/3,
+
+      so the increment is delta (sum_{m<n} 2**(m/2) - 2) + 2**(-n/2) (2 + sqrt2)/3
+      + A(delta), and A(delta) = A(h_(n+1)) is part_a at n + 1.
+
+    Each row's triple is checked against the one ``_omega_pair`` gives for
+    the identity above, by cross-multiplication; a mismatch raises.
     """
     if kind not in ("part_a", "part_b"):
         raise ValueError("kind must be 'part_a' or 'part_b'")
-    hat = TakagiFunction(AllPlus())
-    low = TakagiFunction(NegHalfSplit())
     rows = []
     for n in range(n_lo, n_hi + 1):
-        t_n, h_n = witness_steps(n)
-        om = omega(h_n)
+        D = 3 << n  # h_n = 2/D
+        om = op, oq, od = _omega_pair(2, D)
+        # want: the identity's right side, omega(h_n) from _omega_pair
         if kind == "part_a":
-            inc = thirds_value(hat, h_n)  # x(0) = 0
-            expected = om - QuadValue(1, 1) * h_n
+            (p, q), d = _hat(n), D
+            want = op * D - 2 * od, oq * D - 2 * od, od * D
         else:
-            inc = thirds_value(low, t_n + h_n) - thirds_value(low, t_n)
-            expected = SQRT2 * om - QuadValue(2, 1) * h_n
-        if inc != expected:
+            # over 2D = 3 * 2**(n+1): the first two terms are over D (delta = 1/D), so doubled
+            (e, o), (tp, tq), (ap, aq) = _powers(n), _peak_tail(n), _hat(n + 1)
+            p, q, d = 2 * (e - 2 + tp) + ap, 2 * (o + tq) + aq, 2 * D
+            want = 2 * oq * D - 4 * od, op * D - 2 * od, od * D
+        if p * want[2] != want[0] * d or q * want[2] != want[1] * d:
             raise ArithmeticError(f"witness identity failed at n={n} ({kind})")
-        rows.append(WitnessRow(n, inc, decimal_ratio(inc.pair(), om.pair(), 8)))
+        rows.append(WitnessRow(n, QuadValue.from_pair(p, q, d), decimal_ratio((p, q, d), om, 8)))
     return rows

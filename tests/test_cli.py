@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -410,6 +411,118 @@ EXTREMA_GRID_6 = """\
   "oscillation_decimal": "1.010913825154"
 }
 """
+
+
+WITNESS_LEVELS_40 = """\
+level,t_num,t_den,value_a_num,value_a_den,value_b_num,value_b_den,value_decimal,kind,ratio_decimal
+1,0,1,2,3,1,3,1.138071187458,part_a,0.58578644
+2,0,1,1,2,1,3,0.971404520791,part_a,0.70710678
+3,0,1,5,12,1,4,0.770220057260,part_a,0.79289322
+4,0,1,7,24,5,24,0.586294492161,part_a,0.85355339
+5,0,1,11,48,7,48,0.435406144513,part_a,0.89644661
+6,0,1,5,32,11,96,0.318295304022,part_a,0.92677670
+7,0,1,23,192,5,64,0.230277101227,part_a,0.94822330
+8,0,1,31,384,23,384,0.165434666496,part_a,0.96338835
+9,0,1,47,768,31,768,0.118282057856,part_a,0.97411165
+10,0,1,21,512,47,1536,0.084289086869,part_a,0.98169417
+11,0,1,95,3072,21,1024,0.059926905739,part_a,0.98705583
+12,0,1,127,6144,95,6144,0.042537481840,part_a,0.99084709
+13,0,1,191,12288,127,12288,0.030159922072,part_a,0.99352791
+14,0,1,85,8192,191,24576,0.021366975521,part_a,0.99542354
+15,0,1,383,49152,85,16384,0.015129078337,part_a,0.99676396
+16,0,1,511,98304,383,98304,0.010708046411,part_a,0.99771177
+17,0,1,767,196608,511,196608,0.007576818494,part_a,0.99838198
+18,0,1,341,131072,767,393216,0.005360162868,part_a,0.99885589
+19,0,1,1535,786432,341,262144,0.003791479078,part_a,0.99919099
+20,0,1,2047,1572864,1535,1572864,0.002681616350,part_a,0.99942794
+21,0,1,3071,3145728,2047,3145728,0.001896506997,part_a,0.99959549
+22,0,1,1365,2097152,3071,6291456,0.001341191904,part_a,0.99971397
+23,0,1,6143,12582912,1365,4194304,0.000948445363,part_a,0.99979775
+24,0,1,8191,25165824,6143,25165824,0.000670691884,part_a,0.99985699
+25,0,1,12287,50331648,8191,50331648,0.000474270648,part_a,0.99989887
+26,0,1,5461,33554432,12287,100663296,0.000335369925,part_a,0.99992849
+27,0,1,24575,201326592,5461,67108864,0.000237147315,part_a,0.99994944
+28,0,1,32767,402653184,24575,402653184,0.000167690958,part_a,0.99996425
+29,0,1,49151,805306368,32767,805306368,0.000118576656,part_a,0.99997472
+30,0,1,21845,536870912,49151,1610612736,0.000083846978,part_a,0.99998212
+31,0,1,98303,3221225472,21845,1073741824,0.000059289077,part_a,0.99998736
+32,0,1,131071,6442450944,98303,6442450944,0.000041923864,part_a,0.99999106
+33,0,1,196607,12884901888,131071,12884901888,0.000029644726,part_a,0.99999368
+34,0,1,87381,8589934592,196607,25769803776,0.000020962026,part_a,0.99999553
+35,0,1,393215,51539607552,87381,17179869184,0.000014822410,part_a,0.99999684
+36,0,1,524287,103079215104,393215,103079215104,0.000010481036,part_a,0.99999777
+37,0,1,786431,206158430208,524287,206158430208,0.000007411217,part_a,0.99999842
+38,0,1,349525,137438953472,786431,412316860416,0.000005240524,part_a,0.99999888
+39,0,1,1572863,824633720832,349525,274877906944,0.000003705611,part_a,0.99999921
+40,0,1,2097151,1649267441664,1572863,1649267441664,0.000002620263,part_a,0.99999944
+1,1,3,2,3,2,3,1.609475708249,part_b,0.82842712
+2,5,12,2,3,1,2,1.373773447853,part_b,1.00000000
+3,11,24,1,2,5,12,1.089255650989,part_b,1.12132034
+4,23,48,5,12,7,24,0.829145622359,part_b,1.20710678
+5,47,96,7,24,11,48,0.615757274711,part_b,1.26776695
+6,95,192,11,48,5,32,0.450137535787,part_b,1.31066017
+7,191,384,5,32,23,192,0.325660999659,part_b,1.34099026
+8,383,768,23,192,31,384,0.233959949046,part_b,1.36243687
+9,767,1536,31,384,47,768,0.167276090406,part_b,1.37760191
+10,1535,3072,47,768,21,512,0.119202769811,part_b,1.38832521
+11,3071,6144,21,512,95,3072,0.084749442847,part_b,1.39590774
+12,6143,12288,95,3072,127,6144,0.060157083727,part_b,1.40126939
+13,12287,24576,127,6144,191,12288,0.042652570834,part_b,1.40506065
+14,24575,49152,191,12288,85,8192,0.030217466569,part_b,1.40774148
+15,49151,98304,85,8192,383,49152,0.021395747770,part_b,1.40963711
+16,98303,196608,383,49152,511,98304,0.015143464461,part_b,1.41097752
+17,196607,393216,511,98304,767,196608,0.010715239473,part_b,1.41192533
+18,393215,786432,767,196608,341,131072,0.007580415025,part_b,1.41259554
+19,786431,1572864,341,131072,1535,786432,0.005361961134,part_b,1.41306945
+20,1572863,3145728,1535,786432,2047,1572864,0.003792378211,part_b,1.41340455
+21,3145727,6291456,2047,1572864,3071,3145728,0.002682065916,part_b,1.41364151
+22,6291455,12582912,3071,3145728,1365,2097152,0.001896731780,part_b,1.41380906
+23,12582911,25165824,1365,2097152,6143,12582912,0.001341304295,part_b,1.41392753
+24,25165823,50331648,6143,12582912,8191,25165824,0.000948501559,part_b,1.41401131
+25,50331647,100663296,8191,25165824,12287,50331648,0.000670719982,part_b,1.41407055
+26,100663295,201326592,12287,50331648,5461,33554432,0.000474284697,part_b,1.41411244
+27,201326591,402653184,5461,33554432,24575,201326592,0.000335376950,part_b,1.41414206
+28,402653183,805306368,24575,201326592,32767,402653184,0.000237150828,part_b,1.41416300
+29,805306367,1610612736,32767,402653184,49151,805306368,0.000167692714,part_b,1.41417781
+30,1610612735,3221225472,49151,805306368,21845,536870912,0.000118577534,part_b,1.41418828
+31,3221225471,6442450944,21845,536870912,98303,3221225472,0.000083847417,part_b,1.41419569
+32,6442450943,12884901888,98303,3221225472,131071,6442450944,0.000059289297,part_b,1.41420092
+33,12884901887,25769803776,131071,6442450944,196607,12884901888,0.000041923974,part_b,1.41420462
+34,25769803775,51539607552,196607,12884901888,87381,8589934592,0.000029644781,part_b,1.41420724
+35,51539607551,103079215104,87381,8589934592,393215,51539607552,0.000020962053,part_b,1.41420909
+36,103079215103,206158430208,393215,51539607552,524287,103079215104,0.000014822424,part_b,1.41421040
+37,206158430207,412316860416,524287,103079215104,786431,206158430208,0.000010481043,part_b,1.41421133
+38,412316860415,824633720832,786431,206158430208,349525,137438953472,0.000007411220,part_b,1.41421198
+39,824633720831,1649267441664,349525,137438953472,1572863,824633720832,0.000005240526,part_b,1.41421245
+40,1649267441663,3298534883328,1572863,824633720832,2097151,1649267441664,0.000003705612,part_b,1.41421277
+"""
+
+#: sha256 of the stdout of ``witness --levels 1000``, as CSV and as ``--format json``.
+WITNESS_LEVELS_1000_SHA256 = {
+    "csv": "3df8f870ae9e32df5aefa5e6b53d0a08cf7d06cabf7cdb10db330e070ef7e1d5",
+    "json": "86b306f5e597b4d03fc6ddab139f6f87af2bd7a46d87cf1c55d782baca17b27f",
+}
+
+
+class TestWitnessGoldens:
+    def test_levels_40_csv(self, capsys):
+        assert run(capsys, "witness", "--levels", "40") == (0, WITNESS_LEVELS_40, "")
+
+    def test_levels_40_json(self, capsys):
+        # the JSON records carry the golden CSV's cells, ints as numbers
+        rows = list(csv.DictReader(io.StringIO(WITNESS_LEVELS_40)))
+        records = [{k: v if k in ("value_decimal", "kind", "ratio_decimal") else int(v) for k, v in row.items()}
+                   for row in rows]
+        code, out, err = run(capsys, "witness", "--levels", "40", "--format", "json")
+        assert (code, out, err) == (0, json.dumps(records, indent=2) + "\n", "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7813be7e6b34021e379e50aea6172f69e6fc5d1e5afdf3ce60e3c287330a2b53")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_levels_1000(self, capsys, fmt):
+        code, out, err = run(capsys, "witness", "--levels", "1000", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_LEVELS_1000_SHA256[fmt]
 
 
 class TestFilesAndExitCodes:

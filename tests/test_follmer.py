@@ -214,6 +214,23 @@ class TestKernel:
         assert prod(primes) > 2 * bound >= prod(primes[:-1])
         assert follmer._moduli(0) == [] and follmer._moduli(1) == [follmer._PRIMES[0]]
 
+    def test_moduli_found_once(self, monkeypatch):
+        bound = prod(follmer._PRIMES) ** 3
+        first = follmer._moduli(bound)
+        monkeypatch.setattr(follmer, "_is_prime", lambda n: pytest.fail("a prime was searched again"))
+        assert follmer._moduli(bound) == first
+        assert follmer._moduli(prod(first[:20])) == first[:21]
+
+    @pytest.mark.parametrize("bound", [0, 1, 2**29, 2**500, prod(follmer._PRIMES), 10**700])
+    def test_moduli_match_a_fresh_search(self, bound):
+        # the primes below 2**30, descending, until their product exceeds 2 * bound
+        want, c = [], 1 << 30
+        while prod(want) <= 2 * bound:
+            c -= 1
+            if _is_prime(c):
+                want.append(c)
+        assert follmer._moduli(bound) == want
+
     def test_bound_beyond_the_literal_primes(self, monkeypatch):
         used = []
         moduli = follmer._moduli

@@ -317,10 +317,23 @@ class TestWitnesses:
 
     def test_part_b_increment_is_achieved(self):
         low = fn("neg_half_split")
-        for n in (1, 3, 6):
-            t_n, h_n = witness_steps(n)
+        for row in witness_ratios("part_b", 1, 64):
+            t_n, h_n = witness_steps(row.n)
             inc = thirds_value(low, t_n + h_n) - thirds_value(low, t_n)
-            assert inc == witness_ratios("part_b", n, n)[0].increment
+            assert inc == row.increment, row.n
+
+    def test_part_a_increment_is_achieved(self):
+        hat = fn("all_plus")
+        for row in witness_ratios("part_a", 1, 64):
+            _, h_n = witness_steps(row.n)
+            assert thirds_value(hat, h_n) == row.increment, row.n
+
+    @pytest.mark.parametrize("kind", ["part_a", "part_b"])
+    def test_wrong_tail_term_raises(self, monkeypatch, kind):
+        tail = modulus._peak_tail
+        monkeypatch.setattr(modulus, "_peak_tail", lambda n: (tail(n)[0] + 1, tail(n)[1]))
+        with pytest.raises(ArithmeticError, match=f"n=1 \\({kind}\\)"):
+            witness_ratios(kind, 1, 3)
 
     def test_ratios_approach_limits(self):
         part_a = witness_ratios("part_a", 1, 12)
